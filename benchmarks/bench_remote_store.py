@@ -8,9 +8,11 @@ the batch pipeline's cache feed. This bench boots a 3-shard cluster
 (real TCP on loopback), replays an identical probe workload through
 the naive per-probe path and through batched ``probe_many`` at several
 chunk sizes, and records wall-clock, probes/s and the *measured*
-round-trip counts from the client's per-shard stats. A final point
-runs the whole batch pipeline against the cluster for an end-to-end
-tuples/s number.
+round-trip counts from the client's per-shard stats. Two final points
+run the whole batch pipeline against the cluster for an end-to-end
+tuples/s number: oracle-driven (probes go out one per cache miss) and
+rule-only from a trusted ``zip`` (first-round probes are prefetched
+with one ``probe_many`` per window).
 
 Acceptance (asserted): at 3 shards, batched probing crosses the
 network at least 5x fewer times than naive probing, and is faster.
@@ -20,7 +22,8 @@ overhead (full mode; best-of-3 — quick mode's tiny workload makes the
 ratio pure noise, so there only the round-trip identity is asserted),
 and killing a replica under load must cost at most one jittered
 retry-storm per shard before the circuit parks it — bit-identical
-answers throughout.
+answers throughout. The rule-only pipeline point must cross the network
+at most once per 32 probes.
 
 Quick mode (the CI ``bench-smoke`` leg): ``CERFIX_BENCH_QUICK=1``
 shrinks the workload so the leg finishes in seconds while still
@@ -61,6 +64,9 @@ CHUNK_SIZES = (64, 512)
 MIN_TRIP_REDUCTION = 5.0
 #: replicated steady state may cost at most this much over unreplicated
 MAX_REPLICATION_OVERHEAD = 0.05
+#: the prefetching rule-only pipeline must batch at least this many
+#: probes per round trip
+MIN_PIPELINE_PROBES_PER_TRIP = 32
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +88,10 @@ def table():
     result.note(
         f"acceptance: batched probe_many >= {MIN_TRIP_REDUCTION:.0f}x fewer "
         f"round trips than naive at {SHARDS} shards"
+    )
+    result.note(
+        f"acceptance: the rule-only batch pipeline makes <= 1 round trip per "
+        f"{MIN_PIPELINE_PROBES_PER_TRIP} probes (first-round prefetch)"
     )
     result.note(
         f"acceptance: {REPLICAS}-replica client adds zero probe round trips "
@@ -316,6 +326,39 @@ def test_remote_batch_pipeline_end_to_end(table, world):
     table.add(
         "batch pipeline (2 workers)",
         result.report.cache.misses,
+        trips,
+        "-",
+        f"{t_batch:.2f}",
+        f"{BATCH_ROWS / t_batch:.0f} tuples",
+    )
+
+
+def test_remote_batch_pipeline_rule_only(table, world):
+    """The batch pipeline from a trusted ``zip`` with no oracle: each
+    shard prefetches its groups' first-round probes, so the clean
+    crosses the network once per (window, shard, chunk) instead of once
+    per cache miss."""
+    master, ruleset, _, batch_wl, cluster = world
+
+    def clean_once():
+        engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
+        result = engine.clean_relation(batch_wl.dirty, validated=("zip",), workers=2)
+        # handshake, then a prebuild at construction and one before the clean
+        trips = _round_trips(engine.master.store, baseline=3)
+        engine.master.store.close()
+        return result, trips
+
+    t_batch, (result, trips) = time_call(clean_once, repeat=1)
+    probes = result.report.cache.misses
+    # Each plan shard prefetches on its own, so a clean cannot go below
+    # one round trip per (plan shard, store shard): quick mode's 100
+    # rows make too few probes to reach the per-32 bound above that floor.
+    floor = len(result.report.shards) * SHARDS
+    bound = floor if QUICK else -(-probes // MIN_PIPELINE_PROBES_PER_TRIP)
+    assert trips <= bound, f"rule-only pipeline made {trips} round trips for {probes} probes"
+    table.add(
+        "batch pipeline rule-only (2 workers)",
+        probes,
         trips,
         "-",
         f"{t_batch:.2f}",

@@ -83,7 +83,11 @@ class ProbeCache:
       :class:`repro.service.cache.SharedProbeCache` — the wrapper that
       accumulates :class:`CacheStats` under the same lock as the store
       and is safe to call from executor threads and an asyncio event
-      loop alike.
+      loop alike;
+    * **prefetch** (:meth:`CachingMasterDataManager.prefetch`) fills the
+      store through the same ``put`` from the shard's own worker thread,
+      one window of predicted keys at a time — a prefetched entry is an
+      ordinary entry, evictable like any other.
 
     Cached values are frozen and probing is deterministic, so sharing
     a cache can reorder *when* work happens but never what any caller
@@ -161,7 +165,10 @@ class CachingMasterDataManager(MasterDataManager):
     Each instance is built for (and owned by) one shard worker, but the
     hit/miss counters are guarded anyway: accumulation must stay exact
     even if a future caller shares an instance between threads, and the
-    uncontended lock costs nanoseconds next to a probe.
+    uncontended lock costs nanoseconds next to a probe. ``misses``
+    counts every key the store was asked for — by a :meth:`match` that
+    missed or by a :meth:`prefetch` — so it always equals the store's
+    own probe count; ``hits`` counts lookups the cache answered.
     """
 
     def __init__(self, source: Relation | MasterStore, cache: ProbeCache):
@@ -218,6 +225,38 @@ class CachingMasterDataManager(MasterDataManager):
         match = super().match(rule, values, use_index=use_index)
         self.cache.put(key, match)
         return match
+
+    def prefetch(
+        self,
+        requests: Sequence[tuple[EditingRule, Mapping[str, Any]]],
+        *,
+        use_index: bool = True,
+    ) -> int:
+        """Warm the cache for ``requests`` with one ``probe_many`` call.
+
+        Constant rules, keys already resident (touched, so they stay
+        resident) and keys repeated within the batch are skipped; the
+        rest cross the store boundary together — on a remote store one
+        round trip per shard instead of one per key. Returns the number
+        of keys the store was asked for. ``probe_many`` is bit-identical
+        to per-key probes, so a later :meth:`match` hit returns exactly
+        what a miss would have computed.
+        """
+        wanted: dict[tuple, tuple[EditingRule, Mapping[str, Any]]] = {}
+        for rule, values in requests:
+            if isinstance(rule.source, Constant):
+                continue
+            key = self._cache_key(rule, values)
+            if key not in wanted and self.cache.get(key) is None:
+                wanted[key] = (rule, values)
+        if not wanted:
+            return 0
+        matches = self.store.probe_many(list(wanted.values()), use_index=use_index)
+        with self._stats_lock:
+            self.misses += len(wanted)
+        for key, match in zip(wanted, matches):
+            self.cache.put(key, match)
+        return len(wanted)
 
     @property
     def stats(self) -> CacheStats:

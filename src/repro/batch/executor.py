@@ -203,10 +203,14 @@ class _TranscriptRecorder:
     get assigned at replay time.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "trace_id", "span_id")
 
     def __init__(self):
         self.events: list[dict] = []
+        # Built inside the group-chase span, so these are its ids: the
+        # pipeline replays them so provenance points at the span that
+        # actually produced the fix, not the replay loop.
+        self.trace_id, self.span_id = trace.current_ids()
 
     def record(
         self,
@@ -229,13 +233,9 @@ class _TranscriptRecorder:
             "master_positions": tuple(master_positions),
             "round_no": round_no,
         }
-        # Stamp in the worker, where the group-chase span is live — the
-        # pipeline replays these ids so provenance points at the span
-        # that actually produced the fix, not the replay loop.
-        trace_id, span_id = trace.current_ids()
-        if trace_id is not None:
-            event["trace_id"] = trace_id
-            event["span_id"] = span_id
+        if self.trace_id is not None:
+            event["trace_id"] = self.trace_id
+            event["span_id"] = self.span_id
         self.events.append(event)
 
 
@@ -253,11 +253,12 @@ def _resolve_group(
     chase runs from the trusted ``ctx.validated`` attributes and stops —
     rule-only repair; unvalidated cells keep their input values.
     """
-    audit = _TranscriptRecorder()
     with trace.span(
         "group-chase", rep=group.representative, members=len(group.members)
     ):
-        return _resolve_group_inner(group, ctx, manager, memo, chase_memo, audit)
+        return _resolve_group_inner(
+            group, ctx, manager, memo, chase_memo, _TranscriptRecorder()
+        )
 
 
 def _resolve_group_inner(
@@ -316,6 +317,7 @@ def _run_shard(
     cache: ProbeCache,
     memo: LRUMemo | None = None,
     chase_memo: LRUMemo | None = None,
+    sharers: int = 1,
 ) -> ShardResult:
     """Resolve every group of one shard behind a caching manager.
 
@@ -327,6 +329,8 @@ def _run_shard(
     the engine configuration — constant across one batch run — so
     sharing it across shards reorders when inference work happens but
     never what any group observes (the bit-identity guarantee holds).
+    ``sharers`` is how many shard workers use ``cache`` at once; it
+    sizes the prefetch windows (see :func:`_resolve_groups`).
     """
     manager = CachingMasterDataManager(base.store, cache)
     evictions_before = cache.evictions
@@ -335,9 +339,7 @@ def _run_shard(
     # carrier in the context re-parents this shard under the clean-run.
     with trace.activate(ctx.trace):
         with trace.span("shard", shard=shard.shard_id, groups=len(shard.groups)):
-            outcomes = tuple(
-                _resolve_group(g, ctx, manager, memo, chase_memo) for g in shard.groups
-            )
+            outcomes = _resolve_groups(shard.groups, ctx, manager, memo, chase_memo, sharers)
     return ShardResult(
         shard_id=shard.shard_id,
         outcomes=outcomes,
@@ -346,6 +348,56 @@ def _run_shard(
         cache_misses=manager.misses,
         cache_evictions=cache.evictions - evictions_before,
     )
+
+
+def _resolve_groups(
+    groups: Sequence[PlanGroup],
+    ctx: BatchContext,
+    manager: CachingMasterDataManager,
+    memo: LRUMemo | None,
+    chase_memo: LRUMemo | None,
+    sharers: int,
+) -> tuple[GroupOutcome, ...]:
+    """Resolve ``groups`` in order, prefetching first-round probes over
+    an io-bound store (remote shards) with a trusted seed.
+
+    A group's first chase starts from its seed — the ``ctx.validated``
+    values taken from its truth when it has one, else from its input —
+    so its first-round probes are every rule that reads only seeded
+    attributes and whose pattern the seed matches. The groups go in
+    windows, each warmed by one ``probe_many``; later chase rounds, and
+    keys the prediction missed, fall back to single probes. A window
+    inserts at most half of this worker's share of the cache, so the
+    windows of all ``sharers`` workers fit in half the cache together,
+    leaving the other half to single probes; an entry evicted anyway
+    is just probed again. Every other store (and the oracle loop with
+    no seed, whose first probes depend on the first suggestion)
+    resolves the shard as one window with no prefetch.
+    """
+    first = []
+    if ctx.validated and manager.store.io_bound:
+        seeded = frozenset(ctx.validated)
+        first = [r for r in ctx.ruleset if r.reads <= seeded]
+    budget = manager.cache.maxsize // (2 * sharers)
+    if len(first) > budget:
+        first = []  # too small a cache to hold even one group's probes
+    per_window = budget // len(first) if first else max(len(groups), 1)
+    outcomes: list[GroupOutcome] = []
+    for start in range(0, len(groups), per_window):
+        window = groups[start : start + per_window]
+        if first:
+            requests = []
+            for group in window:
+                seed = group.truth if group.truth is not None else group.values
+                requests.extend(
+                    (rule, seed)
+                    for rule in first
+                    if not rule.has_pattern or rule.pattern.matches(seed)
+                )
+            with trace.span("prefetch") as span:
+                span.annotate(probes=manager.prefetch(requests, use_index=ctx.use_index))
+        outcomes.extend(_resolve_group(g, ctx, manager, memo, chase_memo) for g in window)
+    return tuple(outcomes)
 
 
 # -- process-backend plumbing -------------------------------------------------
@@ -441,10 +493,13 @@ class ShardExecutor:
                 results.append(result)
             return results
         if self.backend == "thread":
+            # Every pool thread shares self.cache: each shard's prefetch
+            # windows get an equal slice of it.
+            sharers = min(self.workers, len(shards))
             pool = ThreadPoolExecutor(max_workers=self.workers)
             submit = lambda shard: pool.submit(  # noqa: E731
                 _run_shard, shard, self.ctx, self.ctx.master, self.cache, self.memo,
-                self.chase_memo,
+                self.chase_memo, sharers,
             )
         else:
             pool = ProcessPoolExecutor(

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import random
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -216,41 +214,14 @@ def case_cluster(
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def disruption(action: Callable[[], Any], delay: float = 0.05) -> Iterator[threading.Thread]:
-    """Fire ``action`` on a background thread ``delay`` seconds after
-    entry — a replica kill or a rolling restart landing *mid-run*.
-
-    The thread is joined on exit; if ``action`` itself raised (the
-    disruption failed to disrupt), that error propagates — a chaos case
-    that silently skipped its chaos would assert nothing.
-    """
-    failure: list[BaseException] = []
-
-    def fire() -> None:
-        time.sleep(delay)
-        try:
-            action()
-        except BaseException as exc:  # surfaced after join, never swallowed
-            failure.append(exc)
-
-    thread = threading.Thread(target=fire, daemon=True, name="cerfix-disruption")
-    thread.start()
-    try:
-        yield thread
-    finally:
-        thread.join(timeout=60)
-    if failure:
-        raise failure[0]
-
-
 def run_failover_conformance(
     case: DifferentialCase,
     cluster: Any,
     *,
     disrupt: Callable[[Any], Any],
     batch_workers: int = 2,
-    delay: float = 0.05,
+    max_batch: int = 512,
+    cache_size: int = 4096,
     timeout: float = 10.0,
     retries: int = 3,
     backoff: float = 0.02,
@@ -264,9 +235,25 @@ def run_failover_conformance(
     assertion: a replica dying (or a whole rolling restart) may change
     *routes* — retries, failovers, circuit opens all show up in the
     store's stats — but never a repaired cell, an audit event or a
-    report scalar. The handshake runs before the disruption is armed,
-    so the clean starts against a verified healthy cluster and the
-    failure lands mid-probing, which is the scenario that matters.
+    report scalar. The disruption fires from the store's one-shot
+    :attr:`~repro.master.remote.RemoteMasterStore.reply_hook`, right
+    after the clean's first ``/probe_many`` reply: the clean starts
+    against a verified healthy cluster and the failure lands
+    mid-probing, whatever the run's speed. With thread workers (the
+    default) the hook's thread runs the disruption while the other
+    workers keep probing, so requests are in flight as replicas go
+    down. ``max_batch`` and ``cache_size`` shrink the wire chunks and
+    the prefetch windows of a seeded clean, so the disruption lands
+    between them.
+
+    A serial clean (``batch_workers=1``) must also show at least one
+    retry or failover — a chaos case whose chaos never touched a
+    request asserts nothing. Its request sequence is the same on every
+    run: after a restart each of its pooled connections is stale and
+    the next request on one retries; a stopped replica fails the next
+    request rotated to it. Under thread workers which connections go
+    stale, and whether the other workers finish before a stop lands,
+    is a race, so those runs assert parity only.
     """
     from repro.master.remote import RemoteMasterStore
 
@@ -275,6 +262,7 @@ def run_failover_conformance(
         SingleRelationStore(Relation(case.master.schema, case.master.tuples())),
         workers=batch_workers,
         backend="thread",
+        cache_size=cache_size,
     )
     store = RemoteMasterStore(
         cluster.urls,
@@ -282,15 +270,24 @@ def run_failover_conformance(
         retries=retries,
         backoff=backoff,
         circuit_reset=circuit_reset,
+        max_batch=max_batch,
     )
+    store.reply_hook = lambda: disrupt(cluster)
     try:
-        with disruption(lambda: disrupt(cluster), delay):
-            disrupted = run_batch_path(
-                case, store, workers=batch_workers, backend="thread"
-            )
+        disrupted = run_batch_path(
+            case, store, workers=batch_workers, backend="thread", cache_size=cache_size
+        )
+        per_shard = store.stats()["per_shard"]
     finally:
         store.close()
+    # The store clears its one-shot hook as it fires it.
+    assert store.reply_hook is None, (
+        "the clean made no /probe_many call, so the disruption never fired"
+    )
     assert_parity({"single": reference, "remote-disrupted": disrupted})
+    if batch_workers == 1:
+        rerouted = sum(s["retries"] + s["failovers"] for s in per_shard)
+        assert rerouted >= 1, "the disruption fired but no request retried or failed over"
     return disrupted
 
 
@@ -402,6 +399,7 @@ def run_batch_path(
         shards=shards,
         validated=case.validated,
         journal_path=journal_path,
+        cache_size=cache_size,
     )
     return PathOutcome(
         fixed_rows=result.relation.tuples(),

@@ -19,8 +19,8 @@ What makes it production-shaped rather than a toy RPC wrapper:
   batch by shard and crosses the network once per shard (per
   ``max_batch`` chunk), with shard groups issued concurrently; the
   entry service's :class:`~repro.service.batcher.ProbeBatcher` and the
-  batch pipeline's probe cache now amortise *real round trips*, not
-  just CPU;
+  batch executor's first-round prefetch amortise *real round trips*,
+  not just CPU;
 * **retry with backoff** — transient transport failures (connection
   reset, refused, timeout, 5xx) retry with decorrelated-jitter
   exponential backoff against a fresh connection, so a shard server
@@ -61,7 +61,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from repro.errors import MasterDataError
@@ -720,6 +720,11 @@ class RemoteMasterStore(MasterStore):
         self._pool: ThreadPoolExecutor | None = None
         self._pool_pid = os.getpid()
         self._pool_lock = threading.Lock()
+        #: One-shot callable run right after the next ``/probe_many``
+        #: reply, then cleared — lands a test disruption (a replica
+        #: kill, a rolling restart) at a known point mid-clean instead
+        #: of on a timer.
+        self.reply_hook: Callable[[], Any] | None = None
         self._digest, self._tuples = self._handshake()
         get_registry().register_source("remote_store", self.stats)
 
@@ -850,6 +855,8 @@ class RemoteMasterStore(MasterStore):
                     "use_index": use_index,
                 }
                 answer = group.request("POST", "/probe_many", payload)
+                if self.reply_hook is not None:
+                    self._fire_reply_hook()
                 matches = answer.get("matches") if isinstance(answer, dict) else None
                 if not isinstance(matches, list) or len(matches) != len(chunk):
                     raise MasterDataError(
@@ -886,6 +893,12 @@ class RemoteMasterStore(MasterStore):
                     raise exc
         assert all(m is not None for m in results), "shard group left probes unanswered"
         return results  # type: ignore[return-value]
+
+    def _fire_reply_hook(self) -> None:
+        with self._pool_lock:
+            hook, self.reply_hook = self.reply_hook, None
+        if hook is not None:
+            hook()
 
     def _executor(self) -> ThreadPoolExecutor:
         with self._pool_lock:

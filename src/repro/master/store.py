@@ -162,7 +162,8 @@ class MasterStore:
 
     #: True for backends whose probes perform blocking I/O (network
     #: round trips). The service's probe micro-batcher moves such
-    #: :meth:`probe_many` calls off the event loop onto an executor.
+    #: :meth:`probe_many` calls off the event loop onto an executor,
+    #: and the batch executor prefetches first-round probes for them.
     io_bound = False
 
     #: The canonical master relation, in global position order.
@@ -194,9 +195,13 @@ class MasterStore:
     ) -> list[MasterMatch]:
         """Answer a batch of probes in one call (request order preserved).
 
-        The entry service's micro-batcher funnels concurrent cache
-        misses through this method so a store crosses the manager/store
-        boundary once per batch instead of once per probe. The default
+        Two callers funnel probes through this method so a store crosses
+        the manager/store boundary once per batch instead of once per
+        probe: the entry service's micro-batcher
+        (:class:`~repro.service.batcher.ProbeBatcher`, concurrent cache
+        misses) and the batch executor's first-round prefetch
+        (:meth:`~repro.batch.cache.CachingMasterDataManager.prefetch`,
+        io-bound stores only). The default
         implementation loops over :meth:`probe`; backends with cheaper
         grouped access (e.g. per-shard routing, one SQL round trip) can
         override it — results must stay bit-identical to per-probe calls.

@@ -84,6 +84,16 @@ def test_remote_rolling_restart_mid_run_conformance(tmp_path):
     """The CI matrix point's acceptance scenario: a replicated cluster
     rolled member by member *while* a batch clean runs against it —
     bit-identical to the single backend, zero wrong answers."""
+    _rolling_restart_conformance(tmp_path, batch_workers=2)
+
+
+def test_remote_rolling_restart_mid_run_conformance_serial(tmp_path):
+    """The same under a serial clean, which must also have retried or
+    failed over."""
+    _rolling_restart_conformance(tmp_path, batch_workers=1)
+
+
+def _rolling_restart_conformance(tmp_path, *, batch_workers: int) -> None:
     case = generate_case(1707, scenario="uk", n=20)
     replicas = max(2, REMOTE_REPLICAS)
     with case_cluster(
@@ -93,7 +103,7 @@ def test_remote_rolling_restart_mid_run_conformance(tmp_path):
             case,
             cluster,
             disrupt=lambda c: c.rolling_restart(pause=0.02),
-            delay=0.03,
+            batch_workers=batch_workers,
         )
 
 

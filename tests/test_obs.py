@@ -511,6 +511,21 @@ class TestTracingIsPure:
         assert stamped
         assert {e["trace_id"] for e in stamped} == {stamped[0]["trace_id"]}
 
+    def test_batch_audit_stamps_name_the_group_chase_span(self, tmp_path):
+        """A batch fix points at the group-chase span that produced it,
+        not at the replay loop that copied it onto member rows."""
+        case = generate_case(11, master_size=20, n=12)
+        path = tmp_path / "t.jsonl"
+        trace.configure(path)
+        try:
+            traced = run_batch_path(case, store_factories(case, tmp_path)["single"]())
+        finally:
+            trace.disable()
+        chases = {s["span"] for s in _read_spans(path) if s["name"] == "group-chase"}
+        rule_events = [e for e in traced.audit_events if e["source"] == "rule"]
+        assert rule_events
+        assert {e["span_id"] for e in rule_events} <= chases
+
     def test_audit_stamps_omitted_when_disabled(self, tmp_path):
         case = generate_case(11, master_size=20, n=12)
         outcome = run_batch_path(case, store_factories(case, tmp_path)["single"]())

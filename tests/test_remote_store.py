@@ -10,6 +10,7 @@ restart, and the subprocess cluster lifecycle the CI leg relies on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import time
@@ -758,25 +759,60 @@ def test_replicated_store_pickles_with_topology(world, replicated):
 # ---------------------------------------------------------------------------
 
 
+def _failover_case(seed: int, kind: str):
+    """The oracle loop probes one key per round trip; the rule-only
+    clean (trusted ``zip``) prefetches, and its tiny wire chunks and
+    cache put the disruption between prefetch chunks and windows."""
+    if kind == "oracle":
+        return generate_case(seed, scenario="uk"), {}
+    case = dataclasses.replace(
+        generate_case(seed, scenario="uk", with_truth=False), validated=("zip",)
+    )
+    return case, {"max_batch": 2, "cache_size": 16}
+
+
+DISRUPTIONS = {
+    "replica-kill": lambda c: c.stop(1, 0),
+    "rolling-restart": lambda c: c.rolling_restart(pause=0.02),
+}
+
+
+def _run_failover(tmp_path, seed, kind, disruption, batch_workers):
+    case, sizes = _failover_case(seed, kind)
+    with case_cluster(case, tmp_path, shards=SHARDS, replicas=REPLICAS) as cluster:
+        return run_failover_conformance(
+            case,
+            cluster,
+            disrupt=DISRUPTIONS[disruption],
+            batch_workers=batch_workers,
+            **sizes,
+        )
+
+
 def test_failover_conformance_replica_killed_mid_run(tmp_path):
     """A replica dying while a batch clean is probing: zero wrong
     answers, bit-identical to the single-backend run."""
-    case = generate_case(2303, scenario="uk")
-    with case_cluster(case, tmp_path, shards=SHARDS, replicas=REPLICAS) as cluster:
-        outcome = run_failover_conformance(
-            case, cluster, disrupt=lambda c: c.stop(1, 0), delay=0.03
-        )
+    outcome = _run_failover(tmp_path, 2303, "oracle", "replica-kill", 2)
     assert outcome.fixed_rows
 
 
 def test_failover_conformance_rolling_restart_under_live_traffic(tmp_path):
     """Every member bounced one at a time while the clean runs — the
     zero-downtime deployment shape — with bit-identical output."""
-    case = generate_case(2404, scenario="uk")
-    with case_cluster(case, tmp_path, shards=SHARDS, replicas=REPLICAS) as cluster:
-        run_failover_conformance(
-            case,
-            cluster,
-            disrupt=lambda c: c.rolling_restart(pause=0.02),
-            delay=0.03,
-        )
+    _run_failover(tmp_path, 2404, "oracle", "rolling-restart", 2)
+
+
+@pytest.mark.parametrize(
+    "kind, batch_workers", [("oracle", 1), ("rule-only", 2), ("rule-only", 1)]
+)
+@pytest.mark.parametrize(
+    "disruption, seed", [("replica-kill", 2303), ("rolling-restart", 2404)]
+)
+def test_failover_conformance_serial_and_prefetched(
+    tmp_path, disruption, seed, kind, batch_workers
+):
+    """The same disruptions under a serial clean, which must also show a
+    retry or failover, and under a prefetched rule-only clean, where
+    they land between prefetch chunks and windows."""
+    outcome = _run_failover(tmp_path, seed, kind, disruption, batch_workers)
+    assert outcome.fixed_rows
