@@ -14,7 +14,7 @@ Per point we record throughput, client latency percentiles, the shared
 probe-cache hit rate, suggestion-memo hit rate, coalesced/batched probe
 counts and 429 retries. One extra point runs ``dispatch="executor"``
 so the micro-batcher's coalescing counters are exercised through HTTP
-(under the default ``auto`` dispatch a single-core host runs sessions
+(under the default ``auto`` dispatch an in-process store runs sessions
 inline on the loop, where probes take the direct path).
 
 Acceptance (ISSUE 4): async throughput at 32+ concurrent sessions must

@@ -14,7 +14,8 @@ over one engine:
     the probe micro-batcher — concurrent cache misses against the
     master store are collapsed per key and answered in batched lookups;
 :mod:`repro.service.cache`
-    async/thread-safe shared caches (probe results, suggestion memo);
+    async/thread-safe shared caches (probe results, suggestion and
+    chase memos);
 :mod:`repro.service.limits`
     admission control — bounded global and per-session queues with
     ``429 Retry-After`` backpressure;

@@ -2,24 +2,25 @@
 
 :class:`RoutingCore` is the single routing table of the HTTP surface:
 the synchronous web explorer (:mod:`repro.explorer.web`) calls it under
-one global lock, and :class:`AsyncCerFixService` calls it from executor
-threads under per-session asyncio locks — same routes, same payloads,
-one implementation.
+one global lock, and :class:`AsyncCerFixService` calls it under
+per-session asyncio locks — same routes, same payloads, one
+implementation.
 
 :class:`AsyncCerFixService` is the concurrent orchestrator: it owns the
-shared probe cache, the probe micro-batcher, the suggestion memo, the
-admission controller and the metrics, multiplexes many concurrent
-monitor sessions over one engine, and serialises exactly what must be
-serialised — operations *within* one session (per-session asyncio
-lock) and engine-mutating routes (one engine lock). Everything else
-runs concurrently on a thread-pool executor.
+shared probe cache, the probe micro-batcher, the suggestion and chase
+memos, the admission controller and the metrics, multiplexes many
+concurrent monitor sessions over one engine, and serialises exactly
+what must be serialised — operations *within* one session (per-session
+asyncio lock) and engine-level routes (one engine lock). Session routes
+run on the event loop for in-process stores and on a thread-pool
+executor for an ``io_bound`` (remote) store; engine-level routes always
+run on the executor, so a long ``/api/clean`` never stalls the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -258,13 +259,20 @@ class AsyncCerFixService:
       store, fed by the :class:`ProbeBatcher`'s coalesced micro-batches;
     * a :class:`~repro.service.cache.LRUMemo` suggestion memo, scoped
       to the current regions epoch;
+    * a :class:`~repro.service.cache.LRUMemo` chase memo (see
+      :func:`repro.core.chase.chase_memoized`), bypassed by strict
+      sessions;
     * an :class:`AdmissionController` enforcing the global/per-session
       queue bounds (saturation answers ``429`` + ``Retry-After``);
     * :class:`ServiceMetrics` behind ``GET /api/metrics``.
 
-    Session operations run on a thread-pool executor under per-session
-    asyncio locks; engine-mutating routes (``/api/clean``,
-    ``/api/regions``, …) under one engine lock. The service produces
+    Session operations run under per-session asyncio locks, where
+    ``dispatch`` puts them: ``auto`` picks by store kind — ``inline``
+    (on the event loop) for in-process stores, ``executor`` (a thread
+    pool) for an ``io_bound`` store, whose network probes must never
+    block the loop. Engine-level routes (``/api/clean``,
+    ``/api/regions``, …) always run on the executor, under one engine
+    lock, whatever the mode. The service produces
     bit-identical per-tuple outputs to the serial monitor path for any
     interleaving of sessions — `tests/test_service.py` and the
     differential suite enforce this across every store backend.
@@ -290,19 +298,14 @@ class AsyncCerFixService:
                 f"dispatch must be 'auto', 'executor' or 'inline', got {dispatch!r}"
             )
         if dispatch == "auto":
-            # The executor buys overlapped session chases only when there
-            # are cores to overlap on; on a single-core host the two
-            # thread handoffs per request are pure overhead (~130µs,
-            # measured) and inline dispatch on the loop wins outright.
-            # Exception: an io_bound store (the remote shard cluster)
-            # must never probe inline — a blocking network round trip
-            # (worse, a retry cycle against a down shard) on the event
-            # loop would stall accepts and backpressure for its whole
-            # duration, core count notwithstanding.
-            if engine.master.store.io_bound:
-                dispatch = "executor"
-            else:
-                dispatch = "executor" if (os.cpu_count() or 1) > 1 else "inline"
+            # The store kind decides, not the core count: under the GIL
+            # executor threads cannot overlap pure-Python chases, so the
+            # two thread handoffs per request are pure overhead for an
+            # in-process store. An io_bound store (the remote shard
+            # cluster) must never probe inline — a blocking network round
+            # trip (worse, a retry cycle against a down shard) on the
+            # event loop would stall accepts and backpressure.
+            dispatch = "executor" if engine.master.store.io_bound else "inline"
         elif dispatch == "inline" and engine.master.store.io_bound:
             # Not a coercion: an operator who pinned inline for a remote
             # store has configured a service that freezes for
@@ -317,6 +320,11 @@ class AsyncCerFixService:
         self.metrics = ServiceMetrics()
         self.cache = SharedProbeCache(cache_size)
         self.memo = LRUMemo(memo_size)
+        #: One chase-transcript memo for the service's lifetime: sound
+        #: because master content is fixed here (the probe cache is never
+        #: invalidated either), and a chase reads no regions, so unlike
+        #: the suggestion memo it needs no epoch token.
+        self.chase_memo = LRUMemo(memo_size)
         self.admission = AdmissionController(
             max_sessions=max_sessions,
             max_inflight=max_inflight,
@@ -370,8 +378,9 @@ class AsyncCerFixService:
     # -- session plumbing ----------------------------------------------------
 
     def _open_session(self, values: Mapping[str, Any], tuple_id: str) -> MonitorSession:
-        """Session factory: inject the coalescing manager and the
-        regions-scoped suggestion memo (runs on an executor thread).
+        """Session factory: inject the coalescing manager, the shared
+        chase memo (strict sessions drop it) and the regions-scoped
+        suggestion memo.
 
         The memo token is the *same regions tuple the session captures*
         (read exactly once), so a concurrent ``/api/regions`` recompute
@@ -387,6 +396,7 @@ class AsyncCerFixService:
             regions=regions,
             master=self.manager,
             suggestion_memo=memo,
+            chase_memo=self.chase_memo,
         )
 
     def _session_lock(self, session_id: str) -> asyncio.Lock:
@@ -511,16 +521,22 @@ class AsyncCerFixService:
                     self.admission.forget_session(session_id)
             else:
                 async with self._engine_lock:
-                    status, payload = await self._dispatch(method, path, body)
+                    status, payload = await self._run_in_executor(method, path, body)
             return status, payload, {}
         finally:
             self.admission.exit_request()
 
     async def _dispatch(self, method: str, path: str, body: dict | None) -> tuple[int, Any]:
+        """A session route, on the loop or on the executor."""
         if self.dispatch_mode == "inline":
             # Runs on the loop; probe misses take the batcher's direct
             # path (see ProbeBatcher.probe_sync) so nothing deadlocks.
             return self.core.handle(method, path, body)
+        return await self._run_in_executor(method, path, body)
+
+    async def _run_in_executor(
+        self, method: str, path: str, body: dict | None
+    ) -> tuple[int, Any]:
         loop = asyncio.get_running_loop()
         # Contextvars do not cross run_in_executor: ship the trace
         # context as a carrier so session work (suggest/chase spans,
@@ -591,14 +607,8 @@ class AsyncCerFixService:
             "size": len(self.cache),
             "maxsize": self.cache.maxsize,
         }
-        memo = self.memo.stats
-        data["suggestion_memo"] = {
-            "hits": memo.hits,
-            "misses": memo.misses,
-            "hit_rate": memo.hit_rate,
-            "size": len(self.memo),
-            "maxsize": self.memo.maxsize,
-        }
+        data["suggestion_memo"] = _memo_json(self.memo)
+        data["chase_memo"] = _memo_json(self.chase_memo)
         data["limits"] = {
             "max_sessions": self.admission.max_sessions,
             "max_inflight": self.admission.max_inflight,
@@ -607,3 +617,14 @@ class AsyncCerFixService:
         data["dispatch"] = self.dispatch_mode
         data["registry"] = get_registry().dump()
         return data
+
+
+def _memo_json(memo: LRUMemo) -> dict:
+    stats = memo.stats
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "hit_rate": stats.hit_rate,
+        "size": len(memo),
+        "maxsize": memo.maxsize,
+    }

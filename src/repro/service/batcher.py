@@ -16,19 +16,23 @@ sessions' shared probe cache and the
     window that lets concurrent misses pile up) and answered through
     one :meth:`~repro.master.store.MasterStore.probe_many` call.
 
-Threading model: sessions run on executor threads and enter through
+Threading model: sessions enter through
 :class:`CoalescingMasterDataManager` — a synchronous
 :meth:`~repro.master.manager.MasterDataManager.match` that checks the
-(thread-safe) shared cache first and bridges only *misses* into the
-event loop with ``run_coroutine_threadsafe``. The drain runs on the
-loop; for in-memory backends (every store probing RAM, including
-sqlite) the lookup happens inline — index reads never block the loop
-meaningfully, and keeping them off the session executor makes the
-bridge deadlock-free by construction. An ``io_bound`` store (the
-remote shard cluster) instead has its ``probe_many`` dispatched to the
-loop's default executor: a real network round trip must not stall
-request accept, and the micro-batch is exactly the unit that amortises
-it.
+(thread-safe) shared cache first. Where a session runs depends on the
+service's dispatch mode. For in-process stores (every store probing
+RAM, including sqlite) the default runs sessions on the event loop
+itself: a miss is answered by a direct store probe
+(:meth:`ProbeBatcher.probe_sync`), since index reads never block the
+loop meaningfully and one thread has no concurrency to coalesce. For an
+``io_bound`` store (the remote shard cluster) sessions run on executor
+threads, and only misses are bridged into the loop with
+``run_coroutine_threadsafe``; the drain then dispatches the batched
+``probe_many`` to the loop's default executor, because a real network
+round trip must not stall request accept, and the micro-batch is
+exactly the unit that amortises it. Executor dispatch over an
+in-process store (an explicit override) drains inline on the loop,
+which keeps the bridge deadlock-free by construction.
 
 Determinism: probing is a pure function of (rule, key) over fixed
 master data, so collapsing and batching can only change *speed*, never
@@ -181,13 +185,14 @@ class ProbeBatcher:
     # -- the sync bridge (runs on executor threads) -------------------------
 
     def probe_sync(self, key: tuple, rule: EditingRule, values: Mapping[str, Any]) -> MasterMatch:
-        """Blocking entry point for sessions running on executor threads.
+        """Blocking entry point for a session's cache miss.
 
-        Loop-aware: under inline dispatch (single-core hosts) sessions
-        run *on* the event loop thread, where a blocking bridge into the
-        same loop would deadlock — those probes go straight to the store
-        (the shared cache still amortises them; there is no concurrency
-        to coalesce on one thread). Off-loop callers get the full
+        Loop-aware: under inline dispatch (the default for in-process
+        stores) sessions run *on* the event loop thread, where a
+        blocking bridge into the same loop would deadlock — those
+        probes go straight to the store (the shared cache still
+        amortises them; there is no concurrency to coalesce on one
+        thread). Off-loop callers (executor dispatch) get the full
         coalescing/micro-batching path.
         """
         loop = self._loop

@@ -12,7 +12,8 @@ store **and** the statistics must be race-free. This module provides:
     write from executor threads and the event loop alike;
 :class:`LRUMemo`
     a generic bounded LRU (the suggestion memo — see
-    :meth:`repro.monitor.session.MonitorSession.suggestion`);
+    :meth:`repro.monitor.session.MonitorSession.suggestion` — and the
+    chase memo, see :func:`repro.core.chase.chase_memoized`);
 :class:`MemoView`
     a token-prefixed view of an :class:`LRUMemo`, so entries computed
     under one configuration epoch (e.g. one set of precomputed
@@ -100,7 +101,8 @@ class LRUMemo:
     is a deterministic function of the validated (attribute, value)
     pairs and the engine configuration, so concurrent sessions over
     duplicate-heavy traffic amortise the inference cost — the same way
-    the probe cache amortises master lookups.
+    the probe cache amortises master lookups. A second one is the
+    shared *chase memo*, amortising the chase the same way.
     """
 
     def __init__(self, maxsize: int = 4096):

@@ -437,15 +437,16 @@ def test_spawn_failure_reports_child_output(tmp_path):
 
 
 def test_auto_dispatch_never_inlines_remote_probes(world, cluster, monkeypatch):
-    """dispatch='auto' must pick the executor for an io_bound store even
-    on one core: a blocking network probe (or its retry cycle) on the
-    event loop would stall accepts and backpressure."""
+    """dispatch='auto' decides on the store kind alone: an io_bound store
+    gets the executor (a blocking network probe, or its retry cycle, on
+    the event loop would stall accepts and backpressure), every other
+    store runs inline — however many cores the host reports."""
     import os as os_mod
 
     from repro.service.app import AsyncCerFixService
 
     master, ruleset, _ = world
-    monkeypatch.setattr(os_mod, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os_mod, "cpu_count", lambda: 64)
     engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
     service = AsyncCerFixService(engine)
     assert service.dispatch_mode == "executor"

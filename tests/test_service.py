@@ -3,14 +3,16 @@
 Covers the ISSUE 4 satellite checklist: concurrent-session correctness
 (bit-identical to the serial monitor), probe coalescing under
 contention, the 429 backpressure path, the metrics-endpoint schema —
-plus the shared routing table, the suggestion memo, the instance
-document's ``service`` section and the CLI flags.
+plus the shared routing table, the suggestion and chase memos, dispatch
+by store kind, the instance document's ``service`` section and the CLI
+flags.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -34,7 +36,7 @@ from repro.explorer.web import CerFixWebApp
 from repro.master.store import SingleRelationStore
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
-from repro.service.app import classify_route
+from repro.service.app import AsyncCerFixService, classify_route
 from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, ProbeKeyer
 from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
 from repro.service.limits import AdmissionController
@@ -48,7 +50,8 @@ def _request(url: str, method: str = "GET", body: dict | None = None):
     if data:
         req.add_header("Content-Type", "application/json")
     try:
-        with urllib.request.urlopen(req) as resp:
+        # A stalled event loop fails the test instead of hanging it.
+        with urllib.request.urlopen(req, timeout=60) as resp:
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
@@ -279,6 +282,57 @@ def test_backpressure_retries_drop_nothing(uk_workload):
         server.close()
 
 
+def test_engine_routes_stay_off_the_event_loop(uk_workload, monkeypatch):
+    """Under inline dispatch a session runs on the event loop, but an
+    engine-level route still goes to the executor: with a batch clean
+    blocked mid-flight, a session opens and validates to completion."""
+    master, wl = uk_workload
+    engine = CerFix(uk.paper_ruleset(), master)
+    entered, release = threading.Event(), threading.Event()
+    original = engine.clean_relation
+
+    def blocking_clean(*args, **kwargs):
+        entered.set()
+        release.wait()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "clean_relation", blocking_clean)
+    server = engine.serve_async(port=0)
+    assert server.service.dispatch_mode == "inline"
+    rows = [r.to_dict() for r in wl.dirty.rows()][:4]
+    clean_result = {}
+
+    def post_clean():
+        clean_result["status"] = _request(f"{server.url}/api/clean", "POST", {"rows": rows})[0]
+
+    cleaner = threading.Thread(target=post_clean)
+    try:
+        cleaner.start()
+        assert entered.wait(timeout=60)
+        # With the clean blocked, drive one session to its certain fix;
+        # were the clean on the loop, these requests would time out.
+        row, truth_row = next(wl.dirty.rows()).to_dict(), next(wl.clean.rows()).to_dict()
+        values = {k: str(v) for k, v in row.items()}
+        status, state, _ = _request(f"{server.url}/api/sessions", "POST",
+                                    {"tuple_id": "blocked", "values": values})
+        assert status == 201
+        rounds = 0
+        while not state["complete"]:
+            assignments = {a: str(truth_row[a]) for a in state["suggestion"]["attrs"]}
+            status, state, _ = _request(f"{server.url}/api/sessions/blocked/validate",
+                                        "POST", {"assignments": assignments})
+            assert status == 200
+            rounds += 1
+        assert rounds > 0
+        assert "status" not in clean_result  # the clean is still blocked
+    finally:
+        release.set()
+        cleaner.join(timeout=60)
+        server.close()
+    assert not cleaner.is_alive()
+    assert clean_result["status"] == 200
+
+
 def test_admission_controller_bounds():
     ctl = AdmissionController(max_sessions=2, max_inflight=2, max_session_pending=1)
     assert ctl.enter_request().admitted and ctl.enter_request().admitted
@@ -327,6 +381,11 @@ def test_metrics_endpoint_schema(server, uk_workload):
         assert key in metrics["probe_cache"]
     for key in ("hits", "misses", "hit_rate", "size", "maxsize"):
         assert key in metrics["suggestion_memo"]
+    chase_memo = metrics["chase_memo"]
+    assert set(chase_memo) == {"hits", "misses", "hit_rate", "size", "maxsize"}
+    assert chase_memo["misses"] > 0 and 0 < chase_memo["size"] <= chase_memo["maxsize"]
+    assert chase_memo["maxsize"] == server.service.chase_memo.maxsize
+    assert chase_memo["hits"] == server.service.chase_memo.stats.hits
     for cls in ("open", "validate", "read", "other"):
         window = metrics["latency_ms"][cls]
         assert set(window) == {"count", "p50_ms", "p95_ms", "p99_ms", "mean_ms"}
@@ -449,6 +508,72 @@ def test_memo_view_scopes_epochs():
     assert new.get("k") is None  # epoch bump retires the entry
     new.put("k", "new-value")
     assert old.get("k") == "old-value"  # sessions on the old epoch unaffected
+
+
+def _event_view(event) -> dict:
+    return {k: v for k, v in event.to_json().items() if k != "seq"}
+
+
+@pytest.mark.parametrize("dispatch", ["inline", "executor"])
+def test_chase_memo_parity_with_serial_fix(uk_workload, dispatch):
+    """Every UK row driven twice through HTTP, so the shared chase memo
+    hits: each session's final values, validated set and audit events
+    equal a serial, memo-free ``engine.fix`` of the same row."""
+    from repro.monitor.user import OracleUser
+
+    master, wl = uk_workload
+    rows = [{k: str(v) for k, v in r.to_dict().items()} for r in wl.dirty.rows()]
+    truth = [{k: str(v) for k, v in r.to_dict().items()} for r in wl.clean.rows()]
+    ids = [f"a{i}" for i in range(len(rows))] + [f"b{i}" for i in range(len(rows))]
+    engine = CerFix(uk.paper_ruleset(), master)
+    server = engine.serve_async(port=0, dispatch=dispatch)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the executor threads' memo traffic
+    try:
+        service = server.service
+        assert service.dispatch_mode == dispatch
+        report = run_load(server.url, rows * 2, truth * 2, concurrency=8, tuple_ids=ids)
+        assert report.dropped == 0 and not report.errors
+        assert service.chase_memo.stats.hits > 0
+        sessions = service.core.sessions
+        assert set(sessions) == set(ids)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        server.close()
+
+    serial_engine = CerFix(uk.paper_ruleset(), master)
+    for tuple_id, row, truth_row in zip(ids, rows * 2, truth * 2):
+        serial = serial_engine.fix(row, OracleUser(truth_row), tuple_id)
+        assert serial._chase_memo is None and serial._suggestion_memo is None
+        got = sessions[tuple_id]
+        assert got.current_values() == serial.current_values()
+        assert got.validated == serial.validated
+        assert [_event_view(e) for e in engine.audit.by_tuple(tuple_id)] == [
+            _event_view(e) for e in serial_engine.audit.by_tuple(tuple_id)
+        ]
+
+
+def test_strict_sessions_bypass_the_chase_memo(uk_workload):
+    """A strict chase aborts mid-sweep on a conflict, so a strict session
+    must never read or fill the shared memo — even one run twice."""
+    from repro.monitor.user import OracleUser
+
+    master, wl = uk_workload
+    engine = CerFix(uk.paper_ruleset(), master)
+    service = AsyncCerFixService(engine)
+    try:
+        row, truth_row = next(wl.dirty.rows()).to_dict(), next(wl.clean.rows()).to_dict()
+        for tuple_id in ("strict0", "strict1"):
+            session = engine.session(
+                row, tuple_id, master=service.manager, chase_memo=service.chase_memo,
+                strict=True,
+            )
+            session.run(OracleUser(truth_row))
+            assert session.round_no > 0
+        stats = service.chase_memo.stats
+        assert (stats.hits, stats.misses, len(service.chase_memo)) == (0, 0, 0)
+    finally:
+        service.close()
 
 
 def test_regions_recompute_scopes_new_sessions(server):
