@@ -53,7 +53,7 @@ Every backend produces bit-identical fixes — the choice only affects
 scale and durability.
 
 The optional ``service`` section configures the async entry service
-(``cerfix serve --async`` — see :mod:`repro.service`); its keys mirror
+(``cerfix serve`` — see :mod:`repro.service`); its keys mirror
 :class:`~repro.service.app.AsyncCerFixService`'s constructor and only
 affect capacity and backpressure, never fixes.
 
@@ -99,24 +99,14 @@ _SERVICE_KEYS: dict[str, type] = {
     "max_batch": int,
     "workers": int,
     "batch_window_ms": float,
-    "dispatch": str,
     "completed_retention": int,
 }
-
-_DISPATCH_MODES = ("auto", "executor", "inline")
 
 
 def _validate_service(section: dict) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, raw in section.items():
         kind = _SERVICE_KEYS.get(key)
-        if key == "dispatch":
-            if raw not in _DISPATCH_MODES:
-                raise ValidationError(
-                    f"service option 'dispatch' must be one of {_DISPATCH_MODES}, got {raw!r}"
-                )
-            out[key] = raw
-            continue
         if kind is None:
             raise ValidationError(
                 f"unknown service option {key!r} "
@@ -194,7 +184,7 @@ class InstanceConfig:
     precompute_regions: int = 0
     #: Master store selection: {"backend": ..., "shards": ..., "path": ...}.
     store: dict[str, Any] = field(default_factory=dict)
-    #: Async entry service options (``cerfix serve --async``); keys mirror
+    #: Async entry service options (``cerfix serve``); keys mirror
     #: :class:`~repro.service.app.AsyncCerFixService` (see _SERVICE_KEYS).
     service: dict[str, Any] = field(default_factory=dict)
     #: DB-native dirty relation: {"db": ..., "table": ..., "page_rows": ...}.

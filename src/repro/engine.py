@@ -353,14 +353,16 @@ class CerFix:
         port: int = 0,
         **service_options,
     ):
-        """Start the asyncio entry service on a background event-loop
-        thread; returns the running
+        """Start the entry service (what ``cerfix serve`` runs) on a
+        background event-loop thread; returns the running
         :class:`~repro.service.http.AsyncCerFixServer` (``.url`` carries
         the bound address, ``.close()`` stops it).
 
         The service multiplexes concurrent monitor sessions over this
         engine behind a shared probe cache, a probe micro-batcher and
         bounded queues with 429 backpressure — see :mod:`repro.service`.
+        The store kind picks where session work runs (on the loop for
+        in-process stores, on an executor for a remote one).
         ``service_options`` forward to
         :class:`~repro.service.app.AsyncCerFixService` (``max_sessions``,
         ``cache_size``, ``batch_window_ms``, …).

@@ -18,7 +18,7 @@ Subcommands::
     cerfix undo     [--instance DIR] --db FILE (RUN_ID | --list) [--table T]
     cerfix monitor  [--scenario ...]              # interactive, stdin-driven
     cerfix serve    [--scenario ...|--instance DIR] [--port N]
-                    [--async [--max-sessions N] [--cache-size N]]
+                    [--max-sessions N] [--cache-size N]   # async entry service
     cerfix shard-server  (--instance DIR | --scenario ... [--master CSV])
                     --shard-id I --shards N [--host H] [--port P]
     cerfix audit    --log FILE [--attr NAME] [--tuple ID]
@@ -614,25 +614,6 @@ def cmd_serve(args) -> int:
         print(f"serving instance {config.name!r}")
     else:
         engine = _engine(args)
-    if args.use_async:
-        return _serve_async(engine, args, service_cfg)
-    from repro.explorer.web import serve
-
-    server = serve(engine, port=args.port)
-    print(f"cerfix web explorer listening on {server.url} (Ctrl-C to stop)")
-    try:
-        import threading
-
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
-def _serve_async(engine: CerFix, args, service_cfg: dict[str, Any]) -> int:
-    """Run the asyncio entry service in the foreground (Ctrl-C stops)."""
     import asyncio
 
     from repro.service.app import AsyncCerFixService
@@ -648,9 +629,10 @@ def _serve_async(engine: CerFix, args, service_cfg: dict[str, Any]) -> int:
     async def _main() -> None:
         await server.bind()
         print(
-            f"cerfix async entry service listening on {server.url} "
+            f"cerfix entry service listening on {server.url} "
             f"(max_sessions={service.admission.max_sessions}, "
-            f"cache={service.cache.maxsize}; Ctrl-C to stop)"
+            f"cache={service.cache.maxsize}, {service.dispatch_mode} dispatch; "
+            "Ctrl-C to stop)"
         )
         await server.serve()
 
@@ -860,19 +842,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="instance directory to create")
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("serve", help="run the web explorer (JSON API)")
+    p = sub.add_parser(
+        "serve",
+        help="run the async entry service (JSON API: concurrent monitor "
+             "sessions, shared probe cache, 429 backpressure, /api/metrics)",
+    )
     _add_scenario_flags(p)
     _add_store_flags(p)
     p.add_argument("--instance", help="serve a saved instance directory instead")
     p.add_argument("--port", type=int, default=8384)
-    p.add_argument("--async", action="store_true", dest="use_async",
-                   help="run the concurrent asyncio entry service instead of "
-                        "the serial explorer (shared probe cache, micro-batched "
-                        "master lookups, 429 backpressure, /api/metrics)")
     p.add_argument("--max-sessions", type=int, default=None, dest="max_sessions",
-                   help="async: max concurrently active sessions before 429 (default 256)")
+                   help="max concurrently active sessions before 429 (default 256)")
     p.add_argument("--cache-size", type=int, default=None, dest="cache_size",
-                   help="async: shared probe cache entries (default 8192)")
+                   help="shared probe cache entries (default 8192)")
     _add_trace_flags(p)
     p.set_defaults(func=cmd_serve)
 

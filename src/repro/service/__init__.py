@@ -1,14 +1,13 @@
 """The async point-of-entry service (paper §1, "point of data entry").
 
 CerFix's headline scenario is a monitor that fixes tuples *as users
-enter them*. The :mod:`repro.explorer.web` server handles that one
-interactive session at a time; this package is the concurrent path — an
+enter them*. This package is the one HTTP surface of the reproduction
+(the demo's web interface, paper Fig. 1; ``cerfix serve``) — an
 asyncio-native entry service that multiplexes many monitor sessions
 over one engine:
 
 :mod:`repro.service.app`
-    the shared :class:`RoutingCore` (one routing table for the sync web
-    explorer *and* the async service) and the
+    the :class:`RoutingCore` routing table and the
     :class:`AsyncCerFixService` orchestrator;
 :mod:`repro.service.batcher`
     the probe micro-batcher — concurrent cache misses against the

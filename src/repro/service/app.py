@@ -1,20 +1,20 @@
 """The routing core and the async entry service.
 
-:class:`RoutingCore` is the single routing table of the HTTP surface:
-the synchronous web explorer (:mod:`repro.explorer.web`) calls it under
-one global lock, and :class:`AsyncCerFixService` calls it under
-per-session asyncio locks — same routes, same payloads, one
-implementation.
+:class:`RoutingCore` is the routing table of the HTTP surface: verbs
+and paths onto one engine. :class:`AsyncCerFixService` calls it under
+per-session asyncio locks (session routes) or one engine lock
+(engine-level routes).
 
-:class:`AsyncCerFixService` is the concurrent orchestrator: it owns the
-shared probe cache, the probe micro-batcher, the suggestion and chase
-memos, the admission controller and the metrics, multiplexes many
-concurrent monitor sessions over one engine, and serialises exactly
-what must be serialised — operations *within* one session (per-session
-asyncio lock) and engine-level routes (one engine lock). Session routes
-run on the event loop for in-process stores and on a thread-pool
-executor for an ``io_bound`` (remote) store; engine-level routes always
-run on the executor, so a long ``/api/clean`` never stalls the loop.
+:class:`AsyncCerFixService` is the concurrent orchestrator behind
+``cerfix serve``: it owns the shared probe cache, the probe
+micro-batcher, the suggestion and chase memos, the admission controller
+and the metrics, multiplexes many concurrent monitor sessions over one
+engine, and serialises exactly what must be serialised — operations
+*within* one session (per-session asyncio lock) and engine-level routes
+(one engine lock). The store kind picks where session routes run: on
+the event loop for in-process stores, on a thread-pool executor for an
+``io_bound`` (remote) store. Engine-level routes always run on the
+executor, so a long ``/api/clean`` never stalls the loop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from urllib.parse import parse_qs
 
 from repro.audit.stats import attribute_stats, overall_stats
-from repro.errors import CerFixError, MonitorError
+from repro.errors import CerFixError, MonitorError, ValidationError
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
 from repro.obs.metrics import get_registry
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 
 def session_state(session: MonitorSession) -> dict[str, Any]:
-    """The JSON view of one monitor session (shared by every surface)."""
+    """The JSON view of one monitor session."""
     suggestion = None if session.is_complete else session.suggestion()
     return {
         "tuple_id": session.tuple_id,
@@ -78,34 +78,58 @@ def classify_route(method: str, parts: list[str]) -> tuple[str, str | None]:
     return "other", None
 
 
+def _int_param(params: Mapping[str, Any], name: str, default: int) -> int:
+    """An integer query or body parameter; a bad value is the client's
+    error (400), not the server's."""
+    raw = params.get(name, default)
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name!r} must be an integer, got {raw!r}") from None
+
+
 class RoutingCore:
-    """Routes HTTP verbs+paths onto one engine. Not itself thread-safe:
-    the sync web app serialises calls with one lock; the async service
-    guarantees that a session is only touched under its session lock
-    and engine-level routes only under the engine lock."""
+    """Routes HTTP verbs+paths onto one engine (the demo's web
+    interface, paper Fig. 1, as a JSON API):
+
+    ======  ===========================  ==================================
+    verb    path                         effect
+    ======  ===========================  ==================================
+    GET     /api/instance                engine summary (schemas, rules,
+                                         mode, store)
+    GET     /api/rules                   the rule table (Fig. 2)
+    GET     /api/rules/check?samples=20  the consistency analysis
+    GET     /api/regions?k=5             top-k certain regions
+    POST    /api/clean                   ``{"rows": [...], "truth": [...]?}``
+                                         — batch-clean a relation
+    POST    /api/sessions                ``{"tuple_id"?, "values": {...}}``
+                                         — open a monitor session
+    GET     /api/sessions/<id>           session state
+    POST    /api/sessions/<id>/validate  ``{"assignments": {...}}`` — chase
+    DELETE  /api/sessions/<id>           drop a session
+    GET     /api/audit[/<tuple_id>]      Fig. 4 statistics / change trace
+    GET     /api/metrics                 service metrics (the HTTP front
+                                         end answers ``?format=prometheus``
+                                         itself)
+    ======  ===========================  ==================================
+
+    Not itself thread-safe: the async service guarantees that a session
+    is only touched under its session lock and engine-level routes only
+    under the engine lock. A ``POST /api/sessions`` body always reaches
+    this table with a ``tuple_id``: the service assigns the auto id
+    first."""
 
     def __init__(
         self,
         engine: "CerFix",
         *,
-        session_factory: Callable[[Mapping[str, Any], str], MonitorSession] | None = None,
-        metrics_json: Callable[[], dict] | None = None,
+        session_factory: Callable[[Mapping[str, Any], str], MonitorSession],
+        metrics_json: Callable[[], dict],
     ):
         self.engine = engine
         self.sessions: dict[str, MonitorSession] = {}
-        self._session_factory = session_factory or (
-            lambda values, tuple_id: engine.session(values, tuple_id)
-        )
+        self._session_factory = session_factory
         self._metrics_json = metrics_json
-        self._auto_id = itertools.count()
-
-    def _default_tuple_id(self) -> str:
-        # A monotone counter, skipping live ids: len(sessions) would
-        # repeat an existing id forever once DELETE shrinks the dict.
-        while True:
-            tuple_id = f"web{next(self._auto_id)}"
-            if tuple_id not in self.sessions:
-                return tuple_id
 
     def handle(self, method: str, path: str, body: dict | None) -> tuple[int, dict | list]:
         raw_path, _, raw_query = path.partition("?")
@@ -133,11 +157,6 @@ class RoutingCore:
                 "store": engine.master.store.stats(),
             }
         if parts == ["api", "metrics"] and method == "GET":
-            if self._metrics_json is None:
-                return 404, {
-                    "error": "metrics are collected by the async entry service; "
-                    "run `cerfix serve --async`"
-                }
             return 200, self._metrics_json()
         if parts == ["api", "rules"] and method == "GET":
             return 200, [
@@ -145,7 +164,7 @@ class RoutingCore:
                 for r in self.engine.ruleset
             ]
         if parts == ["api", "rules", "check"] and method == "GET":
-            report = self.engine.check_consistency(samples=int(query.get("samples", 20)))
+            report = self.engine.check_consistency(samples=_int_param(query, "samples", 20))
             return 200, {
                 "consistent": report.is_consistent,
                 "conflicts": [c.describe() for c in report.conflicts],
@@ -153,8 +172,7 @@ class RoutingCore:
                 "ambiguities": [a.describe() for a in report.ambiguities],
             }
         if parts == ["api", "regions"] and method == "GET":
-            k = int(query.get("k", 5))
-            regions = self.engine.precompute_regions(k=k)
+            regions = self.engine.precompute_regions(k=_int_param(query, "k", 5))
             return 200, [
                 {
                     "rank": i + 1,
@@ -174,14 +192,10 @@ class RoutingCore:
             dirty = Relation(schema, rows)
             truth_rows = body.get("truth")
             truth = Relation(schema, truth_rows) if truth_rows else None
-            try:
-                workers = int(body.get("workers", 1))
-            except (TypeError, ValueError):
-                return 400, {"error": f"'workers' must be an integer, got {body.get('workers')!r}"}
             result = self.engine.clean_relation(
                 dirty,
                 truth,
-                workers=workers,
+                workers=_int_param(body, "workers", 1),
                 backend=str(body.get("backend", "thread")),
                 dedupe=bool(body.get("dedupe", True)),
                 validated=tuple(body.get("validated", ())),
@@ -191,7 +205,7 @@ class RoutingCore:
                 "report": result.report.to_json(),
             }
         if parts == ["api", "sessions"] and method == "POST":
-            tuple_id = str(body.get("tuple_id") or self._default_tuple_id())
+            tuple_id = str(body["tuple_id"])
             values = body.get("values")
             if not isinstance(values, dict):
                 return 400, {"error": "body must carry a 'values' object"}
@@ -266,13 +280,15 @@ class AsyncCerFixService:
       queue bounds (saturation answers ``429`` + ``Retry-After``);
     * :class:`ServiceMetrics` behind ``GET /api/metrics``.
 
-    Session operations run under per-session asyncio locks, where
-    ``dispatch`` puts them: ``auto`` picks by store kind — ``inline``
-    (on the event loop) for in-process stores, ``executor`` (a thread
-    pool) for an ``io_bound`` store, whose network probes must never
-    block the loop. Engine-level routes (``/api/clean``,
-    ``/api/regions``, …) always run on the executor, under one engine
-    lock, whatever the mode. The service produces
+    Session operations run under per-session asyncio locks, where the
+    store kind puts them (``dispatch_mode``): ``inline`` (on the event
+    loop) for in-process stores — under the GIL executor threads cannot
+    overlap pure-Python chases, so a thread handoff would be pure
+    overhead — and ``executor`` (a thread pool) for an ``io_bound``
+    store (the remote shard cluster), whose network probes, and retry
+    cycles against a down shard, must never block the loop.
+    Engine-level routes (``/api/clean``, ``/api/regions``, …) always run
+    on the executor, under one engine lock. The service produces
     bit-identical per-tuple outputs to the serial monitor path for any
     interleaving of sessions — `tests/test_service.py` and the
     differential suite enforce this across every store backend.
@@ -290,32 +306,9 @@ class AsyncCerFixService:
         batch_window_ms: float = 1.0,
         max_batch: int = 64,
         workers: int = 8,
-        dispatch: str = "auto",
         completed_retention: int = 1024,
     ):
-        if dispatch not in ("auto", "executor", "inline"):
-            raise ValueError(
-                f"dispatch must be 'auto', 'executor' or 'inline', got {dispatch!r}"
-            )
-        if dispatch == "auto":
-            # The store kind decides, not the core count: under the GIL
-            # executor threads cannot overlap pure-Python chases, so the
-            # two thread handoffs per request are pure overhead for an
-            # in-process store. An io_bound store (the remote shard
-            # cluster) must never probe inline — a blocking network round
-            # trip (worse, a retry cycle against a down shard) on the
-            # event loop would stall accepts and backpressure.
-            dispatch = "executor" if engine.master.store.io_bound else "inline"
-        elif dispatch == "inline" and engine.master.store.io_bound:
-            # Not a coercion: an operator who pinned inline for a remote
-            # store has configured a service that freezes for
-            # timeout x retries whenever a shard hiccups — refuse loudly.
-            raise ValueError(
-                "dispatch='inline' cannot be used with an io_bound master "
-                "store (remote shard cluster): a blocking network probe on "
-                "the event loop stalls every session; use 'executor' or 'auto'"
-            )
-        self.dispatch_mode = dispatch
+        self.dispatch_mode = "executor" if engine.master.store.io_bound else "inline"
         self.engine = engine
         self.metrics = ServiceMetrics()
         self.cache = SharedProbeCache(cache_size)
@@ -359,7 +352,7 @@ class AsyncCerFixService:
         self._retained: dict[str, None] = {}
         self._id_counter = itertools.count()
         registry = get_registry()
-        self.metrics.register(registry, "service")
+        self.metrics.register(registry)
         install_process_gauges(registry)
         registry.set_gauge("cerfix.service.max_sessions", max_sessions)
         registry.set_gauge("cerfix.service.max_inflight", max_inflight)
@@ -439,7 +432,7 @@ class AsyncCerFixService:
         body: dict | None,
         headers: Mapping[str, str] | None = None,
     ) -> tuple[int, dict | list, dict[str, str]]:
-        """One request: admission → lock → route (executor) → account.
+        """One request: admission → lock → route → account.
 
         ``headers`` (lower-cased names, as the HTTP front end parses
         them) may carry an ``X-Cerfix-Trace`` parent, in which case the
@@ -485,9 +478,7 @@ class AsyncCerFixService:
         try:
             if route_class == "open":
                 body = dict(body or {})
-                if not body.get("tuple_id"):  # falsy ids get the auto id,
-                    # matching RoutingCore's fallback, so the lock we take
-                    # here is for the id the session is actually stored under
+                if not body.get("tuple_id"):  # falsy ids get the auto id
                     body["tuple_id"] = self._auto_session_id()
                 session_id = str(body["tuple_id"])
                 # Reservation, not a read-then-check: concurrent opens

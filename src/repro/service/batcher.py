@@ -20,19 +20,16 @@ Threading model: sessions enter through
 :class:`CoalescingMasterDataManager` — a synchronous
 :meth:`~repro.master.manager.MasterDataManager.match` that checks the
 (thread-safe) shared cache first. Where a session runs depends on the
-service's dispatch mode. For in-process stores (every store probing
-RAM, including sqlite) the default runs sessions on the event loop
-itself: a miss is answered by a direct store probe
-(:meth:`ProbeBatcher.probe_sync`), since index reads never block the
-loop meaningfully and one thread has no concurrency to coalesce. For an
-``io_bound`` store (the remote shard cluster) sessions run on executor
-threads, and only misses are bridged into the loop with
-``run_coroutine_threadsafe``; the drain then dispatches the batched
-``probe_many`` to the loop's default executor, because a real network
-round trip must not stall request accept, and the micro-batch is
-exactly the unit that amortises it. Executor dispatch over an
-in-process store (an explicit override) drains inline on the loop,
-which keeps the bridge deadlock-free by construction.
+store kind. Over an in-process store (every store probing RAM,
+including sqlite) sessions run on the event loop itself, and a miss is
+answered by a direct store probe (:meth:`ProbeBatcher.probe_sync`):
+index reads never block the loop meaningfully, and one thread has no
+concurrency to coalesce. Over an ``io_bound`` store (the remote shard
+cluster) sessions run on executor threads, and only misses are bridged
+into the loop with ``run_coroutine_threadsafe``; the drain then runs
+the batched ``probe_many`` on the loop's default executor, because a
+real network round trip must not stall request accept, and the
+micro-batch is exactly the unit that amortises it.
 
 Determinism: probing is a pure function of (rule, key) over fixed
 master data, so collapsing and batching can only change *speed*, never
@@ -146,20 +143,13 @@ class ProbeBatcher:
             requests = [(rule, values) for _, rule, values in batch]
             try:
                 with trace.span("probe", probes=len(batch)):
-                    if self.store.io_bound:
-                        # Network-backed stores (the remote shard cluster)
-                        # block on real round trips; run them on the default
-                        # executor so the loop keeps accepting sessions.
-                        # In-memory stores stay inline — their probes are
-                        # index reads, and a thread hop would cost more
-                        # than it hides.
-                        assert self._loop is not None
-                        car = trace.carrier()
-                        matches = await self._loop.run_in_executor(
-                            None, lambda: self._probe_many_traced(car, requests)
-                        )
-                    else:
-                        matches = self.store.probe_many(requests)
+                    # The store call may block on real round trips: run it
+                    # on the default executor so the loop keeps accepting.
+                    assert self._loop is not None
+                    car = trace.carrier()
+                    matches = await self._loop.run_in_executor(
+                        None, lambda: self._probe_many_traced(car, requests)
+                    )
             except Exception as exc:  # propagate to every waiter, keep draining
                 for key, _, _ in batch:
                     future = self._pending.pop(key, None)
@@ -187,12 +177,12 @@ class ProbeBatcher:
     def probe_sync(self, key: tuple, rule: EditingRule, values: Mapping[str, Any]) -> MasterMatch:
         """Blocking entry point for a session's cache miss.
 
-        Loop-aware: under inline dispatch (the default for in-process
-        stores) sessions run *on* the event loop thread, where a
-        blocking bridge into the same loop would deadlock — those
-        probes go straight to the store (the shared cache still
-        amortises them; there is no concurrency to coalesce on one
-        thread). Off-loop callers (executor dispatch) get the full
+        Loop-aware: under inline dispatch (in-process stores) sessions
+        run *on* the event loop thread, where a blocking bridge into
+        the same loop would deadlock — those probes go straight to the
+        store (the shared cache still amortises them; there is no
+        concurrency to coalesce on one thread). Off-loop callers
+        (executor dispatch, ``io_bound`` stores) get the full
         coalescing/micro-batching path.
         """
         loop = self._loop

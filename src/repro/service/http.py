@@ -10,12 +10,11 @@ API subset, not a general web server.
 Two ways to run it:
 
 * ``await AsyncCerFixServer(service).serve()`` — inside an existing
-  event loop (the CLI's ``cerfix serve --async`` does
-  ``asyncio.run`` over this);
+  event loop (``cerfix serve`` does ``asyncio.run`` over this);
 * ``AsyncCerFixServer(service).start()`` — spawns a dedicated
   background event-loop thread and returns once the port is bound
   (what tests, benchmarks and :meth:`repro.engine.CerFix.serve_async`
-  use; mirrors :class:`repro.explorer.web.CerFixServer`).
+  use; also a context manager).
 """
 
 from __future__ import annotations

@@ -149,13 +149,14 @@ class ServiceMetrics:
 
     # -- snapshot ----------------------------------------------------------
 
-    def register(self, registry, name: str = "service") -> None:
-        """Export this instance's snapshot through ``registry`` dumps.
+    def register(self, registry) -> None:
+        """Export this instance's snapshot through ``registry`` dumps
+        (source ``service``).
 
         The registry holds the bound :meth:`to_json` weakly, so a closed
         service's metrics drop out of the dump with the service itself.
         """
-        registry.register_source(name, self.to_json)
+        registry.register_source("service", self.to_json)
 
     def to_json(self) -> dict:
         with self._lock:

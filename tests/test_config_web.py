@@ -1,4 +1,4 @@
-"""Tests for instance configuration and the web explorer."""
+"""Tests for instance configuration and the web API (the entry service)."""
 
 import json
 import urllib.request
@@ -8,7 +8,6 @@ import pytest
 from repro import CertaintyMode
 from repro.config import InstanceConfig, load_instance, save_instance
 from repro.errors import ValidationError
-from repro.explorer.web import serve
 from repro.monitor.suggest import SuggestionStrategy
 from repro.scenarios import uk_customers as uk
 
@@ -173,7 +172,7 @@ class TestInstanceConfig:
 
 @pytest.fixture()
 def server(paper_engine):
-    with serve(paper_engine) as srv:
+    with paper_engine.serve_async(port=0) as srv:
         yield srv
 
 

@@ -437,7 +437,7 @@ def test_spawn_failure_reports_child_output(tmp_path):
 
 
 def test_auto_dispatch_never_inlines_remote_probes(world, cluster, monkeypatch):
-    """dispatch='auto' decides on the store kind alone: an io_bound store
+    """The store kind alone decides the dispatch: an io_bound store
     gets the executor (a blocking network probe, or its retry cycle, on
     the event loop would stall accepts and backpressure), every other
     store runs inline — however many cores the host reports."""
@@ -451,8 +451,6 @@ def test_auto_dispatch_never_inlines_remote_probes(world, cluster, monkeypatch):
     service = AsyncCerFixService(engine)
     assert service.dispatch_mode == "executor"
     service.close()
-    with pytest.raises(ValueError, match="io_bound"):
-        AsyncCerFixService(engine, dispatch="inline")  # pinned inline: refuse loudly
     engine.master.store.close()
     local = CerFix(ruleset, master)
     service = AsyncCerFixService(local)

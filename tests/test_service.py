@@ -3,14 +3,16 @@
 Covers the ISSUE 4 satellite checklist: concurrent-session correctness
 (bit-identical to the serial monitor), probe coalescing under
 contention, the 429 backpressure path, the metrics-endpoint schema —
-plus the shared routing table, the suggestion and chase memos, dispatch
-by store kind, the instance document's ``service`` section and the CLI
+plus the routing table's request validation, the suggestion and chase
+memos, dispatch by store kind (a local store and a remote shard
+cluster), the instance document's ``service`` section and the CLI
 flags.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import sys
 import threading
@@ -32,8 +34,9 @@ from repro import CerFix
 from repro.config import InstanceConfig
 from repro.errors import ValidationError
 from repro.explorer.cli import build_parser
-from repro.explorer.web import CerFixWebApp
+from repro.master.shardserver import ShardCluster
 from repro.master.store import SingleRelationStore
+from repro.monitor.user import OracleUser
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
 from repro.service.app import AsyncCerFixService, classify_route
@@ -71,6 +74,49 @@ def server(uk_workload):
     srv = engine.serve_async(port=0)
     yield srv
     srv.close()
+
+
+@contextlib.contextmanager
+def _uk_engine(master, *, remote: bool):
+    """A UK engine over a local store or, with ``remote``, over a
+    2-shard in-process shard cluster (an ``io_bound`` store)."""
+    if not remote:
+        yield CerFix(uk.paper_ruleset(), master)
+        return
+    cluster = ShardCluster.in_process(uk.paper_ruleset(), master, 2)
+    try:
+        engine = CerFix(uk.paper_ruleset(), master, store="remote", store_urls=list(cluster.urls))
+        try:
+            yield engine
+        finally:
+            engine.master.store.close()
+    finally:
+        cluster.close()
+
+
+def _string_rows(relation) -> list[dict]:
+    return [{k: str(v) for k, v in r.to_dict().items()} for r in relation.rows()]
+
+
+def _event_view(event) -> dict:
+    return {k: v for k, v in event.to_json().items() if k != "seq"}
+
+
+def _assert_sessions_match_serial_fix(service, master, ids, rows, truth) -> None:
+    """Each service session's final values, validated set and audit
+    events equal a serial, memo-free ``engine.fix`` of the same row."""
+    engine, sessions = service.engine, service.core.sessions
+    assert set(sessions) == set(ids)
+    serial_engine = CerFix(uk.paper_ruleset(), master)
+    for tuple_id, row, truth_row in zip(ids, rows, truth):
+        serial = serial_engine.fix(row, OracleUser(truth_row), tuple_id)
+        assert serial._chase_memo is None and serial._suggestion_memo is None
+        got = sessions[tuple_id]
+        assert got.current_values() == serial.current_values()
+        assert got.validated == serial.validated
+        assert [_event_view(e) for e in engine.audit.by_tuple(tuple_id)] == [
+            _event_view(e) for e in serial_engine.audit.by_tuple(tuple_id)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +257,31 @@ def test_probe_coalescing_collapses_identical_keys():
 
 
 def test_coalescing_happens_under_real_service_contention(uk_workload):
-    """Duplicate-heavy concurrent traffic exercises coalescing/batching
-    through the full HTTP path."""
+    """Duplicate-heavy concurrent traffic over a remote shard cluster
+    exercises coalescing and micro-batching through the full HTTP path,
+    and every session still matches a serial fix of its row."""
     master, wl = uk_workload
-    engine = CerFix(uk.paper_ruleset(), master)
-    # executor dispatch (sessions off-loop) is what makes misses
-    # concurrent; a wide batch window makes them pile up deterministically
-    server = engine.serve_async(port=0, batch_window_ms=5.0, dispatch="executor")
-    try:
-        rows = [r.to_dict() for r in wl.dirty.rows()] * 2  # duplicates
-        truth = [r.to_dict() for r in wl.clean.rows()] * 2
-        report = run_load(server.url, rows, truth, concurrency=24)
-        service = server.service
-        assert report.dropped == 0 and not report.errors
-        stats = service.cache.stats
-        assert stats.hits > 0 and stats.hit_rate > 0.3
-        assert service.metrics.probe_batches > 0
-        assert service.metrics.batched_misses == service.metrics.store_probes
-    finally:
-        server.close()
+    rows, truth = _string_rows(wl.dirty) * 2, _string_rows(wl.clean) * 2  # duplicates
+    ids = [f"t{i}" for i in range(len(rows))]
+    with _uk_engine(master, remote=True) as engine:
+        # executor dispatch (sessions off-loop) is what makes misses
+        # concurrent; a wide batch window lets them pile up
+        server = engine.serve_async(port=0, batch_window_ms=5.0)
+        try:
+            service = server.service
+            assert service.dispatch_mode == "executor"
+            report = run_load(server.url, rows, truth, concurrency=32, tuple_ids=ids)
+            assert report.dropped == 0 and not report.errors
+            stats = service.cache.stats
+            assert stats.hits > 0 and stats.hit_rate > 0.3
+            metrics = service.metrics_json()
+            assert metrics["dispatch"] == "executor"
+            assert metrics["probes"]["batches"] > 0
+            assert metrics["probes"]["coalesced"] > 0
+            assert service.metrics.batched_misses == service.metrics.store_probes
+        finally:
+            server.close()
+        _assert_sessions_match_serial_fix(service, master, ids, rows, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -394,63 +446,6 @@ def test_metrics_endpoint_schema(server, uk_workload):
     assert metrics["limits"]["max_sessions"] == 256
 
 
-def test_sync_webapp_shares_routing_table(uk_workload):
-    """The sync explorer and the async service answer identically from
-    the one RoutingCore, including the /api/metrics schema."""
-    master, _ = uk_workload
-    engine = CerFix(uk.paper_ruleset(), master)
-    app = CerFixWebApp(engine)
-    status, rules = app.handle("GET", "/api/rules", None)
-    assert status == 200 and len(rules) == len(engine.ruleset)
-    # session routes flow through the same table
-    values = {k: str(v) for k, v in uk.fig3_tuple().items()}
-    status, state = app.handle("POST", "/api/sessions", {"tuple_id": "x", "values": values})
-    assert status == 201 and app.sessions["x"].tuple_id == "x"
-    status, payload = app.handle("DELETE", "/api/sessions/x", None)
-    assert status == 200 and "x" not in app.sessions
-
-
-def test_sync_webapp_metrics_schema(uk_workload):
-    """The serial explorer serves /api/metrics with the async schema:
-    request/session counters and latency windows are live; the shared
-    probe-cache / suggestion-memo / admission sections report empty."""
-    master, _ = uk_workload
-    engine = CerFix(uk.paper_ruleset(), master)
-    app = CerFixWebApp(engine)
-    values = {k: str(v) for k, v in uk.fig3_tuple().items()}
-    status, _ = app.handle("POST", "/api/sessions", {"tuple_id": "m", "values": values})
-    assert status == 201
-    status, _ = app.handle("DELETE", "/api/sessions/m", None)
-    assert status == 200
-    status, metrics = app.handle("GET", "/api/metrics", None)
-    assert status == 200
-    assert set(metrics) >= {
-        "requests", "sessions", "probes", "latency_ms",
-        "probe_cache", "suggestion_memo", "limits", "dispatch",
-    }
-    assert metrics["dispatch"] == "serial"
-    assert metrics["requests"]["total"] == 3  # open, delete, metrics
-    assert metrics["sessions"]["opened"] == 1
-    # dropping an unfinished session counts as an eviction
-    assert metrics["sessions"]["evicted"] + metrics["sessions"]["completed"] == 1
-    assert metrics["sessions"]["active"] == 0
-    for key in ("hits", "misses", "hit_rate", "evictions", "size", "maxsize"):
-        assert key in metrics["probe_cache"]
-    for key in ("hits", "misses", "hit_rate", "size", "maxsize"):
-        assert key in metrics["suggestion_memo"]
-    for cls in ("open", "validate", "read", "other"):
-        assert set(metrics["latency_ms"][cls]) == {
-            "count", "p50_ms", "p95_ms", "p99_ms", "mean_ms",
-        }
-    assert metrics["latency_ms"]["open"]["count"] == 1
-    assert metrics["limits"]["max_sessions"] is None
-
-
-# ---------------------------------------------------------------------------
-# Shared caches and the suggestion memo
-# ---------------------------------------------------------------------------
-
-
 def test_shared_probe_cache_stats_are_race_free():
     cache = SharedProbeCache(64)
     sentinel = object()
@@ -510,54 +505,37 @@ def test_memo_view_scopes_epochs():
     assert old.get("k") == "old-value"  # sessions on the old epoch unaffected
 
 
-def _event_view(event) -> dict:
-    return {k: v for k, v in event.to_json().items() if k != "seq"}
-
-
-@pytest.mark.parametrize("dispatch", ["inline", "executor"])
-def test_chase_memo_parity_with_serial_fix(uk_workload, dispatch):
+@pytest.mark.parametrize(
+    "remote", [pytest.param(False, id="inline"), pytest.param(True, id="executor")]
+)
+def test_chase_memo_parity_with_serial_fix(uk_workload, remote):
     """Every UK row driven twice through HTTP, so the shared chase memo
     hits: each session's final values, validated set and audit events
-    equal a serial, memo-free ``engine.fix`` of the same row."""
-    from repro.monitor.user import OracleUser
-
+    equal a serial, memo-free ``engine.fix`` of the same row — over a
+    local store (inline dispatch) and a remote shard cluster (executor
+    dispatch)."""
     master, wl = uk_workload
-    rows = [{k: str(v) for k, v in r.to_dict().items()} for r in wl.dirty.rows()]
-    truth = [{k: str(v) for k, v in r.to_dict().items()} for r in wl.clean.rows()]
+    rows, truth = _string_rows(wl.dirty), _string_rows(wl.clean)
     ids = [f"a{i}" for i in range(len(rows))] + [f"b{i}" for i in range(len(rows))]
-    engine = CerFix(uk.paper_ruleset(), master)
-    server = engine.serve_async(port=0, dispatch=dispatch)
-    switch_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the executor threads' memo traffic
-    try:
-        service = server.service
-        assert service.dispatch_mode == dispatch
-        report = run_load(server.url, rows * 2, truth * 2, concurrency=8, tuple_ids=ids)
-        assert report.dropped == 0 and not report.errors
-        assert service.chase_memo.stats.hits > 0
-        sessions = service.core.sessions
-        assert set(sessions) == set(ids)
-    finally:
-        sys.setswitchinterval(switch_interval)
-        server.close()
-
-    serial_engine = CerFix(uk.paper_ruleset(), master)
-    for tuple_id, row, truth_row in zip(ids, rows * 2, truth * 2):
-        serial = serial_engine.fix(row, OracleUser(truth_row), tuple_id)
-        assert serial._chase_memo is None and serial._suggestion_memo is None
-        got = sessions[tuple_id]
-        assert got.current_values() == serial.current_values()
-        assert got.validated == serial.validated
-        assert [_event_view(e) for e in engine.audit.by_tuple(tuple_id)] == [
-            _event_view(e) for e in serial_engine.audit.by_tuple(tuple_id)
-        ]
+    with _uk_engine(master, remote=remote) as engine:
+        server = engine.serve_async(port=0)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the executor threads' memo traffic
+        try:
+            service = server.service
+            assert service.dispatch_mode == ("executor" if remote else "inline")
+            report = run_load(server.url, rows * 2, truth * 2, concurrency=8, tuple_ids=ids)
+            assert report.dropped == 0 and not report.errors
+            assert service.chase_memo.stats.hits > 0
+        finally:
+            sys.setswitchinterval(switch_interval)
+            server.close()
+        _assert_sessions_match_serial_fix(service, master, ids, rows * 2, truth * 2)
 
 
 def test_strict_sessions_bypass_the_chase_memo(uk_workload):
     """A strict chase aborts mid-sweep on a conflict, so a strict session
     must never read or fill the shared memo — even one run twice."""
-    from repro.monitor.user import OracleUser
-
     master, wl = uk_workload
     engine = CerFix(uk.paper_ruleset(), master)
     service = AsyncCerFixService(engine)
@@ -615,15 +593,21 @@ def test_instance_service_section_validates():
         InstanceConfig.from_json({**base, "service": {"max_sessions": 0}})
     with pytest.raises(ValidationError, match="must be int"):
         InstanceConfig.from_json({**base, "service": {"cache_size": "lots"}})
+    # the store kind picks the dispatch; the section cannot override it
+    with pytest.raises(ValidationError, match="unknown service option 'dispatch'"):
+        InstanceConfig.from_json({**base, "service": {"dispatch": "inline"}})
 
 
-def test_cli_serve_async_flags_parse():
-    args = build_parser().parse_args(
-        ["serve", "--async", "--max-sessions", "32", "--cache-size", "1024"]
-    )
-    assert args.use_async and args.max_sessions == 32 and args.cache_size == 1024
+def test_cli_serve_async_flags_parse(capsys):
+    """`cerfix serve` always runs the entry service: its capacity flags
+    parse on their own, and the retired ``--async`` flag is rejected."""
+    args = build_parser().parse_args(["serve", "--max-sessions", "32", "--cache-size", "1024"])
+    assert args.max_sessions == 32 and args.cache_size == 1024
     args = build_parser().parse_args(["serve"])
-    assert not args.use_async and args.max_sessions is None
+    assert args.max_sessions is None and args.cache_size is None
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--async"])
+    assert "unrecognized arguments: --async" in capsys.readouterr().err
 
 
 def test_classify_route():
@@ -646,19 +630,25 @@ def test_latency_window_percentiles():
     assert snap["p99_ms"] == pytest.approx(10.0, abs=0.01)
 
 
-def test_default_session_ids_survive_deletes(uk_workload):
-    """The sync explorer's auto ids must not collide after DELETE
-    shrinks the sessions dict (len()-based ids would repeat forever)."""
-    master, _ = uk_workload
-    app = CerFixWebApp(CerFix(uk.paper_ruleset(), master))
-    values = {k: str(v) for k, v in uk.fig3_tuple().items()}
-    open_body = {"values": values}
-    assert app.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web0"
-    assert app.handle("POST", "/api/sessions", open_body)[1]["tuple_id"] == "web1"
-    assert app.handle("DELETE", "/api/sessions/web0", None)[0] == 200
-    status, state = app.handle("POST", "/api/sessions", open_body)
-    assert status == 201 and state["tuple_id"] == "web2"
-    assert set(app.sessions) == {"web1", "web2"}
+def test_default_session_ids_survive_deletes(server):
+    """Auto ids must not collide after DELETE shrinks the sessions dict
+    (len()-based ids would repeat forever), and skip ids a client
+    claimed explicitly."""
+    url = f"{server.url}/api/sessions"
+    open_body = {"values": {k: str(v) for k, v in uk.fig3_tuple().items()}}
+
+    def open_session(body):
+        status, state, _ = _request(url, "POST", body)
+        assert status == 201
+        return state["tuple_id"]
+
+    assert open_session(open_body) == "s0"
+    assert open_session(open_body) == "s1"
+    assert _request(f"{url}/s0", "DELETE")[0] == 200
+    assert open_session({**open_body, "tuple_id": "s3"}) == "s3"
+    assert open_session(open_body) == "s2"
+    assert open_session(open_body) == "s4"  # s3 is the client's
+    assert set(server.service.core.sessions) == {"s1", "s2", "s3", "s4"}
 
 
 def test_completed_sessions_are_retained_boundedly(uk_workload):
@@ -715,3 +705,15 @@ def test_http_bad_requests(server):
     conn.close()
     status, payload, _ = _request(f"{server.url}/api/nope")
     assert status == 404 and "no route" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [("/api/regions?k=abc", "'k'"), ("/api/rules/check?samples=x", "'samples'")],
+)
+def test_bad_query_integer_is_400(server, path, name):
+    """A non-integer query parameter is the client's error, not a 500."""
+    status, payload, _ = _request(f"{server.url}{path}")
+    assert status == 400
+    assert f"{name} must be an integer" in payload["error"]
+    assert server.service.metrics.to_json()["requests"]["by_status"].get("500") is None

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import urllib.request
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,9 +408,9 @@ def test_engine_store_selection_and_instance_surface(tmp_path):
         uk.paper_ruleset(), uk.paper_master(), store="sharded", store_shards=2
     )
     assert engine.master.store.backend == "sharded"
-    from repro.explorer.web import CerFixWebApp
-
-    status, payload = CerFixWebApp(engine).handle("GET", "/api/instance", None)
+    with engine.serve_async(port=0) as server:
+        with urllib.request.urlopen(f"{server.url}/api/instance", timeout=60) as resp:
+            status, payload = resp.status, json.loads(resp.read())
     assert status == 200
     assert payload["store"]["backend"] == "sharded"
     assert payload["store"]["shards"] == 2
