@@ -5,10 +5,39 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.audit.events import ChangeEvent
 from repro.obs import trace as tracing
+
+
+class _Group(NamedTuple):
+    """One batch group's provenance, stored once for all its members.
+
+    Member ``m``'s ``j``-th event has sequence number
+    ``base + m * len(transcript) + j``: the order a member-by-member
+    replay of the transcript would have assigned."""
+
+    base: int
+    transcript: Sequence[dict]
+    tuple_ids: Sequence[str]
+    olds: Mapping[int, Sequence[Any]]  # event index → per-member ``old``
+    stamp: tuple  # (trace_id, span_id) for events the worker left unstamped
+
+    def member_events(self, m: int) -> list[ChangeEvent]:
+        tid = self.tuple_ids[m]
+        seq = self.base + m * len(self.transcript)
+        out = []
+        for j, e in enumerate(self.transcript):
+            trace_id, span_id = e.get("trace_id"), e.get("span_id")
+            if trace_id is None:
+                trace_id, span_id = self.stamp
+            old = self.olds[j][m] if j in self.olds else e["old"]
+            out.append(ChangeEvent(
+                seq + j, tid, e["attr"], old, e["new"], e["source"], e["rule_id"],
+                tuple(e["master_positions"]), e["round_no"], trace_id, span_id,
+            ))
+        return out
 
 
 class AuditLog:
@@ -18,28 +47,39 @@ class AuditLog:
     tuple id, so per-tuple traces and per-attribute statistics are just
     filters over it.
 
+    :meth:`record` appends one event (monitor sessions, the entry
+    service); :meth:`record_group` appends a batch group's transcript
+    once for all its member tuples, expanded into per-tuple
+    :class:`ChangeEvent` objects only when read — :meth:`by_tuple` just
+    the asked member, whole-log views each group once, in sequence
+    order — so readers see exactly what a member-by-member replay would
+    have recorded.
+
     Thread-safe: the async entry service records events from many
-    concurrent sessions into one log, so appends (and the sequence
-    numbers they assign) happen under a lock, and every read works over
-    an atomic snapshot. Global sequence order then reflects the actual
-    interleaving; *per-tuple* order is what the certain-fix semantics
-    guarantee (a session is only ever touched by one thread at a time).
+    concurrent sessions into one log, and a batch clean may record into
+    it alongside them, so both appends share one lock and one sequence
+    counter, and every read works over an atomic snapshot. Global
+    sequence order then reflects the actual interleaving; *per-tuple*
+    order is what the certain-fix semantics guarantee (a session is
+    only ever touched by one thread at a time).
     """
 
     def __init__(self):
-        self._events: list[ChangeEvent] = []
-        self._by_tuple: dict[str, list[ChangeEvent]] = {}
+        self._reset(())
+
+    def _reset(self, events: Iterable[ChangeEvent]) -> None:
+        self._entries: list[ChangeEvent | _Group] = list(events)  # in seq order
+        self._by_tuple: dict[str, list] = {}  # events and (group, member) refs
+        for event in self._entries:
+            self._by_tuple.setdefault(event.tuple_id, []).append(event)
+        self._seq = len(self._entries)
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        return {"events": list(self._events)}
+        return {"events": list(self.events)}
 
     def __setstate__(self, state: dict) -> None:
-        self._events = list(state["events"])
-        self._by_tuple = {}
-        for event in self._events:
-            self._by_tuple.setdefault(event.tuple_id, []).append(event)
-        self._lock = threading.Lock()
+        self._reset(state["events"])
 
     def record(
         self,
@@ -58,33 +98,54 @@ class AuditLog:
         """Append one event; the sequence number is assigned here.
 
         When tracing is enabled and no explicit ids are given, the
-        event is stamped with the active span — batch replay passes the
-        ids recorded *in the worker* instead, so provenance points at
-        the group-chase that actually produced the fix."""
+        event is stamped with the active span."""
         if trace_id is None:
             trace_id, span_id = tracing.current_ids()
         with self._lock:
             event = ChangeEvent(
-                seq=len(self._events),
-                tuple_id=tuple_id,
-                attr=attr,
-                old=old,
-                new=new,
-                source=source,
-                rule_id=rule_id,
-                master_positions=tuple(master_positions),
-                round_no=round_no,
-                trace_id=trace_id,
-                span_id=span_id,
+                self._seq, tuple_id, attr, old, new, source, rule_id,
+                tuple(master_positions), round_no, trace_id, span_id,
             )
-            self._events.append(event)
+            self._seq += 1
+            self._entries.append(event)
             self._by_tuple.setdefault(tuple_id, []).append(event)
         return event
+
+    def record_group(
+        self,
+        transcript: Sequence[dict],
+        tuple_ids: Sequence[str],
+        olds: Mapping[int, Sequence[Any]],
+    ) -> None:
+        """Append one batch group's transcript for every member tuple.
+
+        ``transcript`` holds the worker's event dicts (kept by reference)
+        with :meth:`record`'s fields. ``olds`` maps a transcript index to
+        per-member ``old`` values, for events whose old value differs
+        member by member. Events the worker left unstamped take the span
+        active here, as :meth:`record` would stamp them."""
+        if not transcript:
+            return
+        stamp = tracing.current_ids()
+        with self._lock:
+            group = _Group(self._seq, transcript, tuple_ids, olds, stamp)
+            self._seq += len(transcript) * len(tuple_ids)
+            self._entries.append(group)
+            for m, tid in enumerate(tuple_ids):
+                self._by_tuple.setdefault(tid, []).append((group, m))
 
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
         with self._lock:
-            return tuple(self._events)
+            entries = list(self._entries)
+        out: list[ChangeEvent] = []
+        for entry in entries:
+            if isinstance(entry, ChangeEvent):
+                out.append(entry)
+            else:
+                for m in range(len(entry.tuple_ids)):
+                    out.extend(entry.member_events(m))
+        return tuple(out)
 
     def filter(self, predicate: Callable[[ChangeEvent], bool]) -> list[ChangeEvent]:
         return [e for e in self.events if predicate(e)]
@@ -95,9 +156,18 @@ class AuditLog:
         Served from a per-tuple index maintained on append, so the
         monitoring stream's per-row trace stays O(events for that tuple)
         instead of O(all events) — the difference between linear and
-        quadratic total stream cost."""
+        quadratic total stream cost. Only this tuple's share of a batch
+        group is expanded."""
         with self._lock:
-            return list(self._by_tuple.get(tuple_id, ()))
+            refs = list(self._by_tuple.get(tuple_id, ()))
+        out: list[ChangeEvent] = []
+        for ref in refs:
+            if isinstance(ref, ChangeEvent):
+                out.append(ref)
+            else:
+                group, m = ref
+                out.extend(group.member_events(m))
+        return out
 
     def by_attr(self, attr: str) -> list[ChangeEvent]:
         """All events for one attribute (column) — the Fig. 4 column view."""
@@ -106,14 +176,12 @@ class AuditLog:
     def stats(self) -> dict:
         """Registry-source summary (see :mod:`repro.obs.metrics`)."""
         with self._lock:
-            return {"events": len(self._events), "tuples": len(self._by_tuple)}
+            return {"events": self._seq, "tuples": len(self._by_tuple)}
 
     def tuple_ids(self) -> list[str]:
-        """Distinct tuple ids, in first-seen order."""
-        seen: dict[str, None] = {}
-        for e in self.events:
-            seen.setdefault(e.tuple_id)
-        return list(seen)
+        """Distinct tuple ids, in first-seen order (the per-tuple index's)."""
+        with self._lock:
+            return list(self._by_tuple)
 
     # -- persistence -------------------------------------------------------
 
@@ -126,20 +194,17 @@ class AuditLog:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "AuditLog":
+        with Path(path).open(encoding="utf-8") as f:
+            events = [
+                ChangeEvent.from_json(json.loads(line)) for line in f if line.strip()
+            ]
         log = cls()
-        path = Path(path)
-        with path.open(encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    event = ChangeEvent.from_json(json.loads(line))
-                    log._events.append(event)
-                    log._by_tuple.setdefault(event.tuple_id, []).append(event)
+        log._reset(events)
         return log
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._seq
 
     def __iter__(self) -> Iterator[ChangeEvent]:
         return iter(self.events)

@@ -71,14 +71,27 @@ class OverallStats:
         return self.auto_cells / total if total else 0.0
 
 
-def _first_validations(events: Iterable[ChangeEvent]) -> dict[tuple[str, str], ChangeEvent]:
-    """The first user/rule event per (tuple, attr) — the validating one."""
-    first: dict[tuple[str, str], ChangeEvent] = {}
+def _tally(events: Iterable[ChangeEvent]) -> dict[str, list[int]]:
+    """One pass over a log snapshot: per attribute, in first-seen order,
+    the counts ``[user, rule, normalize, changed, confirmed]``. A cell's
+    first user/rule event is the validating one."""
+    counts: dict[str, list[int]] = {}
+    validated: set[tuple[str, str]] = set()
     for e in events:
+        c = counts.get(e.attr)
+        if c is None:
+            c = counts[e.attr] = [0, 0, 0, 0, 0]
+        changed = e.changed
+        if changed:
+            c[3] += 1
         if e.source == "normalize":
-            continue
-        first.setdefault((e.tuple_id, e.attr), e)
-    return first
+            c[2] += 1
+        elif (e.tuple_id, e.attr) not in validated:
+            validated.add((e.tuple_id, e.attr))
+            c[0 if e.source == "user" else 1] += 1
+            if not changed:
+                c[4] += 1
+    return counts
 
 
 def attribute_stats(log: AuditLog, attrs: Iterable[str] | None = None) -> list[AttributeStat]:
@@ -87,41 +100,19 @@ def attribute_stats(log: AuditLog, attrs: Iterable[str] | None = None) -> list[A
     ``attrs`` fixes the output order (e.g. schema order); defaults to
     first-seen order of attributes in the log.
     """
-    first = _first_validations(log.events)
-    if attrs is None:
-        seen: dict[str, None] = {}
-        for e in log.events:
-            seen.setdefault(e.attr)
-        attrs = list(seen)
-    out = []
-    for attr in attrs:
-        user = sum(1 for e in first.values() if e.attr == attr and e.source == "user")
-        rule = sum(1 for e in first.values() if e.attr == attr and e.source == "rule")
-        norm = sum(1 for e in log.events if e.attr == attr and e.source == "normalize")
-        changes = sum(1 for e in log.events if e.attr == attr and e.changed)
-        confirmed = sum(
-            1 for e in first.values() if e.attr == attr and not e.changed
-        )
-        out.append(
-            AttributeStat(
-                attr=attr,
-                user_validations=user,
-                rule_fixes=rule,
-                normalizations=norm,
-                value_changes=changes,
-                confirmations=confirmed,
-            )
-        )
-    return out
+    counts = _tally(log.events)
+    return [
+        AttributeStat(attr, *counts.get(attr, (0, 0, 0, 0, 0)))
+        for attr in (counts if attrs is None else attrs)
+    ]
 
 
 def overall_stats(log: AuditLog) -> OverallStats:
     """Aggregate provenance across all cells in the log."""
-    first = _first_validations(log.events)
-    user = sum(1 for e in first.values() if e.source == "user")
-    auto = sum(1 for e in first.values() if e.source == "rule")
-    norm = sum(1 for e in log.events if e.source == "normalize")
-    changes = sum(1 for e in log.events if e.changed)
+    counts = _tally(log.events)
+    user, auto, norm, changes, _ = (
+        sum(c[i] for c in counts.values()) for i in range(5)
+    )
     return OverallStats(
         tuples=len(log.tuple_ids()),
         user_cells=user,

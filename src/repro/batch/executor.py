@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
-from repro.audit.log import AuditLog
 from repro.batch.cache import CachingMasterDataManager, ProbeCache
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
@@ -92,7 +91,6 @@ class GroupOutcome:
     user_cells: int
     rule_cells: int
     normalized_cells: int
-    changed_cells: int
     conflicts: int
     audit_events: tuple[dict, ...]  # serialized per-cell provenance
 
@@ -105,17 +103,12 @@ class GroupOutcome:
             "user_cells": self.user_cells,
             "rule_cells": self.rule_cells,
             "normalized_cells": self.normalized_cells,
-            "changed_cells": self.changed_cells,
             "conflicts": self.conflicts,
             "audit_events": list(self.audit_events),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupOutcome":
-        events = tuple(
-            {**e, "master_positions": tuple(e.get("master_positions", ()))}
-            for e in obj["audit_events"]
-        )
         return cls(
             members=tuple(obj["members"]),
             values=dict(obj["values"]),
@@ -124,9 +117,8 @@ class GroupOutcome:
             user_cells=obj["user_cells"],
             rule_cells=obj["rule_cells"],
             normalized_cells=obj["normalized_cells"],
-            changed_cells=obj["changed_cells"],
             conflicts=obj["conflicts"],
-            audit_events=events,
+            audit_events=tuple(obj["audit_events"]),
         )
 
 
@@ -174,33 +166,16 @@ class ShardResult:
         )
 
 
-def _serialize_events(audit: AuditLog) -> tuple[dict, ...]:
-    """Audit events as plain dicts (seq/tuple_id dropped — the pipeline
-    reassigns both when replaying onto member tuples)."""
-    return tuple(
-        {
-            "attr": e.attr,
-            "old": e.old,
-            "new": e.new,
-            "source": e.source,
-            "rule_id": e.rule_id,
-            "master_positions": tuple(e.master_positions),
-            "round_no": e.round_no,
-        }
-        for e in audit
-    )
-
-
 class _TranscriptRecorder:
     """An audit sink recording straight into the serialized event form.
 
-    A group session's audit trail only ever becomes the replay template
+    A group session's audit trail only ever becomes the transcript
     shipped in :attr:`GroupOutcome.audit_events`; recording through a
-    full :class:`AuditLog` (lock, sequence numbers, per-tuple index,
-    frozen event objects) just to strip all of that back off was
-    measurable at batch scale. Same dict shape as
-    :func:`_serialize_events` — seq/tuple_id are per-member anyway and
-    get assigned at replay time.
+    full :class:`~repro.audit.log.AuditLog` (lock, sequence numbers,
+    per-tuple index, frozen event objects) just to strip all of that
+    back off was measurable at batch scale. seq/tuple_id are per-member
+    and assigned when the pipeline records the group
+    (:meth:`~repro.audit.log.AuditLog.record_group`).
     """
 
     __slots__ = ("events", "trace_id", "span_id")
@@ -208,8 +183,8 @@ class _TranscriptRecorder:
     def __init__(self):
         self.events: list[dict] = []
         # Built inside the group-chase span, so these are its ids: the
-        # pipeline replays them so provenance points at the span that
-        # actually produced the fix, not the replay loop.
+        # audit log keeps them, so provenance points at the span that
+        # actually produced the fix, not the pipeline's assembly.
         self.trace_id, self.span_id = trace.current_ids()
 
     def record(
@@ -304,7 +279,6 @@ def _resolve_group_inner(
         user_cells=sum(1 for s in provenance.values() if s == "user"),
         rule_cells=sum(1 for s in provenance.values() if s == "rule"),
         normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
-        changed_cells=sum(1 for e in events if e["old"] != e["new"]),
         conflicts=len(session.conflicts),
         audit_events=events,
     )

@@ -5,8 +5,8 @@
 dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
 shards (:mod:`repro.batch.journal`), runs the rest under the selected
 backend (:mod:`repro.batch.executor`), then assembles the repaired
-relation, replays per-cell provenance into the engine's audit log, and
-aggregates a :class:`~repro.batch.report.BatchReport`.
+relation, records each group's provenance once in the engine's audit
+log, and aggregates a :class:`~repro.batch.report.BatchReport`.
 
 Scheduling never influences output: groups are independent and probing
 is deterministic, so ``workers=4`` (threads or processes) produces the
@@ -151,36 +151,25 @@ class BatchCleaner:
         unknown = [a for a in validated if a not in self.ruleset.input_schema]
         if unknown:
             raise CerFixError(f"validated attributes {unknown} not in the input schema")
-        if root_span:
-            with trace.span(
-                "clean-run", rows=len(dirty), workers=workers, backend=backend
-            ):
-                return self._clean(
-                    dirty,
-                    truth,
-                    workers=workers,
-                    backend=backend,
-                    shards=shards,
-                    dedupe=dedupe,
-                    validated=validated,
-                    journal_path=journal_path,
-                    cache_path=cache_path,
-                    tuple_ids=tuple_ids,
-                    max_rounds=max_rounds,
-                )
-        return self._clean(
-            dirty,
-            truth,
-            workers=workers,
-            backend=backend,
-            shards=shards,
-            dedupe=dedupe,
-            validated=validated,
-            journal_path=journal_path,
-            cache_path=cache_path,
-            tuple_ids=tuple_ids,
-            max_rounds=max_rounds,
+        run_span = (
+            trace.span("clean-run", rows=len(dirty), workers=workers, backend=backend)
+            if root_span
+            else trace.NOOP
         )
+        with run_span:
+            return self._clean(
+                dirty,
+                truth,
+                workers=workers,
+                backend=backend,
+                shards=shards,
+                dedupe=dedupe,
+                validated=validated,
+                journal_path=journal_path,
+                cache_path=cache_path,
+                tuple_ids=tuple_ids,
+                max_rounds=max_rounds,
+            )
 
     def _clean(
         self,
@@ -307,11 +296,8 @@ class BatchCleaner:
             elapsed_seconds=time.perf_counter() - start,
             evictions=evictions,
             notes=notes,
+            changed_cells=changed_cells,
         )
-        # The replay count is per-member exact (projected groups patch
-        # the old values member by member); the per-group aggregate
-        # would over- or under-count payload-column changes.
-        report.changed_cells = changed_cells
         self._publish_metrics(executor, results, evictions)
         if cache_stamp is not None:
             saved = save_probe_cache(executor.cache, cache_path, **cache_stamp)
@@ -429,43 +415,34 @@ class BatchCleaner:
         dirty: Relation,
         projection: frozenset[str] | None = None,
     ) -> int:
-        """Replay per-cell provenance onto every member tuple; returns
+        """Record per-cell provenance for every member tuple; returns
         the exact changed-cell count across all members.
 
         Each duplicate member genuinely received the group's repair, so
         each gets its own audit trail (ids follow the stream convention:
-        ``t<row>`` unless ``tuple_ids`` overrides). Under a projection,
-        a user validation of a payload attribute replays with *this
-        member's* input value as ``old`` — that is what a serial monitor
-        session on the member would have recorded."""
+        ``t<row>`` unless ``tuple_ids`` overrides), recorded as one
+        :meth:`AuditLog.record_group` per group and expanded per member
+        only when read. Under a projection, a user validation of a
+        payload attribute carries *this member's* input value as ``old``
+        — what a serial monitor session on the member would have
+        recorded — so only those events count member by member."""
         changed = 0
-        names = self.ruleset.input_schema.names
-        position = {n: i for i, n in enumerate(names)}
+        position = {n: i for i, n in enumerate(self.ruleset.input_schema.names)}
         raw = dirty.raw_tuples() if projection is not None else None
         for result in results:
             for outcome in result.outcomes:
-                for member in outcome.members:
-                    tid = tuple_ids[member] if tuple_ids is not None else f"t{member}"
-                    for e in outcome.audit_events:
-                        old = e["old"]
-                        if projection is not None and e["attr"] not in projection:
-                            old = raw[member][position[e["attr"]]]
-                        if old != e["new"]:
-                            changed += 1
-                        self.audit.record(
-                            tid,
-                            e["attr"],
-                            old,
-                            e["new"],
-                            e["source"],
-                            rule_id=e["rule_id"],
-                            master_positions=tuple(e["master_positions"]),
-                            round_no=e["round_no"],
-                            # Worker-recorded span ids: provenance points
-                            # at the group-chase that produced the fix.
-                            trace_id=e.get("trace_id"),
-                            span_id=e.get("span_id"),
-                        )
+                transcript = outcome.audit_events
+                members = outcome.members
+                olds = {}
+                for j, e in enumerate(transcript):
+                    if projection is not None and e["attr"] not in projection:
+                        col = position[e["attr"]]
+                        olds[j] = column = [raw[m][col] for m in members]
+                        changed += sum(old != e["new"] for old in column)
+                    elif e["old"] != e["new"]:
+                        changed += len(members)
+                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
+                self.audit.record_group(transcript, ids, olds)
         return changed
 
 

@@ -163,6 +163,7 @@ def build_report(
     elapsed_seconds: float,
     evictions: int = 0,
     notes: Sequence[str] = (),
+    changed_cells: int,
 ) -> BatchReport:
     """Aggregate shard results into one report.
 
@@ -173,6 +174,7 @@ def build_report(
         tuples=tuples,
         groups=groups,
         duplicates_collapsed=tuples - groups,
+        changed_cells=changed_cells,
         workers=workers,
         backend=backend,
         elapsed_seconds=elapsed_seconds,
@@ -190,7 +192,6 @@ def build_report(
             report.user_cells += outcome.user_cells * n
             report.rule_cells += outcome.rule_cells * n
             report.normalized_cells += outcome.normalized_cells * n
-            report.changed_cells += outcome.changed_cells * n
     report.cache = cache
     report.shards.sort(key=lambda s: s.shard_id)
     return report
