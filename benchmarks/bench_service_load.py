@@ -10,14 +10,16 @@ ceiling.
 Per point we record throughput, client latency percentiles, the shared
 probe-cache hit rate, suggestion-memo hit rate, coalesced/batched probe
 counts and 429 retries. The sweep runs over an in-process store, so the
-store kind puts sessions inline on the event loop. One extra point runs
-c=32 over a remote store (2 in-process shard servers): the store kind
-then puts sessions on the executor, and the micro-batcher's coalescing
-counters are exercised through HTTP.
+store kind puts sessions inline on the event loop and they probe the
+store directly (no probe cache: its column reads 0%). One extra point
+runs c=32 over a remote store (2 in-process shard servers): the store
+kind then puts sessions on the executor behind the shared probe cache,
+and the micro-batcher's coalescing counters are exercised through HTTP.
 
 Acceptance: async throughput at every concurrency >= 32 must be
 >= 0.9x async c=1 on the same machine — concurrency may not cost
-throughput — and the remote point must micro-batch. The JSON snapshot
+throughput — and the remote point must hit its probe cache and
+micro-batch. The JSON snapshot
 lands in ``BENCH_service.json`` at the repo root.
 """
 
@@ -138,7 +140,10 @@ def test_service_concurrency_sweep(table, workload):
         ratios[concurrency] = report.throughput / baseline
         _add_row(table, f"async c={concurrency} ({metrics['dispatch']})",
                  report, metrics, baseline)
-        assert metrics["probe_cache"]["hits"] > 0, "shared probe cache never hit"
+        probe_cache = metrics["probe_cache"]
+        assert probe_cache["hits"] + probe_cache["misses"] == 0, (
+            "an in-process store went through a probe cache"
+        )
 
     # -- coalescing through HTTP: a remote store puts sessions off-loop -----
     cluster = ShardCluster.in_process(uk.paper_ruleset(), master, REMOTE_SHARDS)
@@ -152,6 +157,7 @@ def test_service_concurrency_sweep(table, workload):
     assert metrics["dispatch"] == "executor"
     _add_row(table, f"async c=32 (remote, {REMOTE_SHARDS} in-process shards)",
              report, metrics, baseline)
+    assert metrics["probe_cache"]["hits"] > 0, "shared probe cache never hit"
     assert metrics["probes"]["batches"] > 0, "micro-batching never engaged"
 
     # -- acceptance ---------------------------------------------------------

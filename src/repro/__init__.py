@@ -67,14 +67,13 @@ from repro.batch import (
     BatchResult,
     CacheStats,
     CheckpointJournal,
-    ProbeCache,
+    LRUMemo,
 )
 from repro.service import (
     AsyncCerFixServer,
     AsyncCerFixService,
     LoadReport,
     ServiceMetrics,
-    SharedProbeCache,
     run_load,
 )
 from repro.audit import AuditLog, attribute_stats, overall_stats
@@ -147,14 +146,13 @@ __all__ = [
     "AsyncCerFixService",
     "LoadReport",
     "ServiceMetrics",
-    "SharedProbeCache",
     "run_load",
     "BatchCleaner",
     "BatchReport",
     "BatchResult",
     "CacheStats",
     "CheckpointJournal",
-    "ProbeCache",
+    "LRUMemo",
     "AuditLog",
     "attribute_stats",
     "overall_stats",

@@ -6,7 +6,8 @@ scales the same certain-fix machinery to whole relations:
 
 - :mod:`~repro.batch.planner` — fingerprint tuples, collapse duplicate
   repair signatures, deal groups into shards;
-- :mod:`~repro.batch.cache` — a bounded LRU over master-data probes;
+- :mod:`~repro.batch.cache` — the one bounded LRU (probe cache over
+  remote stores, suggestion and chase memos);
 - :mod:`~repro.batch.executor` — serial / thread / process shard
   execution with bit-identical output;
 - :mod:`~repro.batch.journal` — per-shard checkpoints for crash-safe
@@ -16,7 +17,7 @@ scales the same certain-fix machinery to whole relations:
   :meth:`CerFix.clean_relation`.
 """
 
-from repro.batch.cache import CacheStats, CachingMasterDataManager, ProbeCache
+from repro.batch.cache import CacheStats, CachingMasterDataManager, LRUMemo, MemoView
 from repro.batch.executor import BatchContext, GroupOutcome, ShardExecutor, ShardResult
 from repro.batch.journal import CheckpointJournal
 from repro.batch.pipeline import BatchCleaner, BatchResult
@@ -32,8 +33,9 @@ __all__ = [
     "CachingMasterDataManager",
     "CheckpointJournal",
     "GroupOutcome",
+    "LRUMemo",
+    "MemoView",
     "PlanGroup",
-    "ProbeCache",
     "RepairPlan",
     "Shard",
     "ShardExecutor",

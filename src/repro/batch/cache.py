@@ -1,19 +1,26 @@
-"""The probe cache: memoised master-data lookups for batch cleaning.
+"""Caches: one bounded LRU, and the probe cache over remote stores.
 
-Batch workloads probe the master data with heavily repeated keys — a
-relation of customer transactions re-derives the same zip → (street,
-city) correction for every tuple sharing that zip. The
-:class:`ProbeCache` is a bounded LRU over :class:`MasterMatch` results
-keyed on ``(rule id, normalised key values)``; the
-:class:`CachingMasterDataManager` drops it transparently between the
-chase/monitor machinery and a base :class:`MasterDataManager`.
+:class:`LRUMemo` is the one cache class: a bounded, thread-safe LRU
+that counts its own hits, misses and evictions. It backs the suggestion
+memo, the chase memo and — only where a probe is expensive — the probe
+cache.
+
+A probe on an in-process store (single, sharded, sqlite) is a memo or
+index lookup, so batch, stream, monitor and service all call the store
+directly. An ``io_bound`` store (the remote shard cluster) pays a
+network round trip per probe; there the :class:`CachingMasterDataManager`
+sits between the chase/monitor machinery and the store, keyed on
+``(rule id, normalised key values)``. The batch executor adds
+first-round prefetch and cross-run persistence
+(:func:`save_probe_cache`/:func:`load_probe_cache`); the entry service
+routes its misses through the micro-batcher.
 
 Cache keys are normalised with the rule's match operators (``digits``,
 ``alnum``, …), so two raw keys that the index would bucket together
 ('EH8 4AH' / 'eh8 4ah') also share one cache entry. Cached values are
 frozen :class:`MasterMatch` objects and probing is deterministic, so a
-hit returns byte-for-byte what the base manager would have computed —
-the cache can only change speed, never output.
+hit returns byte-for-byte what the store would have computed — the
+cache can only change speed, never output.
 """
 
 from __future__ import annotations
@@ -24,13 +31,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from repro.core.rule import Constant, EditingRule
 from repro.master.manager import MasterDataManager, MasterMatch
 from repro.master.store import MasterStore
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
+
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -65,54 +74,58 @@ class CacheStats:
         }
 
 
-class ProbeCache:
-    """A bounded, thread-safe LRU store of probe results.
+class LRUMemo:
+    """A bounded, thread-safe LRU mapping that counts its own lookups.
 
-    Threading model (enforced by construction, documented here so it
-    stays that way):
+    One class serves every cache in the program: the probe cache in
+    front of an ``io_bound`` store, the suggestion memo and the chase
+    memo. ``get`` counts a hit or a miss and ``put`` counts the
+    evictions it causes, all under the same lock as the entries, so
+    :attr:`stats` stays exact whether one worker thread, many executor
+    threads or the event loop use it.
 
-    * the **store** (entries + eviction counter) is guarded by one
-      lock — ``get``/``put`` are safe from any number of threads;
-    * **hit/miss counters** are *not* kept here. In the batch layer
-      they live on the per-shard :class:`CachingMasterDataManager`,
-      each of which is owned by exactly one worker thread for its
-      lifetime (see :func:`repro.batch.executor._run_shard`) and
-      guards its increments anyway, so per-shard statistics stay exact
-      even when the store is shared. The entry service, which has no
-      single-owner managers, uses
-      :class:`repro.service.cache.SharedProbeCache` — the wrapper that
-      accumulates :class:`CacheStats` under the same lock as the store
-      and is safe to call from executor threads and an asyncio event
-      loop alike;
-    * **prefetch** (:meth:`CachingMasterDataManager.prefetch`) fills the
-      store through the same ``put`` from the shard's own worker thread,
-      one window of predicted keys at a time — a prefetched entry is an
-      ordinary entry, evictable like any other.
-
-    Cached values are frozen and probing is deterministic, so sharing
-    a cache can reorder *when* work happens but never what any caller
-    observes.
+    Cached values are frozen and pure functions of their keys, so
+    sharing a cache can reorder *when* work happens but never what any
+    caller observes.
     """
 
     def __init__(self, maxsize: int = 4096):
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._store: OrderedDict[tuple, MasterMatch] = OrderedDict()
+        self._store: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
         self._evictions = 0
 
-    def get(self, key: tuple) -> MasterMatch | None:
-        """The cached match for ``key``, or None (marks it most-recent)."""
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        """The cached value for ``key`` (marked most-recent), else ``default``."""
         with self._lock:
-            match = self._store.get(key)
-            if match is not None:
-                self._store.move_to_end(key)
-            return match
+            value = self._store.get(key, _MISS)
+            if value is _MISS:
+                self._misses += 1
+                return default
+            self._store.move_to_end(key)
+            self._hits += 1
+            return value
 
-    def put(self, key: tuple, match: MasterMatch) -> None:
+    def touch(self, key: Hashable) -> bool:
+        """Mark ``key`` most-recent if resident; counts no lookup."""
         with self._lock:
-            self._store[key] = match
+            if key not in self._store:
+                return False
+            self._store.move_to_end(key)
+            return True
+
+    def count_misses(self, n: int) -> None:
+        """Count ``n`` misses answered outside :meth:`get` (a bulk fetch)."""
+        with self._lock:
+            self._misses += n
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            self._store[key] = value
             self._store.move_to_end(key)
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
@@ -122,61 +135,91 @@ class ProbeCache:
     def evictions(self) -> int:
         return self._evictions
 
-    def snapshot(self) -> list[tuple[tuple, MasterMatch]]:
+    @property
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(hits=self._hits, misses=self._misses, evictions=self._evictions)
+
+    def snapshot(self) -> list[tuple[Hashable, Any]]:
         """The current entries, oldest first (a consistent copy)."""
         with self._lock:
             return list(self._store.items())
 
-    def preload(self, entries: Sequence[tuple[tuple, MasterMatch]]) -> int:
+    def preload(self, entries: Sequence[tuple[Hashable, Any]]) -> int:
         """Seed the cache from a snapshot; returns the resident count.
 
         Overflow past ``maxsize`` drops the oldest entries without
         counting as evictions — nothing was ever displaced at runtime.
         """
         with self._lock:
-            for key, match in entries:
-                self._store[key] = match
+            for key, value in entries:
+                self._store[key] = value
                 self._store.move_to_end(key)
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
             return len(self._store)
 
     def __len__(self) -> int:
-        return len(self._store)
+        with self._lock:
+            return len(self._store)
 
     def __repr__(self) -> str:
-        return f"ProbeCache({len(self)}/{self.maxsize} entries, {self._evictions} evictions)"
+        return f"LRUMemo({len(self)}/{self.maxsize} entries, {self._evictions} evictions)"
+
+
+class MemoView:
+    """A token-scoped view of an :class:`LRUMemo`.
+
+    The suggestion memo key does not mention the precomputed regions a
+    session was created with (sessions capture them by reference). The
+    entry service therefore scopes every session's memo to a *regions
+    epoch* token: recomputing regions bumps the epoch, so sessions
+    created afterwards read and write a fresh key space while older
+    sessions keep hitting entries consistent with the regions they
+    captured.
+    """
+
+    def __init__(self, memo: LRUMemo, token: Hashable):
+        self._memo = memo
+        self._token = token
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        return self._memo.get((self._token, key), default)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        self._memo.put((self._token, key), value)
 
 
 class CachingMasterDataManager(MasterDataManager):
-    """A :class:`MasterDataManager` whose :meth:`match` consults a
-    :class:`ProbeCache` first.
+    """A :class:`MasterDataManager` whose :meth:`match` consults an
+    :class:`LRUMemo` probe cache first.
 
-    Store-agnostic: pass a bare :class:`Relation` (wrapped in the single
-    backend) or any :class:`~repro.master.store.MasterStore` — the cache
-    sits *above* the store, so a hit costs the same whatever backend is
-    underneath, and a miss is answered by whichever backend the batch
-    run configured. Shares the base store (and therefore its lazily
-    built probe structures); constant rules bypass the cache — they
-    never touch master data. Intended to live for one batch run: the
-    cache is never invalidated, so do not mutate the master data
-    underneath it.
+    Built only over an ``io_bound`` store, where a miss is a network
+    round trip; an in-process store answers from its own memo, so
+    callers probe it directly. Shares the base store; constant rules
+    bypass the cache — they never touch master data. The cache is never
+    invalidated, so do not mutate the master data underneath it.
 
-    Each instance is built for (and owned by) one shard worker, but the
-    hit/miss counters are guarded anyway: accumulation must stay exact
-    even if a future caller shares an instance between threads, and the
-    uncontended lock costs nanoseconds next to a probe. ``misses``
-    counts every key the store was asked for — by a :meth:`match` that
-    missed or by a :meth:`prefetch` — so it always equals the store's
-    own probe count; ``hits`` counts lookups the cache answered.
+    A miss is answered by ``fetch(key, rule, values)`` when given — the
+    entry service passes its :class:`~repro.service.batcher.ProbeBatcher`
+    here, which collapses concurrent misses per key and micro-batches
+    them — else by the store's own probe. The batch executor builds one
+    instance per shard over the run's shared cache; the entry service
+    builds one for all sessions. The cache counts every lookup, so its
+    ``misses`` equal the keys the store was asked for, by a
+    :meth:`match` that missed or by a :meth:`prefetch`.
     """
 
-    def __init__(self, source: Relation | MasterStore, cache: ProbeCache):
+    def __init__(
+        self,
+        source: Relation | MasterStore,
+        cache: LRUMemo,
+        *,
+        fetch: Callable[[tuple, EditingRule, Mapping[str, Any]], MasterMatch] | None = None,
+    ):
         super().__init__(source)
         self.cache = cache
-        self.hits = 0
-        self.misses = 0
-        self._stats_lock = threading.Lock()
+        self._fetch = fetch
         self._probes: dict[str, HashIndex] = {}  # rule_id -> key normaliser
         #: (rule_id, raw lhs values) -> normalized cache key. Normalizing
         #: a probe key is pure, and batch traffic re-probes the same few
@@ -217,12 +260,11 @@ class CachingMasterDataManager(MasterDataManager):
         key = self._cache_key(rule, values)
         cached = self.cache.get(key)
         if cached is not None:
-            with self._stats_lock:
-                self.hits += 1
             return cached
-        with self._stats_lock:
-            self.misses += 1
-        match = super().match(rule, values, use_index=use_index)
+        if self._fetch is not None:
+            match = self._fetch(key, rule, values)
+        else:
+            match = super().match(rule, values, use_index=use_index)
         self.cache.put(key, match)
         return match
 
@@ -235,10 +277,11 @@ class CachingMasterDataManager(MasterDataManager):
         """Warm the cache for ``requests`` with one ``probe_many`` call.
 
         Constant rules, keys already resident (touched, so they stay
-        resident) and keys repeated within the batch are skipped; the
+        resident, but not counted as hits: the later :meth:`match` is
+        the lookup) and keys repeated within the batch are skipped; the
         rest cross the store boundary together — on a remote store one
-        round trip per shard instead of one per key. Returns the number
-        of keys the store was asked for. ``probe_many`` is bit-identical
+        round trip per shard instead of one per key — and count as
+        misses. Returns the number of keys the store was asked for. ``probe_many`` is bit-identical
         to per-key probes, so a later :meth:`match` hit returns exactly
         what a miss would have computed.
         """
@@ -247,26 +290,18 @@ class CachingMasterDataManager(MasterDataManager):
             if isinstance(rule.source, Constant):
                 continue
             key = self._cache_key(rule, values)
-            if key not in wanted and self.cache.get(key) is None:
+            if key not in wanted and not self.cache.touch(key):
                 wanted[key] = (rule, values)
         if not wanted:
             return 0
         matches = self.store.probe_many(list(wanted.values()), use_index=use_index)
-        with self._stats_lock:
-            self.misses += len(wanted)
         for key, match in zip(wanted, matches):
             self.cache.put(key, match)
+        self.cache.count_misses(len(wanted))
         return len(wanted)
 
-    @property
-    def stats(self) -> CacheStats:
-        return CacheStats(hits=self.hits, misses=self.misses, evictions=self.cache.evictions)
-
     def __repr__(self) -> str:
-        return (
-            f"CachingMasterDataManager({self.relation!r}, "
-            f"{self.hits} hits / {self.misses} misses)"
-        )
+        return f"CachingMasterDataManager({self.store!r}, {self.cache!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +313,7 @@ CACHE_SNAPSHOT_FORMAT = 1
 
 
 def save_probe_cache(
-    cache: ProbeCache,
+    cache: LRUMemo,
     path: str | Path,
     *,
     master_digest: str,
@@ -291,8 +326,8 @@ def save_probe_cache(
     stamps disagree with the loading run — a cached
     :class:`~repro.master.manager.MasterMatch` is only valid against the
     exact master data and rules that produced it. The write is atomic
-    (temp file + rename), so a crash mid-save leaves the previous
-    snapshot intact.
+    and durable (temp file, fsync, rename), so a crash mid-save leaves
+    the previous snapshot intact.
     """
     path = Path(path)
     entries = cache.snapshot()
@@ -305,6 +340,8 @@ def save_probe_cache(
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
     return len(entries)
 
@@ -315,10 +352,10 @@ def load_probe_cache(
     master_digest: str,
     rule_ids: Sequence[str],
     maxsize: int = 4096,
-) -> tuple[ProbeCache | None, str]:
+) -> tuple[LRUMemo | None, str]:
     """Load a snapshot written by :func:`save_probe_cache`.
 
-    Returns ``(cache, note)``: a warm :class:`ProbeCache` when the
+    Returns ``(cache, note)``: a warm :class:`LRUMemo` when the
     snapshot is present, readable and stamped for this exact
     (master content, rule set) pair, else ``(None, why)`` — a stale or
     corrupt snapshot degrades to a cold start, never to wrong answers.
@@ -341,6 +378,6 @@ def load_probe_cache(
         return None, "cold start (master data changed since the snapshot)"
     if rules != tuple(sorted(rule_ids)):
         return None, "cold start (rule set changed since the snapshot)"
-    cache = ProbeCache(maxsize)
+    cache = LRUMemo(maxsize)
     resident = cache.preload(entries)
     return cache, f"warm start ({resident} entries from {path})"

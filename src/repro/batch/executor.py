@@ -6,21 +6,27 @@ result of a group depends only on the group and the engine
 configuration, never on scheduling. That is what makes the parallel
 backends *bit-identical* to the serial path.
 
+Probes on an in-process store (single, sharded, sqlite) go straight
+to the store, whose own memo and indexes answer them. Only an
+``io_bound`` store (remote shards) gets a probe cache
+(:class:`~repro.batch.cache.CachingMasterDataManager` over one
+:class:`~repro.batch.cache.LRUMemo`) and first-round prefetch.
+
 Backends:
 
 ``workers=1``
     The deterministic serial path: shards run in shard-id order on the
-    calling thread, sharing one probe cache.
+    calling thread, sharing one probe cache (remote stores) and the
+    suggestion and chase memos.
 ``backend="thread"``
     A :class:`~concurrent.futures.ThreadPoolExecutor`; all shards share
-    one probe cache (cross-shard hits) and the already-built master
-    indexes. Best when probing dominates (index lookups release no
-    meaningful GIL work, but cache sharing is maximal).
+    the run's caches (cross-shard hits) and the already-built master
+    indexes.
 ``backend="process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor`; the context is
     shipped to each worker once via the pool initializer and every
-    process keeps its own probe cache. Best on multi-core hosts where
-    the chase itself is the bottleneck.
+    process keeps its own caches. Best on multi-core hosts where the
+    chase itself is the bottleneck.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
-from repro.batch.cache import CachingMasterDataManager, ProbeCache
+from repro.batch.cache import CachingMasterDataManager, LRUMemo
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
 from repro.core.region import RankedRegion
@@ -41,7 +47,6 @@ from repro.monitor.session import MonitorSession
 from repro.monitor.suggest import SuggestionStrategy
 from repro.monitor.user import OracleUser
 from repro.obs import trace
-from repro.service.cache import LRUMemo
 
 BACKENDS = ("thread", "process")
 
@@ -124,15 +129,19 @@ class GroupOutcome:
 
 @dataclass
 class ShardResult:
-    """What one shard produced, with exact per-shard cache counters."""
+    """What one shard produced, with its probe-cache counters.
+
+    The counters are the cache's lookups while this shard ran: exact
+    when shards on one cache run one at a time (the serial and process
+    paths), overlapping between concurrent thread-backend shards. All
+    zero over an in-process store, which has no probe cache."""
 
     shard_id: int
     outcomes: tuple[GroupOutcome, ...]
     elapsed_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0  # evictions while this shard ran (exact when
-    # shards on one cache run serially — i.e. the serial and process paths)
+    cache_evictions: int = 0
     resumed: bool = False
 
     @property
@@ -288,52 +297,55 @@ def _run_shard(
     shard: Shard,
     ctx: BatchContext,
     base: MasterDataManager,
-    cache: ProbeCache,
+    cache: LRUMemo | None,
     memo: LRUMemo | None = None,
     chase_memo: LRUMemo | None = None,
     sharers: int = 1,
 ) -> ShardResult:
-    """Resolve every group of one shard behind a caching manager.
+    """Resolve every group of one shard.
 
-    The caching manager wraps the base manager's *store*, so whatever
-    backend the run configured (single, sharded, sqlite) answers the
-    cache misses — and its probe structures are shared across shards.
-    ``memo`` is the run's shared suggestion memo: a suggestion is a
-    deterministic function of the validated (attr, value) pairs plus
-    the engine configuration — constant across one batch run — so
-    sharing it across shards reorders when inference work happens but
-    never what any group observes (the bit-identity guarantee holds).
-    ``sharers`` is how many shard workers use ``cache`` at once; it
-    sizes the prefetch windows (see :func:`_resolve_groups`).
+    With a probe ``cache`` (an ``io_bound`` store) the groups probe
+    through a caching manager over the base manager's store; without
+    one they probe the base manager directly. ``memo`` is the run's
+    shared suggestion memo: a suggestion is a deterministic function of
+    the validated (attr, value) pairs plus the engine configuration —
+    constant across one batch run — so sharing it across shards
+    reorders when inference work happens but never what any group
+    observes (the bit-identity guarantee holds). ``sharers`` is how many
+    shard workers use ``cache`` at once; it sizes the prefetch windows
+    (see :func:`_resolve_groups`).
     """
-    manager = CachingMasterDataManager(base.store, cache)
-    evictions_before = cache.evictions
+    manager = base if cache is None else CachingMasterDataManager(base.store, cache)
+    before = cache.stats if cache is not None else None
     start = time.perf_counter()
     # Pool threads (and process workers) have no ambient span; the
     # carrier in the context re-parents this shard under the clean-run.
     with trace.activate(ctx.trace):
         with trace.span("shard", shard=shard.shard_id, groups=len(shard.groups)):
             outcomes = _resolve_groups(shard.groups, ctx, manager, memo, chase_memo, sharers)
-    return ShardResult(
+    result = ShardResult(
         shard_id=shard.shard_id,
         outcomes=outcomes,
         elapsed_seconds=time.perf_counter() - start,
-        cache_hits=manager.hits,
-        cache_misses=manager.misses,
-        cache_evictions=cache.evictions - evictions_before,
     )
+    if cache is not None:
+        after = cache.stats
+        result.cache_hits = after.hits - before.hits
+        result.cache_misses = after.misses - before.misses
+        result.cache_evictions = after.evictions - before.evictions
+    return result
 
 
 def _resolve_groups(
     groups: Sequence[PlanGroup],
     ctx: BatchContext,
-    manager: CachingMasterDataManager,
+    manager: MasterDataManager,
     memo: LRUMemo | None,
     chase_memo: LRUMemo | None,
     sharers: int,
 ) -> tuple[GroupOutcome, ...]:
-    """Resolve ``groups`` in order, prefetching first-round probes over
-    an io-bound store (remote shards) with a trusted seed.
+    """Resolve ``groups`` in order, prefetching first-round probes into
+    the probe cache (an io-bound store) when there is a trusted seed.
 
     A group's first chase starts from its seed — the ``ctx.validated``
     values taken from its truth when it has one, else from its input —
@@ -349,12 +361,12 @@ def _resolve_groups(
     resolves the shard as one window with no prefetch.
     """
     first = []
-    if ctx.validated and manager.store.io_bound:
+    if ctx.validated and isinstance(manager, CachingMasterDataManager):
         seeded = frozenset(ctx.validated)
         first = [r for r in ctx.ruleset if r.reads <= seeded]
-    budget = manager.cache.maxsize // (2 * sharers)
-    if len(first) > budget:
-        first = []  # too small a cache to hold even one group's probes
+        budget = manager.cache.maxsize // (2 * sharers)
+        if len(first) > budget:
+            first = []  # too small a cache to hold even one group's probes
     per_window = budget // len(first) if first else max(len(groups), 1)
     outcomes: list[GroupOutcome] = []
     for start in range(0, len(groups), per_window):
@@ -374,12 +386,18 @@ def _resolve_groups(
     return tuple(outcomes)
 
 
+def _probe_cache(ctx: BatchContext) -> LRUMemo | None:
+    """A probe cache for an ``io_bound`` store; None for an in-process
+    one, which answers repeats from its own memo."""
+    return LRUMemo(ctx.cache_size) if ctx.master.store.io_bound else None
+
+
 # -- process-backend plumbing -------------------------------------------------
 # The context is shipped once per worker process via the pool initializer
 # and parked in a module global; shard tasks then only carry the shard.
 
 _PROCESS_CTX: BatchContext | None = None
-_PROCESS_CACHE: ProbeCache | None = None
+_PROCESS_CACHE: LRUMemo | None = None
 _PROCESS_MEMO: LRUMemo | None = None
 _PROCESS_CHASE_MEMO: LRUMemo | None = None
 
@@ -391,9 +409,9 @@ def _init_process(ctx: BatchContext) -> None:
     # ships the exporter config so worker spans reach the same file.
     if ctx.trace is not None and ctx.trace.path:
         trace.configure(ctx.trace.path, ctx.trace.sample)
-    _PROCESS_CACHE = ProbeCache(ctx.cache_size)
-    _PROCESS_MEMO = LRUMemo(max(ctx.cache_size, 1))
-    _PROCESS_CHASE_MEMO = LRUMemo(max(ctx.cache_size, 1))
+    _PROCESS_CACHE = _probe_cache(ctx)
+    _PROCESS_MEMO = LRUMemo(ctx.cache_size)
+    _PROCESS_CHASE_MEMO = LRUMemo(ctx.cache_size)
     # Store-specific warm-up: the single store rebuilds its (pickle-
     # stripped) indexes eagerly; the sharded store stays lazy so this
     # worker only materialises the shards its probes actually route to.
@@ -401,7 +419,7 @@ def _init_process(ctx: BatchContext) -> None:
 
 
 def _process_shard(shard: Shard) -> ShardResult:
-    assert _PROCESS_CTX is not None and _PROCESS_CACHE is not None
+    assert _PROCESS_CTX is not None
     return _run_shard(
         shard,
         _PROCESS_CTX,
@@ -422,7 +440,7 @@ class ShardExecutor:
         *,
         workers: int = 1,
         backend: str = "thread",
-        cache: ProbeCache | None = None,
+        cache: LRUMemo | None = None,
     ):
         if workers < 1:
             raise CerFixError(f"workers must be >= 1, got {workers}")
@@ -431,15 +449,16 @@ class ShardExecutor:
         self.ctx = ctx
         self.workers = workers
         self.backend = backend
-        #: The serial/thread paths share one cache; exposed for reporting.
-        #: A preloaded ``cache`` (cross-run persistence, see
+        #: The serial/thread paths share one probe cache, None over an
+        #: in-process store; exposed for reporting. A preloaded ``cache``
+        #: (cross-run persistence, see
         #: :func:`repro.batch.cache.load_probe_cache`) is used as-is.
-        self.cache = cache if cache is not None else ProbeCache(ctx.cache_size)
+        self.cache = cache if cache is not None else _probe_cache(ctx)
         #: ...and one suggestion memo (see :func:`_run_shard`) plus one
         #: chase-transcript memo (see :func:`repro.core.chase.chase_memoized`
         #: — identical validated states across groups chase once).
-        self.memo = LRUMemo(max(ctx.cache_size, 1))
-        self.chase_memo = LRUMemo(max(ctx.cache_size, 1))
+        self.memo = LRUMemo(ctx.cache_size)
+        self.chase_memo = LRUMemo(ctx.cache_size)
 
     def run(
         self,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.errors import CerFixError
 from repro.audit.log import AuditLog
-from repro.batch.cache import load_probe_cache, save_probe_cache
+from repro.batch.cache import CacheStats, load_probe_cache, save_probe_cache
 from repro.batch.executor import BatchContext, ShardExecutor, ShardResult
 from repro.batch.journal import CheckpointJournal
 from repro.batch.planner import build_plan, transcript_projection
@@ -52,7 +52,8 @@ class BatchResult:
 
 
 class BatchCleaner:
-    """Whole-relation cleaning with dedup, caching, sharding and resume.
+    """Whole-relation cleaning with dedup, sharding and resume, plus a
+    probe cache over remote stores.
 
     Construction mirrors :class:`~repro.engine.CerFix`; per-run knobs
     (workers, backend, sharding, journal) live on :meth:`clean`.
@@ -101,6 +102,8 @@ class BatchCleaner:
         self.audit = audit if audit is not None else AuditLog()
         self.use_index = use_index
         self.max_combos = max_combos
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.cache_size = cache_size
 
     def clean(
@@ -127,11 +130,12 @@ class BatchCleaner:
         repairs from the trusted ``validated`` columns. ``journal_path``
         enables checkpoint/resume; an interrupted run picks up where it
         stopped as long as inputs and configuration are unchanged.
-        ``cache_path`` persists the probe cache across runs: the run
-        starts warm from a snapshot stamped for this exact (master
-        content, rule set) pair — anything else degrades to a cold
-        start — and saves the cache back on completion. The report's
-        ``persistence`` line says which happened.
+        ``cache_path`` persists the probe cache of a remote store across
+        runs: the run starts warm from a snapshot stamped for this exact
+        (master content, rule set) pair — anything else degrades to a
+        cold start — and saves the cache back on completion. An
+        in-process store has no probe cache, so there is nothing to
+        persist. The report's ``persistence`` line says which happened.
 
         ``root_span=False`` suppresses the ``clean-run`` span for
         callers that already own one — the paged DB cleaner wraps a
@@ -252,13 +256,16 @@ class BatchCleaner:
         done: dict[int, ShardResult] = journal.open(plan.fingerprint) if journal else {}
         pending = [s for s in plan.shards if s.shard_id not in done]
 
-        # Cross-run probe-cache persistence (serial/thread paths only:
-        # process workers hold private caches the parent never sees).
+        # Cross-run probe-cache persistence (remote stores on the
+        # serial/thread paths only: process workers hold private caches
+        # the parent never sees).
         persistence = ""
         preloaded = None
         cache_stamp: dict | None = None
         if cache_path is not None:
-            if workers > 1 and backend == "process":
+            if not self.master.store.io_bound:
+                persistence = "skipped (in-process store: probes need no cache)"
+            elif workers > 1 and backend == "process":
                 persistence = "skipped (process workers hold private caches)"
             else:
                 cache_stamp = {
@@ -280,13 +287,19 @@ class BatchCleaner:
 
         relation = self._assemble(dirty, results, projection)
         changed_cells = self._replay_audit(results, tuple_ids, dirty, projection)
-        # The serial/thread paths share the executor's cache (its counter
-        # is exact there); process workers each hold a private cache, so
-        # their evictions only exist as per-shard deltas.
+        # This run's probe-cache lookups. The serial/thread paths share
+        # the executor's cache, which counts them exactly; process
+        # workers each hold a private cache, so there the per-shard
+        # counters are the only record.
         if workers > 1 and backend == "process":
-            evictions = sum(r.cache_evictions for r in results if not r.resumed)
+            cache = CacheStats()
+            for r in results:
+                if not r.resumed:
+                    cache += CacheStats(r.cache_hits, r.cache_misses, r.cache_evictions)
+        elif executor.cache is not None:
+            cache = executor.cache.stats
         else:
-            evictions = executor.cache.evictions
+            cache = CacheStats()
         report = build_report(
             results,
             tuples=plan.total_tuples,
@@ -294,11 +307,11 @@ class BatchCleaner:
             workers=workers,
             backend=backend,
             elapsed_seconds=time.perf_counter() - start,
-            evictions=evictions,
+            cache=cache,
             notes=notes,
             changed_cells=changed_cells,
         )
-        self._publish_metrics(executor, results, evictions)
+        self._publish_metrics(executor, results, cache)
         if cache_stamp is not None:
             saved = save_probe_cache(executor.cache, cache_path, **cache_stamp)
             persistence += f"; saved {saved} entries"
@@ -311,21 +324,21 @@ class BatchCleaner:
         self,
         executor: ShardExecutor,
         results: Sequence[ShardResult],
-        evictions: int,
+        cache: CacheStats,
     ) -> None:
         """Fold this run's totals into the process-wide registry — the
         live numbers behind the explorers' ``/api/metrics`` probe-cache
-        and suggestion-memo sections (per-shard deltas, so the counts
-        are exact under every backend, process workers included)."""
+        and suggestion-memo sections."""
         reg = get_registry()
         reg.inc("cerfix.batch.runs")
         reg.inc("cerfix.batch.tuples", sum(r.tuples for r in results))
         reg.inc("cerfix.batch.groups", sum(r.groups for r in results))
-        reg.inc("cerfix.probe_cache.hits", sum(r.cache_hits for r in results))
-        reg.inc("cerfix.probe_cache.misses", sum(r.cache_misses for r in results))
-        reg.inc("cerfix.probe_cache.evictions", evictions)
-        reg.set_gauge("cerfix.probe_cache.size", len(executor.cache))
-        reg.set_gauge("cerfix.probe_cache.maxsize", executor.cache.maxsize)
+        reg.inc("cerfix.probe_cache.hits", cache.hits)
+        reg.inc("cerfix.probe_cache.misses", cache.misses)
+        reg.inc("cerfix.probe_cache.evictions", cache.evictions)
+        if executor.cache is not None:
+            reg.set_gauge("cerfix.probe_cache.size", len(executor.cache))
+            reg.set_gauge("cerfix.probe_cache.maxsize", executor.cache.maxsize)
         memo_stats = executor.memo.stats
         reg.inc("cerfix.suggestion_memo.hits", memo_stats.hits)
         reg.inc("cerfix.suggestion_memo.misses", memo_stats.misses)

@@ -3,8 +3,8 @@
 The :class:`BatchReport` is the batch counterpart of the stream's
 :class:`~repro.monitor.stream.StreamReport`: it aggregates the fix/
 validation split the paper's Fig. 4 is about (user vs rule cells),
-plus the batch-only dimensions — dedup ratio, probe-cache efficiency,
-per-shard timings and resume accounting.
+plus the batch-only dimensions — dedup ratio, probe-cache efficiency
+(remote stores only), per-shard timings and resume accounting.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class ShardStats:
             groups=result.groups,
             tuples=result.tuples,
             elapsed_seconds=result.elapsed_seconds,
-            cache=CacheStats(hits=result.cache_hits, misses=result.cache_misses),
+            cache=CacheStats(result.cache_hits, result.cache_misses, result.cache_evictions),
             resumed=result.resumed,
         )
 
@@ -117,10 +117,15 @@ class BatchReport:
             f"cells {self.user_cells} user / {self.rule_cells} rule "
             f"({self.auto_share:.0%} auto), {self.normalized_cells} normalized, "
             f"{self.changed_cells} changed",
-            f"  cache: {self.cache.hits} hits / {self.cache.misses} misses "
-            f"({self.cache.hit_rate:.0%} hit rate), {self.cache.evictions} evictions",
-            f"  shards: {len(self.shards)} total, {self.resumed_shards} resumed from journal",
         ]
+        if self.cache.probes:  # only a remote store's probes go through a cache
+            lines.append(
+                f"  cache: {self.cache.hits} hits / {self.cache.misses} misses "
+                f"({self.cache.hit_rate:.0%} hit rate), {self.cache.evictions} evictions"
+            )
+        lines.append(
+            f"  shards: {len(self.shards)} total, {self.resumed_shards} resumed from journal"
+        )
         if self.persistence:
             lines.append(f"  probe cache persistence: {self.persistence}")
         lines.extend(f"  note: {n}" for n in self.notes)
@@ -161,7 +166,7 @@ def build_report(
     workers: int,
     backend: str,
     elapsed_seconds: float,
-    evictions: int = 0,
+    cache: CacheStats = CacheStats(),
     notes: Sequence[str] = (),
     changed_cells: int,
 ) -> BatchReport:
@@ -169,6 +174,8 @@ def build_report(
 
     Per-group statistics are weighted by member count: every duplicate
     row received the group's repair, so it counts like the tuple it is.
+    ``cache`` is this run's probe-cache lookups (resumed shards made
+    none).
     """
     report = BatchReport(
         tuples=tuples,
@@ -178,12 +185,11 @@ def build_report(
         workers=workers,
         backend=backend,
         elapsed_seconds=elapsed_seconds,
+        cache=cache,
         notes=list(notes),
     )
-    cache = CacheStats(evictions=evictions)
     for result in results:
         report.shards.append(ShardStats.from_result(result))
-        cache += CacheStats(hits=result.cache_hits, misses=result.cache_misses)
         for outcome in result.outcomes:
             n = len(outcome.members)
             if outcome.complete:
@@ -192,6 +198,5 @@ def build_report(
             report.user_cells += outcome.user_cells * n
             report.rule_cells += outcome.rule_cells * n
             report.normalized_cells += outcome.normalized_cells * n
-    report.cache = cache
     report.shards.sort(key=lambda s: s.shard_id)
     return report

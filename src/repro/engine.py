@@ -159,10 +159,11 @@ class CerFix:
         """Open an interactive monitoring session for one input tuple.
 
         ``master`` overrides the manager the session probes through —
-        the async entry service injects its shared cache/batcher
-        manager here (see :meth:`serve_async`); by default the engine's
-        own manager is used. Caching managers are probe-transparent, so
-        the override can only change speed, never the fix.
+        over a remote store the async entry service injects its shared
+        probe-cache manager here (see :meth:`serve_async`); by default
+        the engine's own manager is used. Caching managers are
+        probe-transparent, so the override can only change speed, never
+        the fix.
         """
         kwargs.setdefault("regions", self.regions)
         kwargs.setdefault("strategy", self.strategy)
@@ -232,14 +233,16 @@ class CerFix:
         """Clean a whole relation through the batch pipeline.
 
         The batch counterpart of :meth:`stream`: duplicate repair
-        signatures are resolved once, master probes are LRU-cached, and
-        the plan is sharded across ``workers`` (``backend`` picks threads
-        or processes; ``workers=1`` is the deterministic serial path —
-        parallel runs produce bit-identical output). ``journal_path``
+        signatures are resolved once, and the plan is sharded across
+        ``workers`` (``backend`` picks threads or processes;
+        ``workers=1`` is the deterministic serial path — parallel runs
+        produce bit-identical output). Probes on an in-process store go
+        straight to the store; over a remote store they go through a
+        ``cache_size``-entry LRU probe cache, and ``cache_path``
+        persists that cache across runs (warm-started only when master
+        content and rule set are unchanged). ``journal_path``
         checkpoints per-shard progress so an interrupted run resumes
-        without recleaning; ``cache_path`` persists the probe cache
-        across runs (warm-started only when master content and rule
-        set are unchanged). Returns a :class:`BatchResult` carrying the
+        without recleaning. Returns a :class:`BatchResult` carrying the
         repaired relation and the :class:`BatchReport`; per-cell
         provenance lands in :attr:`audit`.
         """
@@ -359,10 +362,12 @@ class CerFix:
         the bound address, ``.close()`` stops it).
 
         The service multiplexes concurrent monitor sessions over this
-        engine behind a shared probe cache, a probe micro-batcher and
-        bounded queues with 429 backpressure — see :mod:`repro.service`.
-        The store kind picks where session work runs (on the loop for
-        in-process stores, on an executor for a remote one).
+        engine behind shared suggestion and chase memos and bounded
+        queues with 429 backpressure — see :mod:`repro.service`. The
+        store kind picks where session work runs: on the loop for
+        in-process stores, which are probed directly, and on an executor
+        for a remote one, whose probes go through a shared
+        ``cache_size``-entry probe cache and a micro-batcher.
         ``service_options`` forward to
         :class:`~repro.service.app.AsyncCerFixService` (``max_sessions``,
         ``cache_size``, ``batch_window_ms``, …).

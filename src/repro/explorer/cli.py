@@ -9,7 +9,7 @@ Subcommands::
     cerfix regions  [--scenario ...] [-k N] [--mode strict|anchored|scenario]
     cerfix fix      [--scenario ...] --input CSV --truth CSV [--out CSV]
     cerfix clean    [--scenario ...] --input CSV [--truth CSV] [--workers N]
-                    [--cache FILE]  # cross-run probe-cache persistence
+                    [--cache FILE]  # probe-cache persistence (remote stores)
                     [--store single|sharded|sqlite|remote [--store-shards N]
                      [--store-path DB] [--shard-urls URL,..[;URL,..]]]
     cerfix clean    [--scenario ...|--instance DIR] --db FILE [--table T]
@@ -628,11 +628,15 @@ def cmd_serve(args) -> int:
 
     async def _main() -> None:
         await server.bind()
+        cache = (
+            f"probe cache={service.cache.maxsize}, "
+            if service.cache is not None  # remote stores only
+            else ""
+        )
         print(
             f"cerfix entry service listening on {server.url} "
             f"(max_sessions={service.admission.max_sessions}, "
-            f"cache={service.cache.maxsize}, {service.dispatch_mode} dispatch; "
-            "Ctrl-C to stop)"
+            f"{cache}{service.dispatch_mode} dispatch; Ctrl-C to stop)"
         )
         await server.serve()
 
@@ -738,8 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable duplicate-signature collapsing")
     p.add_argument("--validated", help="comma-separated trusted columns (rule-only mode)")
     p.add_argument("--journal", help="checkpoint journal path (enables crash-safe resume)")
-    p.add_argument("--cache", help="probe-cache snapshot path (warm-starts repeat runs "
-                   "against unchanged master data and rules)")
+    p.add_argument("--cache", help="probe-cache snapshot path for a remote store (warm-starts "
+                   "repeat runs against unchanged master data and rules; in-process "
+                   "stores have no probe cache)")
     p.add_argument("--out", help="write the repaired relation here")
     p.add_argument("--report", help="write the batch report (JSON) here")
     p.add_argument("--log", help="write the audit log (JSON lines) here")
@@ -845,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the async entry service (JSON API: concurrent monitor "
-             "sessions, shared probe cache, 429 backpressure, /api/metrics)",
+             "sessions, shared memos, 429 backpressure, /api/metrics)",
     )
     _add_scenario_flags(p)
     _add_store_flags(p)
@@ -854,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sessions", type=int, default=None, dest="max_sessions",
                    help="max concurrently active sessions before 429 (default 256)")
     p.add_argument("--cache-size", type=int, default=None, dest="cache_size",
-                   help="shared probe cache entries (default 8192)")
+                   help="shared probe cache entries, remote stores only (default 8192)")
     _add_trace_flags(p)
     p.set_defaults(func=cmd_serve)
 

@@ -467,7 +467,7 @@ def run_interleaved_monitor_path(
     """
     if case.truth is None:
         raise ValueError("interleaving fuzz needs ground truth")
-    from repro.service.cache import LRUMemo
+    from repro.batch.cache import LRUMemo
 
     engine = CerFix(
         case.ruleset, store, mode=CertaintyMode.ANCHORED, max_combos=max_combos

@@ -161,9 +161,14 @@ class MasterStore:
     backend = "abstract"
 
     #: True for backends whose probes perform blocking I/O (network
-    #: round trips). The service's probe micro-batcher moves such
-    #: :meth:`probe_many` calls off the event loop onto an executor,
-    #: and the batch executor prefetches first-round probes for them.
+    #: round trips). Only these get a probe cache
+    #: (:class:`~repro.batch.cache.CachingMasterDataManager`): the batch
+    #: executor prefetches first-round probes into it and can persist
+    #: it across runs, and the entry service runs sessions on an
+    #: executor and coalesces their misses into micro-batched
+    #: :meth:`probe_many` calls off the event loop. Every other store
+    #: answers its probes in process, repeats from its own memo or
+    #: index, and is probed directly.
     io_bound = False
 
     #: The canonical master relation, in global position order.
@@ -195,13 +200,13 @@ class MasterStore:
     ) -> list[MasterMatch]:
         """Answer a batch of probes in one call (request order preserved).
 
-        Two callers funnel probes through this method so a store crosses
-        the manager/store boundary once per batch instead of once per
+        Two callers funnel probes through this method so an ``io_bound``
+        store crosses the network once per batch instead of once per
         probe: the entry service's micro-batcher
         (:class:`~repro.service.batcher.ProbeBatcher`, concurrent cache
         misses) and the batch executor's first-round prefetch
-        (:meth:`~repro.batch.cache.CachingMasterDataManager.prefetch`,
-        io-bound stores only). The default
+        (:meth:`~repro.batch.cache.CachingMasterDataManager.prefetch`).
+        Neither runs over an in-process store. The default
         implementation loops over :meth:`probe`; backends with cheaper
         grouped access (e.g. per-shard routing, one SQL round trip) can
         override it — results must stay bit-identical to per-probe calls.

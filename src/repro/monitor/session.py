@@ -97,7 +97,7 @@ class MonitorSession:
         #: sessions over duplicate-heavy traffic can share inference
         #: work. The caller owns key-space hygiene for everything not
         #: in the key (regions, scenario, master content) — see
-        #: :class:`repro.service.cache.MemoView`. Disabled when
+        #: :class:`repro.batch.cache.MemoView`. Disabled when
         #: per-attribute ``costs`` are in play.
         self._suggestion_memo = suggestion_memo if costs is None else None
         #: Optional cross-session chase memo (see

@@ -10,11 +10,8 @@ over one engine:
     the :class:`RoutingCore` routing table and the
     :class:`AsyncCerFixService` orchestrator;
 :mod:`repro.service.batcher`
-    the probe micro-batcher — concurrent cache misses against the
-    master store are collapsed per key and answered in batched lookups;
-:mod:`repro.service.cache`
-    async/thread-safe shared caches (probe results, suggestion and
-    chase memos);
+    the probe micro-batcher — over a remote store, concurrent cache
+    misses are collapsed per key and answered in batched lookups;
 :mod:`repro.service.limits`
     admission control — bounded global and per-session queues with
     ``429 Retry-After`` backpressure;
@@ -34,8 +31,7 @@ master-store backends.
 """
 
 from repro.service.app import AsyncCerFixService, RoutingCore
-from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher
-from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
+from repro.service.batcher import ProbeBatcher
 from repro.service.http import AsyncCerFixServer
 from repro.service.limits import Admission, AdmissionController
 from repro.service.loadgen import LoadReport, run_load
@@ -46,14 +42,10 @@ __all__ = [
     "AdmissionController",
     "AsyncCerFixServer",
     "AsyncCerFixService",
-    "CoalescingMasterDataManager",
     "LatencyWindow",
     "LoadReport",
-    "LRUMemo",
-    "MemoView",
     "ProbeBatcher",
     "RoutingCore",
     "ServiceMetrics",
-    "SharedProbeCache",
     "run_load",
 ]

@@ -6,15 +6,16 @@ per-session asyncio locks (session routes) or one engine lock
 (engine-level routes).
 
 :class:`AsyncCerFixService` is the concurrent orchestrator behind
-``cerfix serve``: it owns the shared probe cache, the probe
-micro-batcher, the suggestion and chase memos, the admission controller
-and the metrics, multiplexes many concurrent monitor sessions over one
-engine, and serialises exactly what must be serialised — operations
-*within* one session (per-session asyncio lock) and engine-level routes
-(one engine lock). The store kind picks where session routes run: on
-the event loop for in-process stores, on a thread-pool executor for an
-``io_bound`` (remote) store. Engine-level routes always run on the
-executor, so a long ``/api/clean`` never stalls the loop.
+``cerfix serve``: it owns the suggestion and chase memos, the admission
+controller and the metrics — plus, over a remote store, the shared
+probe cache and the probe micro-batcher — multiplexes many concurrent
+monitor sessions over one engine, and serialises exactly what must be
+serialised — operations *within* one session (per-session asyncio
+lock) and engine-level routes (one engine lock). The store kind picks
+where session routes run: on the event loop for in-process stores, on
+a thread-pool executor for an ``io_bound`` (remote) store. Engine-level
+routes always run on the executor, so a long ``/api/clean`` never
+stalls the loop.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from urllib.parse import parse_qs
 
 from repro.audit.stats import attribute_stats, overall_stats
+from repro.batch.cache import CachingMasterDataManager, LRUMemo, MemoView
 from repro.errors import CerFixError, MonitorError, ValidationError
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.monitor import install_process_gauges
-from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, ProbeKeyer
-from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
+from repro.service.batcher import ProbeBatcher
 from repro.service.limits import Admission, AdmissionController
 from repro.service.metrics import ServiceMetrics
 
@@ -269,11 +270,14 @@ class AsyncCerFixService:
 
     Shared infrastructure (one instance each, all sessions):
 
-    * a read-through :class:`SharedProbeCache` over the engine's master
-      store, fed by the :class:`ProbeBatcher`'s coalesced micro-batches;
-    * a :class:`~repro.service.cache.LRUMemo` suggestion memo, scoped
+    * over an ``io_bound`` store only, a
+      :class:`~repro.batch.cache.CachingMasterDataManager` probe cache
+      whose misses go through the :class:`ProbeBatcher`'s coalesced
+      micro-batches. Sessions over an in-process store probe the
+      engine's own manager: the store's memo already answers repeats;
+    * an :class:`~repro.batch.cache.LRUMemo` suggestion memo, scoped
       to the current regions epoch;
-    * a :class:`~repro.service.cache.LRUMemo` chase memo (see
+    * an :class:`~repro.batch.cache.LRUMemo` chase memo (see
       :func:`repro.core.chase.chase_memoized`), bypassed by strict
       sessions;
     * an :class:`AdmissionController` enforcing the global/per-session
@@ -308,10 +312,12 @@ class AsyncCerFixService:
         workers: int = 8,
         completed_retention: int = 1024,
     ):
-        self.dispatch_mode = "executor" if engine.master.store.io_bound else "inline"
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
+        io_bound = engine.master.store.io_bound
+        self.dispatch_mode = "executor" if io_bound else "inline"
         self.engine = engine
         self.metrics = ServiceMetrics()
-        self.cache = SharedProbeCache(cache_size)
         self.memo = LRUMemo(memo_size)
         #: One chase-transcript memo for the service's lifetime: sound
         #: because master content is fixed here (the probe cache is never
@@ -323,17 +329,22 @@ class AsyncCerFixService:
             max_inflight=max_inflight,
             max_session_pending=max_session_pending,
         )
-        self.batcher = ProbeBatcher(
-            engine.master.store,
-            self.cache,
-            window=batch_window_ms / 1000.0,
-            max_batch=max_batch,
-            metrics=self.metrics,
-        )
-        self.keyer = ProbeKeyer(engine.ruleset)
-        self.manager = CoalescingMasterDataManager(
-            engine.master.store, self.cache, self.batcher, self.keyer
-        )
+        #: The probe cache and batcher exist only over an io_bound store;
+        #: :attr:`manager` is what sessions probe through.
+        self.cache: LRUMemo | None = None
+        self.batcher: ProbeBatcher | None = None
+        self.manager = engine.master
+        if io_bound:
+            self.cache = LRUMemo(cache_size)
+            self.batcher = ProbeBatcher(
+                engine.master.store,
+                window=batch_window_ms / 1000.0,
+                max_batch=max_batch,
+                metrics=self.metrics,
+            )
+            self.manager = CachingMasterDataManager(
+                engine.master.store, self.cache, fetch=self.batcher.probe_sync
+            )
         self.core = RoutingCore(
             engine, session_factory=self._open_session, metrics_json=self.metrics_json
         )
@@ -363,7 +374,8 @@ class AsyncCerFixService:
     def bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         """Attach the service to its event loop (the HTTP server calls
         this once, before accepting connections)."""
-        self.batcher.bind_loop(loop)
+        if self.batcher is not None:
+            self.batcher.bind_loop(loop)
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -371,9 +383,9 @@ class AsyncCerFixService:
     # -- session plumbing ----------------------------------------------------
 
     def _open_session(self, values: Mapping[str, Any], tuple_id: str) -> MonitorSession:
-        """Session factory: inject the coalescing manager, the shared
-        chase memo (strict sessions drop it) and the regions-scoped
-        suggestion memo.
+        """Session factory: inject the service's manager (the shared
+        probe cache over a remote store), the shared chase memo (strict
+        sessions drop it) and the regions-scoped suggestion memo.
 
         The memo token is the *same regions tuple the session captures*
         (read exactly once), so a concurrent ``/api/regions`` recompute
@@ -520,8 +532,7 @@ class AsyncCerFixService:
     async def _dispatch(self, method: str, path: str, body: dict | None) -> tuple[int, Any]:
         """A session route, on the loop or on the executor."""
         if self.dispatch_mode == "inline":
-            # Runs on the loop; probe misses take the batcher's direct
-            # path (see ProbeBatcher.probe_sync) so nothing deadlocks.
+            # Runs on the loop: an in-process store's probes never block.
             return self.core.handle(method, path, body)
         return await self._run_in_executor(method, path, body)
 
@@ -592,11 +603,10 @@ class AsyncCerFixService:
 
     def metrics_json(self) -> dict:
         data = self.metrics.to_json()
-        stats = self.cache.stats
+        # An in-process service has no probe cache: it reports 0 lookups.
         data["probe_cache"] = {
-            **stats.to_json(),
-            "size": len(self.cache),
-            "maxsize": self.cache.maxsize,
+            **_memo_json(self.cache),
+            "evictions": self.cache.evictions if self.cache is not None else 0,
         }
         data["suggestion_memo"] = _memo_json(self.memo)
         data["chase_memo"] = _memo_json(self.chase_memo)
@@ -610,7 +620,9 @@ class AsyncCerFixService:
         return data
 
 
-def _memo_json(memo: LRUMemo) -> dict:
+def _memo_json(memo: LRUMemo | None) -> dict:
+    if memo is None:
+        return {"hits": 0, "misses": 0, "hit_rate": 0.0, "size": 0, "maxsize": 0}
     stats = memo.stats
     return {
         "hits": stats.hits,

@@ -1,10 +1,12 @@
 """The probe micro-batcher: coalesced, batched master lookups.
 
-Concurrent monitor sessions probe the master store with heavily
-repeated keys — N users entering tuples that share a zip code all need
-the same zip → (street, city) correction. The batcher sits between the
-sessions' shared probe cache and the
-:class:`~repro.master.store.MasterStore` and applies two amortisations:
+Over an ``io_bound`` store (the remote shard cluster) concurrent
+monitor sessions probe with heavily repeated keys — N users entering
+tuples that share a zip code all need the same zip → (street, city)
+correction, and every miss is a network round trip. The entry service
+shares one :class:`~repro.batch.cache.CachingMasterDataManager` between
+its sessions and answers that cache's misses here, with two
+amortisations:
 
 **per-key request collapsing**
     the first miss for a key becomes its *leader*; every concurrent
@@ -16,20 +18,13 @@ sessions' shared probe cache and the
     window that lets concurrent misses pile up) and answered through
     one :meth:`~repro.master.store.MasterStore.probe_many` call.
 
-Threading model: sessions enter through
-:class:`CoalescingMasterDataManager` — a synchronous
-:meth:`~repro.master.manager.MasterDataManager.match` that checks the
-(thread-safe) shared cache first. Where a session runs depends on the
-store kind. Over an in-process store (every store probing RAM,
-including sqlite) sessions run on the event loop itself, and a miss is
-answered by a direct store probe (:meth:`ProbeBatcher.probe_sync`):
-index reads never block the loop meaningfully, and one thread has no
-concurrency to coalesce. Over an ``io_bound`` store (the remote shard
-cluster) sessions run on executor threads, and only misses are bridged
-into the loop with ``run_coroutine_threadsafe``; the drain then runs
-the batched ``probe_many`` on the loop's default executor, because a
-real network round trip must not stall request accept, and the
-micro-batch is exactly the unit that amortises it.
+Threading model: sessions over a remote store run on executor threads,
+and :meth:`ProbeBatcher.probe_sync` bridges each miss into the loop with
+``run_coroutine_threadsafe``. The drain runs the batched ``probe_many``
+on the loop's default executor, because a real network round trip must
+not stall request accept, and the micro-batch is exactly the unit that
+amortises it. In-process stores never reach the batcher: their probes
+are memo or index lookups, answered by the store itself.
 
 Determinism: probing is a pure function of (rule, key) over fixed
 master data, so collapsing and batching can only change *speed*, never
@@ -41,40 +36,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping
 
-from repro.core.rule import Constant, EditingRule
-from repro.core.ruleset import RuleSet
-from repro.master.manager import MasterDataManager, MasterMatch
+from repro.core.rule import EditingRule
+from repro.master.manager import MasterMatch
 from repro.master.store import MasterStore
 from repro.obs import trace
-from repro.relational.index import HashIndex
-from repro.relational.relation import Relation
-from repro.service.cache import SharedProbeCache
 from repro.service.metrics import ServiceMetrics
-
-
-class ProbeKeyer:
-    """Normalised cache keys for a fixed rule set.
-
-    The key space matches :class:`~repro.batch.cache.CachingMasterDataManager`:
-    ``(rule id, key normalised with the rule's match operators)``, so
-    'EH8 4AH' and 'eh8 4ah' share one entry. All keyers are built once
-    up front — no lazy, racy per-thread construction.
-    """
-
-    def __init__(self, ruleset: RuleSet):
-        self._probes: dict[str, HashIndex] = {
-            rule.rule_id: HashIndex(rule.m_attrs, rule.ops)
-            for rule in ruleset
-            if not isinstance(rule.source, Constant)
-        }
-
-    def key(self, rule: EditingRule, values: Mapping[str, Any]) -> tuple:
-        probe = self._probes.get(rule.rule_id)
-        if probe is None:  # a rule outside the prebuilt set (defensive)
-            probe = HashIndex(rule.m_attrs, rule.ops)
-            self._probes[rule.rule_id] = probe
-        raw = tuple(values[a] for a in rule.lhs_attrs)
-        return (rule.rule_id, probe.key_of(raw))
 
 
 class ProbeBatcher:
@@ -89,14 +55,12 @@ class ProbeBatcher:
     def __init__(
         self,
         store: MasterStore,
-        cache: SharedProbeCache,
         *,
         window: float = 0.001,
         max_batch: int = 64,
         metrics: ServiceMetrics | None = None,
     ):
         self.store = store
-        self.cache = cache
         self.window = window
         self.max_batch = max_batch
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -108,10 +72,6 @@ class ProbeBatcher:
     def bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
 
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop | None:
-        return self._loop
-
     # -- the async path (runs on the loop) ---------------------------------
 
     async def probe(self, key: tuple, rule: EditingRule, values: Mapping[str, Any]) -> MasterMatch:
@@ -120,9 +80,6 @@ class ProbeBatcher:
         if pending is not None:
             self.metrics.probe_coalesced()
             return await pending
-        cached = self.cache.peek(key)  # a drain may have filled it meanwhile
-        if cached is not None:
-            return cached
         assert self._loop is not None, "ProbeBatcher.bind_loop() was never called"
         future: asyncio.Future = self._loop.create_future()
         self._pending[key] = future
@@ -158,7 +115,6 @@ class ProbeBatcher:
                 continue
             self.metrics.batch_executed(len(batch))
             for (key, _, _), match in zip(batch, matches):
-                self.cache.put(key, match)
                 future = self._pending.pop(key, None)
                 if future is not None and not future.done():
                     future.set_result(match)
@@ -175,81 +131,9 @@ class ProbeBatcher:
     # -- the sync bridge (runs on executor threads) -------------------------
 
     def probe_sync(self, key: tuple, rule: EditingRule, values: Mapping[str, Any]) -> MasterMatch:
-        """Blocking entry point for a session's cache miss.
-
-        Loop-aware: under inline dispatch (in-process stores) sessions
-        run *on* the event loop thread, where a blocking bridge into
-        the same loop would deadlock — those probes go straight to the
-        store (the shared cache still amortises them; there is no
-        concurrency to coalesce on one thread). Off-loop callers
-        (executor dispatch, ``io_bound`` stores) get the full
-        coalescing/micro-batching path.
-        """
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            # No loop (direct library use, unit tests): probe inline.
-            match = self.store.probe(rule, values)
-            self.cache.put(key, match)
-            return match
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            match = self.store.probe(rule, values)
-            self.cache.put(key, match)
-            self.metrics.probe_direct()
-            return match
-        handle = asyncio.run_coroutine_threadsafe(self.probe(key, rule, values), loop)
-        return handle.result()
-
-
-class CoalescingMasterDataManager(MasterDataManager):
-    """The sessions' view of master data inside the entry service.
-
-    ``match`` consults the shared :class:`SharedProbeCache` first
-    (thread-safe, hit/miss counters race-free), and routes misses
-    through the :class:`ProbeBatcher`. One instance is shared by every
-    concurrent session — unlike
-    :class:`~repro.batch.cache.CachingMasterDataManager`, which is
-    built one-per-shard-worker, this class has no single-owner-thread
-    assumption anywhere.
-
-    The cache is never invalidated: the service does not expose master
-    updates, and :meth:`apply_update` refuses loudly rather than
-    serving stale matches.
-    """
-
-    def __init__(
-        self,
-        source: Relation | MasterStore,
-        cache: SharedProbeCache,
-        batcher: ProbeBatcher,
-        keyer: ProbeKeyer,
-    ):
-        super().__init__(source)
-        self.cache = cache
-        self.batcher = batcher
-        self.keyer = keyer
-
-    def match(
-        self,
-        rule: EditingRule,
-        values: Mapping[str, Any],
-        *,
-        use_index: bool = True,
-    ) -> MasterMatch:
-        if isinstance(rule.source, Constant):
-            return super().match(rule, values, use_index=use_index)
-        key = self.keyer.key(rule, values)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        return self.batcher.probe_sync(key, rule, values)
-
-    def apply_update(self, add=(), remove=()):  # pragma: no cover - guarded path
-        raise NotImplementedError(
-            "the entry service shares one probe cache across sessions and "
-            "never invalidates it; apply master updates on the engine and "
-            "restart the service"
-        )
+        """Blocking entry point for a session's cache miss, called from
+        an executor thread while the bound loop runs (the
+        :class:`~repro.batch.cache.CachingMasterDataManager` ``fetch``
+        hook)."""
+        assert self._loop is not None, "ProbeBatcher.bind_loop() was never called"
+        return asyncio.run_coroutine_threadsafe(self.probe(key, rule, values), self._loop).result()

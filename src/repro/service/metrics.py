@@ -131,12 +131,6 @@ class ServiceMetrics:
             self.batched_misses += misses
             self.store_probes += misses
 
-    def probe_direct(self) -> None:
-        """A miss probed inline on the loop thread (inline dispatch) —
-        a store hit outside any batch."""
-        with self._lock:
-            self.store_probes += 1
-
     def mean_latency(self) -> float:
         """Lifetime mean request latency (seconds) — the admission
         controller's Retry-After estimate feeds on this. Kept as running

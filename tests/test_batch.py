@@ -8,19 +8,27 @@ The load-bearing properties, per ISSUE 2's acceptance criteria:
   resolved exactly once;
 - probe-cache hit counters are exact on relations with duplicated
   tuples.
+
+Only a remote store's probes go through the probe cache, so the cache
+tests run over a 2-shard cluster: in-process shard servers by default,
+``cerfix shard-server`` subprocesses when ``CERFIX_REMOTE_PROCESSES=1``
+(the CI ``remote-store`` leg).
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pickle
 
 import pytest
 
 from repro import CerFix
-from repro.batch import BatchCleaner, ProbeCache, build_plan
+from repro.batch import BatchCleaner, LRUMemo, build_plan
 from repro.batch.cache import CachingMasterDataManager
 from repro.batch.executor import BatchContext
 from repro.errors import CerFixError
+from repro.master.conformance import DifferentialCase, case_cluster
 from repro.master.manager import MasterDataManager
 from repro.master.store import ShardedMasterStore
 from repro.relational.relation import Relation
@@ -49,6 +57,41 @@ def hospital_batch():
 def _clean(master, wl, ruleset, **kwargs):
     engine = CerFix(ruleset, master)
     return engine.clean_relation(wl.dirty, wl.clean, **kwargs)
+
+
+REMOTE_PROCESSES = os.environ.get("CERFIX_REMOTE_PROCESSES", "") == "1"
+
+
+@contextlib.contextmanager
+def _serve(master, tmp_path, name):
+    """A 2-shard cluster serving ``master`` under the paper's rules."""
+    case = DifferentialCase(
+        name, uk.paper_ruleset(), master, Relation(uk.INPUT_SCHEMA, []), None
+    )
+    with case_cluster(case, tmp_path, shards=2, processes=REMOTE_PROCESSES) as cluster:
+        yield cluster
+
+
+@pytest.fixture(scope="module")
+def uk_cluster(uk_batch, tmp_path_factory):
+    with _serve(uk_batch[0], tmp_path_factory.mktemp("uk-batch"), "uk-batch") as cluster:
+        yield cluster
+
+
+@contextlib.contextmanager
+def _remote_cleaner(cluster, **kwargs):
+    cleaner = BatchCleaner(
+        uk.paper_ruleset(), None, store="remote", store_urls=list(cluster.urls), **kwargs
+    )
+    try:
+        yield cleaner
+    finally:
+        cleaner.master.store.close()
+
+
+def _remote_clean(cluster, wl, **kwargs):
+    with _remote_cleaner(cluster) as cleaner:
+        return cleaner.clean(wl.dirty, wl.clean, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +200,7 @@ def test_sharding_never_changes_output(uk_batch):
 
 
 def test_probe_cache_lru_eviction():
-    cache = ProbeCache(maxsize=2)
+    cache = LRUMemo(maxsize=2)
     from repro.master.manager import MasterMatch
 
     m = MasterMatch(positions=(0,), values=("x",))
@@ -169,11 +212,12 @@ def test_probe_cache_lru_eviction():
     assert cache.get(("a",)) is m
     assert cache.get(("c",)) is m
     assert cache.evictions == 1
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (3, 1, 1)
 
 
 def test_caching_manager_matches_base(paper_ruleset, paper_manager):
     """A cached probe returns exactly what the base manager computes."""
-    manager = CachingMasterDataManager(paper_manager.relation, ProbeCache(64))
+    manager = CachingMasterDataManager(paper_manager.relation, LRUMemo(64))
     values = uk.fig3_truth()
     for rule in paper_ruleset:
         if rule.is_constant:
@@ -181,31 +225,32 @@ def test_caching_manager_matches_base(paper_ruleset, paper_manager):
         base = paper_manager.match(rule, values)
         assert manager.match(rule, values) == base  # miss path
         assert manager.match(rule, values) == base  # hit path
-    assert manager.hits == manager.misses  # every probe repeated once
+    stats = manager.cache.stats
+    assert stats.hits == stats.misses  # every probe repeated once
 
 
-def test_cache_counters_exact_on_duplicated_relation():
+def test_cache_counters_exact_on_duplicated_relation(tmp_path):
     """Duplicating a 1-tuple relation 3x adds no probe work at all: the
     chase-transcript memo resolves tuples 2 and 3 without ever reaching
     the probe cache (dedupe=False makes each its own group, so this is
     the memo, not the planner), and what the first tuple probed is
-    exactly what the run probed."""
-    master = uk.paper_master()
+    exactly what the run probed. Over a remote store: the only one
+    with a probe cache."""
     dirty1 = Relation(uk.INPUT_SCHEMA, [uk.fig3_tuple()])
     truth1 = Relation(uk.INPUT_SCHEMA, [uk.fig3_truth()])
-
-    def run(dirty, truth):
-        cleaner = BatchCleaner(uk.paper_ruleset(), master)
-        result = cleaner.clean(dirty, truth, workers=1, dedupe=False)
-        return result, result.report.cache.hits, result.report.cache.misses
-
-    result1, hits1, misses1 = run(dirty1, truth1)
-    probes1 = hits1 + misses1
-    assert misses1 > 0 and probes1 > 0
-
     dirty3 = Relation(uk.INPUT_SCHEMA, dirty1.tuples() * 3)
     truth3 = Relation(uk.INPUT_SCHEMA, truth1.tuples() * 3)
-    result3, hits3, misses3 = run(dirty3, truth3)
+
+    def run(cluster, dirty, truth):
+        with _remote_cleaner(cluster) as cleaner:
+            result = cleaner.clean(dirty, truth, workers=1, dedupe=False)
+        return result, result.report.cache.hits, result.report.cache.misses
+
+    with _serve(uk.paper_master(), tmp_path, "paper") as cluster:
+        result1, hits1, misses1 = run(cluster, dirty1, truth1)
+        result3, hits3, misses3 = run(cluster, dirty3, truth3)
+    probes1 = hits1 + misses1
+    assert misses1 > 0 and probes1 > 0
     assert misses3 == misses1  # nothing new to learn
     assert hits3 == hits1  # ...and nothing re-probed: transcripts replayed
     assert result3.relation.tuples() == result1.relation.tuples() * 3
@@ -214,22 +259,25 @@ def test_cache_counters_exact_on_duplicated_relation():
 @pytest.mark.parametrize(
     "workers,backend", ((1, "thread"), (2, "process"))
 )
-def test_tiny_cache_reports_evictions(uk_batch, workers, backend):
-    """A 1-entry cache must thrash — and the report must say so, on the
-    shared-cache path and the per-process path alike."""
-    master, wl = uk_batch
-    cleaner = BatchCleaner(uk.paper_ruleset(), master, cache_size=1)
-    result = cleaner.clean(wl.dirty, wl.clean, workers=workers, backend=backend)
+def test_tiny_cache_reports_evictions(uk_batch, uk_cluster, workers, backend):
+    """A 1-entry probe cache over a remote store must thrash — and the
+    report must say so, on the shared-cache path and the per-process
+    path alike."""
+    _, wl = uk_batch
+    with _remote_cleaner(uk_cluster, cache_size=1) as cleaner:
+        result = cleaner.clean(wl.dirty, wl.clean, workers=workers, backend=backend)
     assert result.report.cache.evictions > 0
 
 
-def test_duplicate_signatures_mean_cache_hits_and_dedup(uk_batch):
-    master, wl = uk_batch
+def test_duplicate_signatures_mean_cache_hits_and_dedup(uk_batch, uk_cluster):
+    _, wl = uk_batch
     doubled = Relation(wl.dirty.schema, wl.dirty.tuples() + wl.dirty.tuples())
     truth2 = Relation(wl.clean.schema, wl.clean.tuples() + wl.clean.tuples())
-    result = CerFix(uk.paper_ruleset(), master).clean_relation(doubled, truth2)
+    with _remote_cleaner(uk_cluster) as cleaner:
+        result = cleaner.clean(doubled, truth2)
     assert result.report.duplicates_collapsed >= len(wl.dirty)
     assert result.report.cache.hit_rate > 0
+    assert "hit rate" in result.report.describe()
     assert result.report.dedup_ratio >= 2.0
 
 
@@ -341,7 +389,8 @@ def test_report_shape_and_json(uk_batch):
     assert len(payload["shards"]) == 4
     assert "throughput" in payload
     text = report.describe()
-    assert "duplicates collapsed" in text and "hit rate" in text
+    assert "duplicates collapsed" in text
+    assert "cache:" not in text  # an in-process store's probes skip the cache
 
 
 def test_schema_mismatch_rejected(uk_batch):
@@ -463,14 +512,14 @@ def test_projected_dedup_rule_only_keeps_member_payload(hospital_batch):
 # ---------------------------------------------------------------------------
 
 
-def test_probe_cache_persists_across_runs(uk_batch, tmp_path):
-    master, wl = uk_batch
+def test_probe_cache_persists_across_runs(uk_batch, uk_cluster, tmp_path):
+    _, wl = uk_batch
     path = tmp_path / "probes.cache"
-    r1 = _clean(master, wl, uk.paper_ruleset(), cache_path=path)
+    r1 = _remote_clean(uk_cluster, wl, cache_path=path)
     assert r1.report.persistence.startswith("cold start")
     assert "; saved" in r1.report.persistence
     assert path.exists()
-    r2 = _clean(master, wl, uk.paper_ruleset(), cache_path=path)
+    r2 = _remote_clean(uk_cluster, wl, cache_path=path)
     assert r2.report.persistence.startswith("warm start")
     # every probe the first run paid for is answered from the snapshot
     assert r2.report.cache.misses == 0
@@ -478,43 +527,50 @@ def test_probe_cache_persists_across_runs(uk_batch, tmp_path):
     assert r2.relation.tuples() == r1.relation.tuples()
 
 
-def test_probe_cache_snapshot_rejected_when_master_changes(uk_batch, tmp_path):
-    master, wl = uk_batch
+def test_probe_cache_snapshot_rejected_when_master_changes(uk_batch, uk_cluster, tmp_path):
+    _, wl = uk_batch
     path = tmp_path / "probes.cache"
-    _clean(master, wl, uk.paper_ruleset(), cache_path=path)
+    _remote_clean(uk_cluster, wl, cache_path=path)
     other_master = uk.generate_master(20, seed=99)
-    engine = CerFix(uk.paper_ruleset(), other_master)
-    result = engine.clean_relation(wl.dirty, wl.clean, cache_path=path)
-    assert "master data changed" in result.report.persistence
-    # ...and the stale snapshot is replaced by one stamped for the new master
-    r2 = engine.clean_relation(wl.dirty, wl.clean, cache_path=path)
+    with _serve(other_master, tmp_path, "other") as other:
+        result = _remote_clean(other, wl, cache_path=path)
+        assert "master data changed" in result.report.persistence
+        # ...and the stale snapshot is replaced by one stamped for the new master
+        r2 = _remote_clean(other, wl, cache_path=path)
     assert r2.report.persistence.startswith("warm start")
 
 
-def test_probe_cache_corrupt_snapshot_degrades_to_cold_start(uk_batch, tmp_path):
-    master, wl = uk_batch
+def test_probe_cache_corrupt_snapshot_degrades_to_cold_start(uk_batch, uk_cluster, tmp_path):
+    _, wl = uk_batch
     path = tmp_path / "probes.cache"
     path.write_bytes(b"not a pickle")
-    result = _clean(master, wl, uk.paper_ruleset(), cache_path=path)
+    result = _remote_clean(uk_cluster, wl, cache_path=path)
     assert "cold start" in result.report.persistence
     assert result.report.tuples == len(wl.dirty)
 
 
-def test_probe_cache_persistence_skipped_on_process_backend(uk_batch, tmp_path):
-    master, wl = uk_batch
+def test_probe_cache_persistence_skipped_on_process_backend(uk_batch, uk_cluster, tmp_path):
+    _, wl = uk_batch
     path = tmp_path / "probes.cache"
-    result = _clean(
-        master, wl, uk.paper_ruleset(),
-        cache_path=path, workers=2, backend="process",
-    )
+    result = _remote_clean(uk_cluster, wl, cache_path=path, workers=2, backend="process")
     assert result.report.persistence.startswith("skipped")
     assert not path.exists()
+
+
+def test_probe_cache_persistence_skipped_on_in_process_store(uk_batch, tmp_path):
+    """An in-process store has no probe cache, so there is no snapshot."""
+    master, wl = uk_batch
+    path = tmp_path / "probes.cache"
+    result = _clean(master, wl, uk.paper_ruleset(), cache_path=path)
+    assert result.report.persistence.startswith("skipped (in-process store")
+    assert not path.exists()
+    assert result.report.cache.probes == 0
 
 
 def test_probe_cache_preload_respects_maxsize():
     from repro.master.manager import MasterMatch
 
-    cache = ProbeCache(maxsize=2)
+    cache = LRUMemo(maxsize=2)
     entries = [((f"r{i}", (i,)), MasterMatch((), ())) for i in range(5)]
     assert cache.preload(entries) == 2
     assert cache.evictions == 0  # preload overflow is not a runtime eviction

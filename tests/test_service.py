@@ -39,9 +39,9 @@ from repro.master.store import SingleRelationStore
 from repro.monitor.user import OracleUser
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
+from repro.batch.cache import CachingMasterDataManager, LRUMemo, MemoView
 from repro.service.app import AsyncCerFixService, classify_route
-from repro.service.batcher import CoalescingMasterDataManager, ProbeBatcher, ProbeKeyer
-from repro.service.cache import LRUMemo, MemoView, SharedProbeCache
+from repro.service.batcher import ProbeBatcher
 from repro.service.limits import AdmissionController
 from repro.service.loadgen import run_load
 from repro.service.metrics import LatencyWindow, ServiceMetrics
@@ -215,16 +215,17 @@ def _loop_in_thread():
 
 def test_probe_coalescing_collapses_identical_keys():
     """8 threads missing on the same key cost exactly one store probe;
-    the other 7 attach to the in-flight future."""
+    the other 7 attach to the in-flight future. This is the service's
+    stack over a remote store: one shared caching manager whose misses
+    go through the batcher."""
     ruleset = uk.paper_ruleset()
     master = uk.paper_master()
     store = _SlowCountingStore(Relation(master.schema, master.tuples()))
     store.prebuild(ruleset)
-    cache = SharedProbeCache(128)
+    cache = LRUMemo(128)
     metrics = ServiceMetrics()
-    batcher = ProbeBatcher(store, cache, window=0.02, max_batch=64, metrics=metrics)
-    keyer = ProbeKeyer(ruleset)
-    manager = CoalescingMasterDataManager(store, cache, batcher, keyer)
+    batcher = ProbeBatcher(store, window=0.02, max_batch=64, metrics=metrics)
+    manager = CachingMasterDataManager(store, cache, fetch=batcher.probe_sync)
 
     loop, _thread = _loop_in_thread()
     batcher.bind_loop(loop)
@@ -444,27 +445,6 @@ def test_metrics_endpoint_schema(server, uk_workload):
     opened = metrics["latency_ms"]["open"]["count"]
     assert opened == 8
     assert metrics["limits"]["max_sessions"] == 256
-
-
-def test_shared_probe_cache_stats_are_race_free():
-    cache = SharedProbeCache(64)
-    sentinel = object()
-    barrier = threading.Barrier(8)
-
-    def hammer():
-        barrier.wait()
-        for i in range(500):
-            key = ("k", i % 16)
-            if cache.get(key) is None:
-                cache.put(key, sentinel)
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    stats = cache.stats
-    assert stats.hits + stats.misses == 8 * 500  # no lost increments
 
 
 def test_suggestion_memo_preserves_suggestions():

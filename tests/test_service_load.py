@@ -5,8 +5,10 @@ async entry service, drives ~200 sessions concurrently with the load
 generator (undersized limits, so the 429 backpressure path fires under
 real contention), and asserts the invariants that matter at load —
 **zero dropped fixes** (every session completes, bit-identical to the
-serial monitor), a **nonzero probe-cache hit rate**, and internally
-consistent metrics.
+serial monitor), a **nonzero suggestion-memo hit count**, no
+probe-cache lookups (an in-process store is probed directly; the
+probe-cache hit rate is asserted over a remote store in
+``tests/test_service.py``), and internally consistent metrics.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ def test_zero_dropped_fixes(load_result):
 
 def test_cache_amortisation_under_load(load_result):
     _, _, _, _, metrics = load_result
+    # An in-process store answers repeats from its own memo: the service
+    # builds no probe cache, so it reports no lookups.
     cache = metrics["probe_cache"]
-    assert cache["hits"] > 0
-    assert cache["hit_rate"] > 0.2  # duplicate-heavy entry traffic must hit
+    assert cache["hits"] + cache["misses"] == 0
+    assert metrics["probes"]["store_probes"] == 0
     memo = metrics["suggestion_memo"]
     assert memo["hits"] > 0
 
@@ -94,7 +98,7 @@ def test_metrics_accounting_is_consistent(load_result):
     # the load generator saw every response the server sent
     assert metrics["requests"]["total"] == report.requests
     probes = metrics["probes"]
-    # store probes = micro-batched misses + direct (inline-dispatch) misses
-    assert probes["batched_misses"] <= probes["store_probes"]
+    # every store probe the service makes is a micro-batched miss
+    assert probes["batched_misses"] == probes["store_probes"]
     assert probes["batches"] <= probes["batched_misses"] or probes["batches"] == 0
     assert metrics["dispatch"] in ("executor", "inline")
