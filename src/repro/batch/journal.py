@@ -1,8 +1,8 @@
 """The checkpoint journal: crash-safe progress for batch runs.
 
 A batch run over millions of rows must survive interruption without
-recleaning what it already finished. The journal is an append-only JSONL
-file: a header line binding it to one plan fingerprint, then one line
+recleaning what it already finished. The journal is a sequence of JSON
+lines: a header line binding it to one plan fingerprint, then one line
 per completed shard carrying everything the pipeline needs to assemble
 that shard's contribution (repaired values, statistics, audit events).
 
@@ -12,6 +12,14 @@ journal written under a different input relation, sharding, or engine
 configuration fingerprints differently and is discarded wholesale — a
 stale checkpoint can never leak rows into a fresh run. A torn final
 line (the classic mid-write crash) is dropped silently.
+
+Where the lines live is the journal's only variable part. Two line
+stores exist: :class:`FileLines`, an append-only JSONL file for
+``clean_relation(journal_path=...)``, and the paged DB cleaner's
+:class:`~repro.dirty.archive.PageCheckpoints`, rows of the
+``cerfix_clean_checkpoints`` table in the dirty database itself. A line
+store reads its lines, replaces them all atomically, and appends one
+line durably.
 """
 
 from __future__ import annotations
@@ -19,48 +27,88 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Protocol
 
 from repro.batch.executor import ShardResult
 
 
+class LineStore(Protocol):
+    """Where a journal's lines live."""
+
+    def read(self) -> list[str]: ...
+
+    def reset(self, lines: list[str]) -> None: ...
+
+    def append(self, line: str) -> None: ...
+
+
+class FileLines:
+    """Journal lines in an append-only file, fsynced per write."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+
+    def read(self) -> list[str]:
+        if not self.path.exists():
+            return []
+        return self.path.read_text(encoding="utf-8").splitlines()
+
+    def reset(self, lines: list[str]) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Atomic rewrite: a crash mid-compaction must not destroy the
+        # checkpoints being compacted, so write aside and rename over.
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(line + "\n" for line in lines)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, self.path)
+
+    def append(self, line: str) -> None:
+        with self.path.open("a", encoding="utf-8") as f:
+            f.write(line + "\n")
+            f.flush()
+            os.fsync(f.fileno())
+
+
 class CheckpointJournal:
     """Per-shard checkpointing for one batch run.
+
+    ``CheckpointJournal(path)`` journals to a file; any other
+    :class:`LineStore` may be passed instead.
 
     >>> journal = CheckpointJournal(path)
     >>> done = journal.open(plan.fingerprint)   # {} on a fresh/stale journal
     >>> journal.record(shard_result)            # append + flush one shard
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    def __init__(self, lines: str | os.PathLike | LineStore):
+        self.lines = FileLines(lines) if isinstance(lines, (str, os.PathLike)) else lines
         self._fingerprint: str | None = None
 
     def load(self, fingerprint: str) -> dict[int, ShardResult]:
         """Completed shards recorded for ``fingerprint`` (stale → empty)."""
-        if not self.path.exists():
-            return {}
         done: dict[int, ShardResult] = {}
         header_ok = False
-        with self.path.open(encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a mid-write crash; ignore the rest
-                if obj.get("kind") == "header":
-                    if obj.get("fingerprint") != fingerprint:
-                        return {}
-                    header_ok = True
-                elif obj.get("kind") == "shard" and header_ok:
-                    result = ShardResult.from_json(obj, resumed=True)
-                    done[result.shard_id] = result
+        for line in self.lines.read():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                break  # torn tail from a mid-write crash; ignore the rest
+            if obj.get("kind") == "header":
+                if obj.get("fingerprint") != fingerprint:
+                    return {}
+                header_ok = True
+            elif obj.get("kind") == "shard" and header_ok:
+                result = ShardResult.from_json(obj, resumed=True)
+                done[result.shard_id] = result
         return done if header_ok else {}
 
     def open(self, fingerprint: str) -> dict[int, ShardResult]:
-        """Load resumable shards and (re)initialise the file for appends.
+        """Load resumable shards and (re)initialise the store for appends.
 
         A fresh or stale journal is rewritten with a new header; a
         matching one is compacted to header + valid shard lines (torn
@@ -68,24 +116,18 @@ class CheckpointJournal:
         """
         done = self.load(fingerprint)
         self._fingerprint = fingerprint
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic rewrite: a crash mid-compaction must not destroy the
-        # checkpoints being compacted, so write aside and rename over.
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as f:
-            f.write(json.dumps({"kind": "header", "fingerprint": fingerprint}) + "\n")
-            for shard_id in sorted(done):
-                f.write(json.dumps({"kind": "shard", **done[shard_id].to_json()}) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.path)
+        self.lines.reset(
+            [json.dumps({"kind": "header", "fingerprint": fingerprint})]
+            + [_shard_line(done[shard_id]) for shard_id in sorted(done)]
+        )
         return done
 
     def record(self, result: ShardResult) -> None:
         """Append one completed shard and flush it to disk."""
         if self._fingerprint is None:
             raise RuntimeError("journal.record() before journal.open()")
-        with self.path.open("a", encoding="utf-8") as f:
-            f.write(json.dumps({"kind": "shard", **result.to_json()}) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        self.lines.append(_shard_line(result))
+
+
+def _shard_line(result: ShardResult) -> str:
+    return json.dumps({"kind": "shard", **result.to_json()})

@@ -117,6 +117,7 @@ class BatchCleaner:
         dedupe: bool = True,
         validated: Sequence[str] = (),
         journal_path: str | Path | None = None,
+        journal: CheckpointJournal | None = None,
         cache_path: str | Path | None = None,
         tuple_ids: Sequence[str] | None = None,
         max_rounds: int | None = None,
@@ -130,6 +131,8 @@ class BatchCleaner:
         repairs from the trusted ``validated`` columns. ``journal_path``
         enables checkpoint/resume; an interrupted run picks up where it
         stopped as long as inputs and configuration are unchanged.
+        ``journal`` passes a ready :class:`CheckpointJournal` instead —
+        the paged DB cleaner's keeps its lines in the database.
         ``cache_path`` persists the probe cache of a remote store across
         runs: the run starts warm from a snapshot stamped for this exact
         (master content, rule set) pair — anything else degrades to a
@@ -155,6 +158,8 @@ class BatchCleaner:
         unknown = [a for a in validated if a not in self.ruleset.input_schema]
         if unknown:
             raise CerFixError(f"validated attributes {unknown} not in the input schema")
+        if journal is None and journal_path is not None:
+            journal = CheckpointJournal(journal_path)
         run_span = (
             trace.span("clean-run", rows=len(dirty), workers=workers, backend=backend)
             if root_span
@@ -169,7 +174,7 @@ class BatchCleaner:
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
-                journal_path=journal_path,
+                journal=journal,
                 cache_path=cache_path,
                 tuple_ids=tuple_ids,
                 max_rounds=max_rounds,
@@ -185,7 +190,7 @@ class BatchCleaner:
         shards: int | None,
         dedupe: bool,
         validated: Sequence[str],
-        journal_path: str | Path | None,
+        journal: CheckpointJournal | None,
         cache_path: str | Path | None,
         tuple_ids: Sequence[str] | None,
         max_rounds: int | None,
@@ -212,7 +217,7 @@ class BatchCleaner:
                 # The master content digest is O(|master|); only the journal
                 # ever consumes the fingerprint, so only pay for it then.
                 context=self._context_key(
-                    validated, max_rounds, include_master=journal_path is not None
+                    validated, max_rounds, include_master=journal is not None
                 ),
                 projection=projection,
             )
@@ -252,7 +257,6 @@ class BatchCleaner:
         if not (workers > 1 and backend == "process"):
             self.master.prebuild(self.ruleset)
 
-        journal = CheckpointJournal(journal_path) if journal_path is not None else None
         done: dict[int, ShardResult] = journal.open(plan.fingerprint) if journal else {}
         pending = [s for s in plan.shards if s.shard_id not in done]
 

@@ -9,6 +9,18 @@ implementation; a postgres/mysql backend slots in by subclassing
 :class:`DbBackend` (qmark→format paramstyle translation and a
 ``bigserial``/``AUTO_INCREMENT`` key column instead of ``rowid``)
 without touching the paging, archive or undo logic above it.
+
+SQLite's writable connections run the rollback journal in ``PERSIST``
+mode. The default ``DELETE`` mode creates and unlinks ``<db>-journal``
+on every commit, and on a filesystem mounted with ``discard`` each
+unlink that frees blocks costs a synchronous TRIM — tens of
+milliseconds, far more than the commit's own fsyncs. ``PERSIST`` keeps
+the file and zeroes its header at commit instead, so a committing clean
+frees no disk blocks. ``synchronous`` stays ``FULL``: durability and
+atomicity are those of the default mode. Read-only connections are left
+alone, and a database already in ``WAL`` mode stays in it (WAL is a
+persistent file-format change, a read-only open of a WAL database needs
+its ``-shm`` file, and the last close deletes the ``-wal`` file).
 """
 
 from __future__ import annotations
@@ -80,6 +92,9 @@ class SqliteBackend(DbBackend):
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path)
+            (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+            if mode != "wal":
+                conn.execute("PRAGMA journal_mode=PERSIST")
         # Explicit transaction control: the cleaner brackets each page
         # (dirty updates + archive rows + progress) in one transaction.
         conn.isolation_level = None

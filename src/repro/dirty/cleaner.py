@@ -13,12 +13,25 @@ it, and :func:`undo_run` can unwind exactly what was applied.
 
 Two recovery layers compose on resume (``resume=<run-id>``): whole
 pages already committed are skipped by the run record's ``pages_done``,
-and the in-flight page re-runs against its *per-page checkpoint
-journal*, so shards that finished before the crash are replayed, not
-recomputed — mid-page resume, as the batch suite pins down. Page
-journals live under ``<db>.clean-journal/<run-id>/`` and the directory
-is removed once the run commits: a leftover journal directory always
-means an interrupted run.
+and the in-flight page re-runs against its *checkpoint journal*, so
+shards that finished before the crash are replayed, not recomputed —
+mid-page resume, as the batch suite pins down. The journal's lines are
+rows of the ``cerfix_clean_checkpoints`` table in the same database
+(:class:`~repro.dirty.archive.PageCheckpoints`): each shard's line is
+one autocommitted insert, and the page's commit transaction deletes
+them, so checkpoints vanish atomically with the page they protect and
+mid-page resume works on every backend. Between runs, checkpoint rows
+exist only for a crashed run's in-flight page; undoing that run drops
+them. A crashed run written by a version that journaled to
+``<db>.clean-journal/`` files resumes too: it finds no checkpoint rows
+and re-runs its in-flight page from scratch, with the same output (the
+old directory is no longer read and can be deleted).
+
+Nothing on the committing path frees disk blocks: sqlite keeps its
+rollback journal (``PERSIST``, see :mod:`repro.dirty.backend`) and
+deleted checkpoint rows become free pages the next page reuses. On a
+filesystem mounted with ``discard``, every unlink costs a synchronous
+TRIM.
 
 Because fixes are *certain* (scheduling-independent, as the batch
 pipeline guarantees), the paged path produces bit-identical output to
@@ -31,12 +44,11 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from pathlib import Path
 
+from repro.batch.journal import CheckpointJournal
 from repro.batch.pipeline import BatchCleaner
 from repro.dirty.archive import CellChange, ChangeArchive, RunRecord, new_run_id
 from repro.dirty.table import DEFAULT_PAGE_ROWS, DirtyTable, Page
@@ -108,18 +120,11 @@ class DbCleaner:
         table: DirtyTable,
         *,
         page_rows: int | None = None,
-        journal_dir: str | Path | None = None,
     ):
         self.batch = batch
         self.table = table
         self.archive = ChangeArchive(table)
         self.page_rows = resolve_page_rows(page_rows)
-        if journal_dir is not None:
-            self.journal_dir = Path(journal_dir)
-        elif hasattr(table.backend, "path"):
-            self.journal_dir = Path(f"{table.backend.path}.clean-journal")
-        else:
-            self.journal_dir = None
 
     # -- public ------------------------------------------------------------
 
@@ -218,7 +223,7 @@ class DbCleaner:
                 dedupe=dedupe,
                 validated=validated,
                 max_rounds=max_rounds,
-                journal_path=None,
+                journal=None,
             )
             changes.extend(page_changes)
             pages_seen += 1
@@ -297,7 +302,9 @@ class DbCleaner:
                 dedupe=dedupe,
                 validated=validated,
                 max_rounds=max_rounds,
-                journal_path=self._page_journal(run_id, page.index),
+                journal=CheckpointJournal(
+                    self.archive.checkpoints(conn, run_id, page.index)
+                ),
             )
             conn.execute("BEGIN")
             try:
@@ -311,7 +318,6 @@ class DbCleaner:
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
-            self._drop_page_journal(run_id, page.index)
             seq += len(page_changes)
             changed += len(page_changes)
             pages_run += 1
@@ -319,7 +325,6 @@ class DbCleaner:
             cells_run += len(page_changes)
         post_digest = self.table.digest(conn)
         self.archive.finish_run(conn, run_id, post_digest)
-        self._drop_run_journal(run_id)
         reg = get_registry()
         reg.inc("cerfix.dbclean.runs")
         reg.inc("cerfix.dbclean.pages", pages_run)
@@ -351,7 +356,7 @@ class DbCleaner:
         dedupe: bool,
         validated: tuple[str, ...],
         max_rounds: int | None,
-        journal_path: Path | None,
+        journal: CheckpointJournal | None,
     ) -> list[CellChange]:
         """Run one page through the batch pipeline; diff input vs output.
 
@@ -371,7 +376,7 @@ class DbCleaner:
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
-                journal_path=journal_path,
+                journal=journal,
                 tuple_ids=[f"r{k}" for k in page.keys],
                 max_rounds=max_rounds,
                 root_span=False,
@@ -459,29 +464,6 @@ class DbCleaner:
                 f"configuration changed since the run started"
             )
         return record
-
-    # -- page journals -----------------------------------------------------
-
-    def _page_journal(self, run_id: str, page_index: int) -> Path | None:
-        if self.journal_dir is None:
-            return None
-        path = self.journal_dir / run_id / f"page-{page_index}.journal"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def _drop_page_journal(self, run_id: str, page_index: int) -> None:
-        path = self._page_journal(run_id, page_index)
-        if path is not None and path.exists():
-            path.unlink()
-
-    def _drop_run_journal(self, run_id: str) -> None:
-        if self.journal_dir is None:
-            return
-        shutil.rmtree(self.journal_dir / run_id, ignore_errors=True)
-        try:
-            self.journal_dir.rmdir()  # only removes when empty
-        except OSError:
-            pass
 
 
 def undo_run(table: DirtyTable, run_id: str) -> RunRecord:

@@ -138,7 +138,6 @@ class DirtyTable:
         key = self.backend.row_key
         cols = schema.names if schema is not None else self.columns(conn)
         schema = schema if schema is not None else Schema(self.table, cols)
-        select = ", ".join(q(c) for c in cols)
         last = None
         if skip_pages:
             row = conn.execute(
@@ -149,7 +148,20 @@ class DirtyTable:
             if row is None:
                 return
             last = row[0]
-        index = skip_pages
+        for index, rows in enumerate(
+            self._keyset(conn, cols, page_rows, last), start=skip_pages
+        ):
+            keys = tuple(r[0] for r in rows)
+            yield Page(index, keys, Relation(schema, [tuple(r[1:]) for r in rows]))
+
+    def _keyset(
+        self, conn, cols: Sequence[str], page_rows: int, last: Any = None
+    ) -> Iterator[list[tuple]]:
+        """Raw ``(row key, *cols)`` rows after key ``last``, in key order,
+        ``page_rows`` per fetch."""
+        q = self.backend.quote
+        key = self.backend.row_key
+        select = ", ".join(q(c) for c in cols)
         while True:
             where = "" if last is None else f"WHERE {key} > ?"
             params: tuple = (page_rows,) if last is None else (last, page_rows)
@@ -160,12 +172,10 @@ class DirtyTable:
             ).fetchall()
             if not rows:
                 return
-            keys = tuple(r[0] for r in rows)
-            yield Page(index, keys, Relation(schema, [tuple(r[1:]) for r in rows]))
-            last = keys[-1]
-            index += 1
+            yield rows
             if len(rows) < page_rows:
                 return
+            last = rows[-1][0]
 
     def read_relation(self, conn, schema: Schema | None = None) -> Relation:
         """The whole table as one relation (tests and small tables only)."""
@@ -179,15 +189,15 @@ class DirtyTable:
     # -- identity ----------------------------------------------------------
 
     def digest(self, conn) -> str:
-        """SHA-256 over column names and every (row key, row), key order."""
+        """SHA-256 over column names and every (row key, row), key order.
+
+        Hashes the fetched rows directly — no :class:`Relation` is
+        built, since interning every cell buys nothing for a hash."""
         sha = hashlib.sha256()
         cols = self.columns(conn)
         sha.update(repr(tuple(cols)).encode("utf-8"))
-        schema = Schema(self.table, cols)
-        for page in self.pages(conn, _SCAN_ROWS, schema=schema):
-            raw = page.relation.raw_tuples()
-            for key, row in zip(page.keys, raw):
-                sha.update(repr((key, row)).encode("utf-8"))
+        for rows in self._keyset(conn, cols, _SCAN_ROWS):
+            sha.update("".join(repr((r[0], r[1:])) for r in rows).encode("utf-8"))
         return sha.hexdigest()
 
     # -- writes ------------------------------------------------------------

@@ -287,7 +287,6 @@ class CerFix:
         validated: Sequence[str] = (),
         max_rounds: int | None = None,
         cache_size: int = 4096,
-        journal_dir: Any = None,
     ):
         """Clean a dirty relation where it lives: in a database table.
 
@@ -300,8 +299,12 @@ class CerFix:
         the same file; ``dry_run=True`` reports without committing
         anything (the connection is read-only), ``resume=<run-id>``
         continues an interrupted run — committed pages are skipped and
-        the in-flight page resumes from its checkpoint journal. Undo a
-        committed run with :meth:`undo`. Returns a
+        the in-flight page resumes from its shard checkpoints, which
+        live in the ``cerfix_clean_checkpoints`` table of the same
+        database and vanish with the page's commit. A committing run
+        frees no disk blocks (sqlite keeps its rollback journal, see
+        :mod:`repro.dirty.backend`). Undo a committed or crashed run
+        with :meth:`undo`. Returns a
         :class:`~repro.dirty.cleaner.DbCleanResult`.
         """
         from repro.dirty.cleaner import DbCleaner
@@ -319,12 +322,7 @@ class CerFix:
             max_combos=self.max_combos,
             cache_size=cache_size,
         )
-        cleaner = DbCleaner(
-            batch,
-            DirtyTable(db, table),
-            page_rows=page_rows,
-            journal_dir=journal_dir,
-        )
+        cleaner = DbCleaner(batch, DirtyTable(db, table), page_rows=page_rows)
         return cleaner.clean(
             workers=workers,
             backend=backend,

@@ -322,6 +322,11 @@ def _clean_db(args, engine: CerFix, db: str, table: str, page_rows) -> int:
             "--truth drives an oracle user and only applies to --input; the "
             "DB path runs rule-only repairs (use --validated for trusted columns)"
         )
+    if args.journal:
+        raise CerFixError(
+            "--journal applies to --input; a --db run keeps its checkpoints "
+            "in the database"
+        )
     validated = tuple(a for a in (args.validated or "").split(",") if a)
     result = engine.clean_table(
         db,
@@ -334,7 +339,6 @@ def _clean_db(args, engine: CerFix, db: str, table: str, page_rows) -> int:
         shards=args.shards,
         dedupe=not args.no_dedupe,
         validated=validated,
-        journal_dir=args.journal,
     )
     print(result.describe())
     if result.dry_run:
@@ -741,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-dedupe", action="store_true", dest="no_dedupe",
                    help="disable duplicate-signature collapsing")
     p.add_argument("--validated", help="comma-separated trusted columns (rule-only mode)")
-    p.add_argument("--journal", help="checkpoint journal path (enables crash-safe resume)")
+    p.add_argument("--journal", help="--input: checkpoint journal path (enables crash-safe "
+                   "resume; a --db run checkpoints in the database)")
     p.add_argument("--cache", help="probe-cache snapshot path for a remote store (warm-starts "
                    "repeat runs against unchanged master data and rules; in-process "
                    "stores have no probe cache)")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import sqlite3
 
 import pytest
@@ -16,6 +19,9 @@ from repro.dirty import (
 )
 import repro.batch.executor as executor_mod
 import repro.batch.pipeline as pipeline_mod
+import repro.dirty.table as table_mod
+from repro.dirty.archive import CHECKPOINTS_TABLE
+from repro.dirty.backend import SqliteBackend
 from repro.errors import DirtyDataError
 from repro.master.conformance import generate_case
 from repro.scenarios import uk_customers as uk
@@ -56,6 +62,20 @@ def _digest(path, table="dirty"):
         conn.close()
 
 
+def _checkpoint_rows(path, run_id):
+    """``(page, parsed line)`` of a run's rows in the checkpoints table."""
+    conn = sqlite3.connect(path)
+    try:
+        rows = conn.execute(
+            f"SELECT page, line FROM {CHECKPOINTS_TABLE} WHERE run_id = ? "
+            f"ORDER BY page, line_no",
+            (run_id,),
+        ).fetchall()
+    finally:
+        conn.close()
+    return [(page, json.loads(line)) for page, line in rows]
+
+
 # -- the table itself --------------------------------------------------------
 
 
@@ -90,6 +110,27 @@ def test_digest_tracks_content_and_row_binding(case, db, tmp_path):
     conn.commit()
     conn.close()
     assert _digest(db) != before
+
+
+def test_digest_matches_reference_hex(case, db, tmp_path, monkeypatch):
+    """The digest anchors undo of runs already on record, so its value
+    is pinned: these hexes are what the Relation-building digest gave
+    (one scan page, then 7-row scan pages across the boundaries)."""
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Schema
+
+    fixture_hex = "8b2f52b6e3f26600e6dbd410fe616c4780d1d2df8abc892cd385379b5c0c6aaa"
+    assert _digest(db) == fixture_hex
+    mixed = Relation(Schema("mixed", ["a", "b", "c"]), [
+        ("x", 1, 2.5), (None, -3, 0.1), ("quote's \"é\"", 10**12, None),
+        ("", 0, 1e-300),
+    ])
+    DirtyTable.create(tmp_path / "mixed.db", mixed, table="mixed")
+    mixed_hex = "0607504bfe2ed4f52e6d3b0382cbcd71bfad215025a7abbc3aec70677dab21bc"
+    assert _digest(tmp_path / "mixed.db", "mixed") == mixed_hex
+    monkeypatch.setattr(table_mod, "_SCAN_ROWS", 7)
+    assert _digest(db) == fixture_hex
+    assert _digest(tmp_path / "mixed.db", "mixed") == mixed_hex
 
 
 def test_rejects_lossy_cell_values(tmp_path):
@@ -292,7 +333,103 @@ def test_dry_run_rejects_resume(case, db):
         _engine(case).clean_table(db, dry_run=True, resume="run-x")
 
 
-# -- crash, resume, journals -------------------------------------------------
+def test_dry_run_over_persisted_journal_is_read_only(case, db):
+    # Writable connections keep a zeroed rollback journal beside the file.
+    assert (db.parent / "dirty.db-journal").exists()
+    before = db.read_bytes()
+    result = _engine(case).clean_table(
+        db, page_rows=16, validated=case.validated, dry_run=True
+    )
+    assert result.changed_cells > 0
+    assert db.read_bytes() == before
+    conn = DirtyTable(db).backend.connect(readonly=True)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("UPDATE dirty SET zip = 'X'")
+    finally:
+        conn.close()
+    assert db.read_bytes() == before
+
+
+# -- commits that free no disk blocks ----------------------------------------
+
+
+def test_writable_connections_persist_journal(case, db, monkeypatch):
+    real = SqliteBackend.connect
+    modes = []
+
+    def recording(self, *, readonly=False):
+        conn = real(self, readonly=readonly)
+        modes.append((readonly, conn.execute("PRAGMA journal_mode").fetchone()[0]))
+        return conn
+
+    monkeypatch.setattr(SqliteBackend, "connect", recording)
+    engine = _engine(case)
+    DirtyTable.create(db, case.dirty)
+    run = engine.clean_table(db, page_rows=16, validated=case.validated)
+    engine.undo(db, run.run_id)
+    list_runs(DirtyTable(db))
+    writable = [mode for readonly, mode in modes if not readonly]
+    assert len(writable) >= 3  # create, clean, undo
+    assert set(writable) == {"persist"}
+    assert (db.parent / "dirty.db-journal").exists()
+
+
+def test_wal_database_stays_in_wal(case, db):
+    conn = sqlite3.connect(db)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.close()
+    conn = DirtyTable(db).backend.connect()
+    try:
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+    finally:
+        conn.close()
+
+
+def test_committing_clean_frees_no_disk_blocks(case, db, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((os, "unlink"), (os, "rmdir"), (os, "replace"),
+                        (shutil, "rmtree")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    result = _engine(case).clean_table(
+        db, page_rows=16, validated=case.validated, shards=4
+    )
+    assert result.pages >= 2 and result.changed_cells > 0
+    assert calls == []
+
+
+def test_clean_undo_cycles_reuse_free_pages(case, db):
+    """Deleted checkpoint rows become free pages that later pages and runs
+    reuse. The file still grows by the archive rows each run keeps (undo
+    marks a run undone, it does not erase its record), so what must not
+    grow is the free-page count."""
+    engine = _engine(case)
+    free = []
+    for _ in range(3):
+        run = engine.clean_table(db, page_rows=30, validated=case.validated)
+        engine.undo(db, run.run_id)
+        assert _checkpoint_rows(db, run.run_id) == []
+        conn = sqlite3.connect(db)
+        try:
+            free.append(conn.execute("PRAGMA freelist_count").fetchone()[0])
+        finally:
+            conn.close()
+    assert free[0] > 0  # the checkpoints of the first run, freed
+    # Free pages do not accumulate: the file grew by no more than the
+    # in-use pages the two later archives added.
+    assert free[2] <= free[0]
+    assert _table_rows(db) == case.dirty.raw_tuples()
+
+
+# -- crash, resume, checkpoints ----------------------------------------------
 
 
 def _crash_after_pages(monkeypatch, n_pages):
@@ -353,14 +490,11 @@ def test_mid_page_resume_replays_journaled_shards(case, db, monkeypatch):
 
     (run,) = list_runs(DirtyTable(db))
     assert run.status == "running" and run.pages_done == 0
-    # The crashed page left its shard journal behind with two entries.
-    journal_dir = db.parent / "dirty.db.clean-journal" / run.run_id
-    journals = list(journal_dir.glob("page-*.journal"))
-    assert len(journals) == 1
-    shard_lines = [
-        line for line in journals[0].read_text().splitlines() if '"shard"' in line
-    ]
-    assert len(shard_lines) == 2
+    # The crashed page left its header and two shard checkpoints behind.
+    rows = _checkpoint_rows(db, run.run_id)
+    assert [page for page, _ in rows] == [0, 0, 0]
+    assert [line["kind"] for _, line in rows] == ["header", "shard", "shard"]
+    assert not (db.parent / "dirty.db.clean-journal").exists()
 
     executed = {"shards": 0}
 
@@ -375,6 +509,85 @@ def test_mid_page_resume_replays_journaled_shards(case, db, monkeypatch):
     monkeypatch.setattr(executor_mod, "_run_shard", real)
     # Page 0 replays only its 2 unfinished shards; page 1 runs all 4.
     assert executed["shards"] == 6
+    assert _table_rows(db) == expected.relation.raw_tuples()
+    assert result.changed_cells == expected.report.changed_cells
+
+
+def test_page_commit_rollback_keeps_checkpoints(case, db, monkeypatch):
+    """Checkpoints vanish with their page's commit, never before it."""
+    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+    real_record = ChangeArchive.record_page
+
+    def failing(self, *args, **kwargs):
+        real_record(self, *args, **kwargs)  # drops the checkpoints, then...
+        raise RuntimeError("simulated crash inside the page transaction")
+
+    monkeypatch.setattr(ChangeArchive, "record_page", failing)
+    with pytest.raises(RuntimeError, match="inside the page transaction"):
+        _engine(case).clean_table(
+            db, page_rows=30, validated=case.validated, shards=4
+        )
+    monkeypatch.setattr(ChangeArchive, "record_page", real_record)
+
+    (run,) = list_runs(DirtyTable(db))
+    assert run.pages_done == 0 and run.changed_cells == 0
+    assert _table_rows(db) == case.dirty.raw_tuples()  # cell writes rolled back
+    rows = _checkpoint_rows(db, run.run_id)
+    assert [line["kind"] for _, line in rows] == ["header"] + ["shard"] * 4
+
+    real = executor_mod._run_shard
+    executed = {"shards": 0}
+
+    def counting(shard, ctx, base, cache, *memos):
+        executed["shards"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    monkeypatch.setattr(executor_mod, "_run_shard", counting)
+    result = _engine(case).clean_table(
+        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    )
+    # Page 0 re-executes none of its 4 checkpointed shards; page 1 runs 4.
+    assert executed["shards"] == 4
+    assert _table_rows(db) == expected.relation.raw_tuples()
+    assert result.changed_cells == expected.report.changed_cells
+    assert _checkpoint_rows(db, run.run_id) == []
+
+
+def test_crashed_run_without_checkpoints_reruns_its_page(case, db, monkeypatch):
+    """A crashed run from a version that journaled to files has no
+    checkpoint rows: its in-flight page re-runs from scratch."""
+    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+    real = executor_mod._run_shard
+    calls = {"n": 0}
+
+    def crashing(shard, ctx, base, cache, *memos):
+        if calls["n"] >= 2:
+            raise RuntimeError("simulated mid-page crash")
+        calls["n"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+    with pytest.raises(RuntimeError, match="simulated mid-page crash"):
+        _engine(case).clean_table(
+            db, page_rows=30, validated=case.validated, shards=4
+        )
+    (run,) = list_runs(DirtyTable(db))
+    conn = sqlite3.connect(db)
+    conn.execute(f"DROP TABLE {CHECKPOINTS_TABLE}")
+    conn.commit()
+    conn.close()
+
+    executed = {"shards": 0}
+
+    def counting(shard, ctx, base, cache, *memos):
+        executed["shards"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    monkeypatch.setattr(executor_mod, "_run_shard", counting)
+    result = _engine(case).clean_table(
+        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    )
+    assert executed["shards"] == 8
     assert _table_rows(db) == expected.relation.raw_tuples()
     assert result.changed_cells == expected.report.changed_cells
 
@@ -414,9 +627,33 @@ def test_crashed_run_can_be_undone(case, db, monkeypatch):
     assert _table_rows(db) == case.dirty.raw_tuples()
 
 
+def test_undo_of_crashed_run_drops_its_checkpoints(case, db, monkeypatch):
+    real = executor_mod._run_shard
+    calls = {"n": 0}
+
+    def crashing(shard, ctx, base, cache, *memos):
+        if calls["n"] >= 5:  # page 0's four shards, then one of page 1's
+            raise RuntimeError("simulated mid-page crash")
+        calls["n"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+    with pytest.raises(RuntimeError, match="simulated mid-page crash"):
+        _engine(case).clean_table(
+            db, page_rows=30, validated=case.validated, shards=4
+        )
+    (run,) = list_runs(DirtyTable(db))
+    assert run.pages_done == 1
+    assert [page for page, _ in _checkpoint_rows(db, run.run_id)] == [1, 1]
+    undo_run(DirtyTable(db), run.run_id)
+    assert _checkpoint_rows(db, run.run_id) == []
+    assert _table_rows(db) == case.dirty.raw_tuples()
+
+
 def test_journals_removed_after_successful_run(case, db):
     result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
-    assert result.run_id
+    assert result.run_id and result.pages >= 2
+    assert _checkpoint_rows(db, result.run_id) == []
     assert not (db.parent / "dirty.db.clean-journal").exists()
 
 
@@ -450,6 +687,12 @@ def test_cli_clean_db_dry_run_and_undo(case, db, tmp_path, capsys):
         "--page-rows", "16",
         "--validated", ",".join(case.validated),
     ]
+    assert main(common + ["--journal", str(tmp_path / "j.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "--journal applies to --input" in err
+    assert "keeps its checkpoints in the database" in err
+    assert not (tmp_path / "j.jsonl").exists()
+
     assert main(common + ["--dry-run"]) == 0
     out = capsys.readouterr().out
     assert "dry run" in out and "nothing was committed" in out
