@@ -43,10 +43,12 @@ QUICK = os.environ.get("CERFIX_BENCH_QUICK", "") == "1"
 # with CI's quick run, which is what the regression guard in
 # check_bench_json.py compares against.
 SIZES = (300,) if QUICK else (300, 1_000, 5_000)
+# (workers, the executor path they select): 1 runs serially, N > 1
+# runs N worker processes.
 WORKER_SWEEP = (
-    ((1, "thread"), (2, "thread"))
+    ((1, "serial"), (2, "process"))
     if QUICK
-    else ((1, "thread"), (2, "thread"), (4, "thread"), (4, "process"))
+    else ((1, "serial"), (2, "process"), (4, "process"))
 )
 MASTER_SIZE = 40  # small population -> realistic signature duplication
 RATE = 0.15
@@ -97,11 +99,10 @@ def test_batch_throughput(table, workloads, size):
     for workers, backend in WORKER_SWEEP:
         def batch_once():
             engine = CerFix(uk.paper_ruleset(), master)
-            return engine.clean_relation(
-                wl.dirty, wl.clean, workers=workers, backend=backend
-            )
+            return engine.clean_relation(wl.dirty, wl.clean, workers=workers)
 
         t_batch, result = time_call(batch_once, repeat=1)
+        assert result.report.backend == backend
         if serial_rows is None:
             serial_rows = result.relation.tuples()
         else:
@@ -202,7 +203,7 @@ def test_store_throughput(store_table, store_workload, store_axis, store_name, t
     def batch_once():
         engine = CerFix(ruleset, _build_store(store_name, master, tmp_path))
         return engine.clean_relation(
-            batch_wl.dirty, batch_wl.clean, workers=4, backend="process"
+            batch_wl.dirty, batch_wl.clean, workers=4
         )
 
     t_batch, result = time_call(batch_once, repeat=1)

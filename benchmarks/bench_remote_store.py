@@ -311,12 +311,14 @@ def test_remote_quick_anchor_rows(table, world):
 
 def test_remote_batch_pipeline_end_to_end(table, world):
     """The whole batch pipeline against the cluster: dedup + probe cache
-    + probe_many batching stacked on real round trips."""
+    + probe_many batching stacked on real round trips. Both pipeline
+    points run serially: round trips are read from this process's store
+    stats, which never see the trips a process worker makes."""
     master, ruleset, _, batch_wl, cluster = world
 
     def clean_once():
         engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
-        result = engine.clean_relation(batch_wl.dirty, batch_wl.clean, workers=2)
+        result = engine.clean_relation(batch_wl.dirty, batch_wl.clean)
         trips = _round_trips(engine.master.store, baseline=2)  # handshake+prebuild
         engine.master.store.close()
         return result, trips
@@ -324,7 +326,7 @@ def test_remote_batch_pipeline_end_to_end(table, world):
     t_batch, (result, trips) = time_call(clean_once, repeat=1)
     assert result.report.completed == BATCH_ROWS
     table.add(
-        "batch pipeline (2 workers)",
+        "batch pipeline (serial)",
         result.report.cache.misses,
         trips,
         "-",
@@ -342,7 +344,7 @@ def test_remote_batch_pipeline_rule_only(table, world):
 
     def clean_once():
         engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
-        result = engine.clean_relation(batch_wl.dirty, validated=("zip",), workers=2)
+        result = engine.clean_relation(batch_wl.dirty, validated=("zip",))
         # handshake, then a prebuild at construction and one before the clean
         trips = _round_trips(engine.master.store, baseline=3)
         engine.master.store.close()
@@ -357,7 +359,7 @@ def test_remote_batch_pipeline_rule_only(table, world):
     bound = floor if QUICK else -(-probes // MIN_PIPELINE_PROBES_PER_TRIP)
     assert trips <= bound, f"rule-only pipeline made {trips} round trips for {probes} probes"
     table.add(
-        "batch pipeline rule-only (2 workers)",
+        "batch pipeline rule-only (serial)",
         probes,
         trips,
         "-",

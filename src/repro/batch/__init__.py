@@ -8,7 +8,7 @@ scales the same certain-fix machinery to whole relations:
   repair signatures, deal groups into shards;
 - :mod:`~repro.batch.cache` — the one bounded LRU (probe cache over
   remote stores, suggestion and chase memos);
-- :mod:`~repro.batch.executor` — serial / thread / process shard
+- :mod:`~repro.batch.executor` — serial / process shard
   execution with bit-identical output;
 - :mod:`~repro.batch.journal` — per-shard checkpoints for crash-safe
   resume;

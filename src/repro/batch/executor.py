@@ -1,10 +1,10 @@
-"""The shard executor: run a repair plan serially or concurrently.
+"""The shard executor: run a repair plan serially or in worker processes.
 
 Each shard resolves its groups independently — monitor sessions never
 mutate the master data, so groups are embarrassingly parallel and the
 result of a group depends only on the group and the engine
-configuration, never on scheduling. That is what makes the parallel
-backends *bit-identical* to the serial path.
+configuration, never on scheduling. That is what makes the process
+path *bit-identical* to the serial path.
 
 Probes on an in-process store (single, sharded, sqlite) go straight
 to the store, whose own memo and indexes answer them. Only an
@@ -12,27 +12,22 @@ to the store, whose own memo and indexes answer them. Only an
 (:class:`~repro.batch.cache.CachingMasterDataManager` over one
 :class:`~repro.batch.cache.LRUMemo`) and first-round prefetch.
 
-Backends:
+Two paths, picked by ``workers`` alone:
 
 ``workers=1``
     The deterministic serial path: shards run in shard-id order on the
     calling thread, sharing one probe cache (remote stores) and the
     suggestion and chase memos.
-``backend="thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`; all shards share
-    the run's caches (cross-shard hits) and the already-built master
-    indexes.
-``backend="process"``
+``workers > 1``
     A :class:`~concurrent.futures.ProcessPoolExecutor`; the context is
     shipped to each worker once via the pool initializer and every
-    process keeps its own caches. Best on multi-core hosts where the
-    chase itself is the bottleneck.
+    process keeps its own caches.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -48,12 +43,9 @@ from repro.monitor.suggest import SuggestionStrategy
 from repro.monitor.user import OracleUser
 from repro.obs import trace
 
-BACKENDS = ("thread", "process")
-
-
 @dataclass(frozen=True)
 class BatchContext:
-    """Everything a shard worker needs, picklable for the process backend.
+    """Everything a shard worker needs, picklable for process workers.
 
     ``master`` carries its configured
     :class:`~repro.master.store.MasterStore` backend along: a sharded
@@ -62,8 +54,8 @@ class BatchContext:
     the worker (see :func:`_init_process`).
 
     ``scenario`` is typically a closure and therefore unpicklable; the
-    pipeline downgrades ``backend="process"`` to threads when the
-    context cannot be shipped (see :meth:`BatchCleaner.clean`).
+    pipeline runs such a plan serially when the context cannot be
+    shipped (see :meth:`BatchCleaner.clean`).
     """
 
     ruleset: RuleSet
@@ -79,9 +71,9 @@ class BatchContext:
     cache_size: int = 4096
     #: The clean-run's trace context (a picklable
     #: :class:`~repro.obs.trace.TraceCarrier`, or None with tracing
-    #: off): thread workers re-activate it, process workers additionally
-    #: configure their own exporter from its path/sample — so shard
-    #: spans land in the same trace whatever the backend.
+    #: off): shards re-activate it, and process workers also configure
+    #: their own exporter from its path/sample — so shard spans land in
+    #: the same trace on either path.
     trace: Any = None
 
 
@@ -131,10 +123,9 @@ class GroupOutcome:
 class ShardResult:
     """What one shard produced, with its probe-cache counters.
 
-    The counters are the cache's lookups while this shard ran: exact
-    when shards on one cache run one at a time (the serial and process
-    paths), overlapping between concurrent thread-backend shards. All
-    zero over an in-process store, which has no probe cache."""
+    The counters are the cache's lookups while this shard ran, exact
+    because shards on one cache run one at a time. All zero over an
+    in-process store, which has no probe cache."""
 
     shard_id: int
     outcomes: tuple[GroupOutcome, ...]
@@ -300,7 +291,6 @@ def _run_shard(
     cache: LRUMemo | None,
     memo: LRUMemo | None = None,
     chase_memo: LRUMemo | None = None,
-    sharers: int = 1,
 ) -> ShardResult:
     """Resolve every group of one shard.
 
@@ -311,18 +301,16 @@ def _run_shard(
     the validated (attr, value) pairs plus the engine configuration —
     constant across one batch run — so sharing it across shards
     reorders when inference work happens but never what any group
-    observes (the bit-identity guarantee holds). ``sharers`` is how many
-    shard workers use ``cache`` at once; it sizes the prefetch windows
-    (see :func:`_resolve_groups`).
+    observes (the bit-identity guarantee holds).
     """
     manager = base if cache is None else CachingMasterDataManager(base.store, cache)
     before = cache.stats if cache is not None else None
     start = time.perf_counter()
-    # Pool threads (and process workers) have no ambient span; the
-    # carrier in the context re-parents this shard under the clean-run.
+    # Process workers have no ambient span; the carrier in the context
+    # re-parents this shard under the clean-run.
     with trace.activate(ctx.trace):
         with trace.span("shard", shard=shard.shard_id, groups=len(shard.groups)):
-            outcomes = _resolve_groups(shard.groups, ctx, manager, memo, chase_memo, sharers)
+            outcomes = _resolve_groups(shard.groups, ctx, manager, memo, chase_memo)
     result = ShardResult(
         shard_id=shard.shard_id,
         outcomes=outcomes,
@@ -342,7 +330,6 @@ def _resolve_groups(
     manager: MasterDataManager,
     memo: LRUMemo | None,
     chase_memo: LRUMemo | None,
-    sharers: int,
 ) -> tuple[GroupOutcome, ...]:
     """Resolve ``groups`` in order, prefetching first-round probes into
     the probe cache (an io-bound store) when there is a trusted seed.
@@ -353,18 +340,17 @@ def _resolve_groups(
     attributes and whose pattern the seed matches. The groups go in
     windows, each warmed by one ``probe_many``; later chase rounds, and
     keys the prediction missed, fall back to single probes. A window
-    inserts at most half of this worker's share of the cache, so the
-    windows of all ``sharers`` workers fit in half the cache together,
-    leaving the other half to single probes; an entry evicted anyway
-    is just probed again. Every other store (and the oracle loop with
-    no seed, whose first probes depend on the first suggestion)
-    resolves the shard as one window with no prefetch.
+    inserts at most half the cache, leaving the other half to single
+    probes; an entry evicted anyway is just probed again. Every other
+    store (and the oracle loop with no seed, whose first probes depend
+    on the first suggestion) resolves the shard as one window with no
+    prefetch.
     """
     first = []
     if ctx.validated and isinstance(manager, CachingMasterDataManager):
         seeded = frozenset(ctx.validated)
         first = [r for r in ctx.ruleset if r.reads <= seeded]
-        budget = manager.cache.maxsize // (2 * sharers)
+        budget = manager.cache.maxsize // 2
         if len(first) > budget:
             first = []  # too small a cache to hold even one group's probes
     per_window = budget // len(first) if first else max(len(groups), 1)
@@ -392,7 +378,7 @@ def _probe_cache(ctx: BatchContext) -> LRUMemo | None:
     return LRUMemo(ctx.cache_size) if ctx.master.store.io_bound else None
 
 
-# -- process-backend plumbing -------------------------------------------------
+# -- process-worker plumbing --------------------------------------------------
 # The context is shipped once per worker process via the pool initializer
 # and parked in a module global; shard tasks then only carry the shard.
 
@@ -431,28 +417,25 @@ def _process_shard(shard: Shard) -> ShardResult:
 
 
 class ShardExecutor:
-    """Run shards under the selected backend, reporting results in
-    completion order to an optional callback (the checkpoint journal)."""
+    """Run shards serially (``workers=1``) or in worker processes,
+    reporting results in completion order to an optional callback (the
+    checkpoint journal)."""
 
     def __init__(
         self,
         ctx: BatchContext,
         *,
         workers: int = 1,
-        backend: str = "thread",
         cache: LRUMemo | None = None,
     ):
         if workers < 1:
             raise CerFixError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise CerFixError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
         self.ctx = ctx
         self.workers = workers
-        self.backend = backend
-        #: The serial/thread paths share one probe cache, None over an
-        #: in-process store; exposed for reporting. A preloaded ``cache``
-        #: (cross-run persistence, see
-        #: :func:`repro.batch.cache.load_probe_cache`) is used as-is.
+        #: The serial path's probe cache, None over an in-process store;
+        #: exposed for reporting. A preloaded ``cache`` (cross-run
+        #: persistence, see :func:`repro.batch.cache.load_probe_cache`)
+        #: is used as-is.
         self.cache = cache if cache is not None else _probe_cache(ctx)
         #: ...and one suggestion memo (see :func:`_run_shard`) plus one
         #: chase-transcript memo (see :func:`repro.core.chase.chase_memoized`
@@ -485,25 +468,13 @@ class ShardExecutor:
                     on_result(result)
                 results.append(result)
             return results
-        if self.backend == "thread":
-            # Every pool thread shares self.cache: each shard's prefetch
-            # windows get an equal slice of it.
-            sharers = min(self.workers, len(shards))
-            pool = ThreadPoolExecutor(max_workers=self.workers)
-            submit = lambda shard: pool.submit(  # noqa: E731
-                _run_shard, shard, self.ctx, self.ctx.master, self.cache, self.memo,
-                self.chase_memo, sharers,
-            )
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_process,
-                initargs=(self.ctx,),
-            )
-            submit = lambda shard: pool.submit(_process_shard, shard)  # noqa: E731
         results: dict[int, ShardResult] = {}
-        with pool:
-            pending = {submit(shard) for shard in shards}
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_process,
+            initargs=(self.ctx,),
+        ) as pool:
+            pending = {pool.submit(_process_shard, shard) for shard in shards}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:

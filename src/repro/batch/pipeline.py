@@ -3,13 +3,13 @@
 :class:`BatchCleaner` is the orchestrator behind
 :meth:`CerFix.clean_relation`: it fingerprints and deduplicates the
 dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
-shards (:mod:`repro.batch.journal`), runs the rest under the selected
-backend (:mod:`repro.batch.executor`), then assembles the repaired
+shards (:mod:`repro.batch.journal`), runs the rest serially or in worker
+processes (:mod:`repro.batch.executor`), then assembles the repaired
 relation, records each group's provenance once in the engine's audit
 log, and aggregates a :class:`~repro.batch.report.BatchReport`.
 
 Scheduling never influences output: groups are independent and probing
-is deterministic, so ``workers=4`` (threads or processes) produces the
+is deterministic, so ``workers=4`` (four worker processes) produces the
 same repaired relation, byte for byte, as the serial path — the
 property the batch test suite pins down.
 """
@@ -56,7 +56,7 @@ class BatchCleaner:
     probe cache over remote stores.
 
     Construction mirrors :class:`~repro.engine.CerFix`; per-run knobs
-    (workers, backend, sharding, journal) live on :meth:`clean`.
+    (workers, sharding, journal) live on :meth:`clean`.
     """
 
     def __init__(
@@ -112,7 +112,6 @@ class BatchCleaner:
         truth: Relation | None = None,
         *,
         workers: int = 1,
-        backend: str = "thread",
         shards: int | None = None,
         dedupe: bool = True,
         validated: Sequence[str] = (),
@@ -140,6 +139,11 @@ class BatchCleaner:
         in-process store has no probe cache, so there is nothing to
         persist. The report's ``persistence`` line says which happened.
 
+        ``workers=1`` runs the shards serially on this thread;
+        ``workers > 1`` runs them in that many worker processes, unless
+        the context cannot be pickled (typically a scenario closure):
+        then the plan runs serially and the report's notes say so.
+
         ``root_span=False`` suppresses the ``clean-run`` span for
         callers that already own one — the paged DB cleaner wraps a
         whole run in its own ``clean-run`` and nests each call here
@@ -160,8 +164,24 @@ class BatchCleaner:
             raise CerFixError(f"validated attributes {unknown} not in the input schema")
         if journal is None and journal_path is not None:
             journal = CheckpointJournal(journal_path)
+        notes: list[str] = []
+        # The default shard count follows the requested worker count, so
+        # a serial fallback keeps the plan (and any journal) of the request.
+        if shards is None:
+            shards = max(1, workers) * 4
+        # Probe only the fields that can realistically be unpicklable
+        # (scenario closures, exotic regions/rules) — not the master
+        # relation, whose serialization can be large and is known-good.
+        if workers > 1 and not _picklable((self._scenario(), self.regions, self.ruleset)):
+            workers = 1
+            notes.append(
+                "process workers unavailable (context not picklable — typically a "
+                "scenario closure); ran serially"
+            )
+        # From here on ``workers`` is what runs: the span and the report
+        # record it, not the request.
         run_span = (
-            trace.span("clean-run", rows=len(dirty), workers=workers, backend=backend)
+            trace.span("clean-run", rows=len(dirty), workers=workers, backend=_path(workers))
             if root_span
             else trace.NOOP
         )
@@ -169,8 +189,8 @@ class BatchCleaner:
             return self._clean(
                 dirty,
                 truth,
+                notes=notes,
                 workers=workers,
-                backend=backend,
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
@@ -185,9 +205,9 @@ class BatchCleaner:
         dirty: Relation,
         truth: Relation | None,
         *,
+        notes: list[str],
         workers: int,
-        backend: str,
-        shards: int | None,
+        shards: int,
         dedupe: bool,
         validated: Sequence[str],
         journal: CheckpointJournal | None,
@@ -196,9 +216,7 @@ class BatchCleaner:
         max_rounds: int | None,
     ) -> BatchResult:
         start = time.perf_counter()
-        notes: list[str] = []
-
-        n_shards = shards if shards is not None else max(1, workers) * 4
+        processes = workers > 1
         # Dedup on transcript-relevant attributes only: payload columns
         # no rule or region ever looks at cannot change a repair, so
         # rows differing only there share one group. Assembly and audit
@@ -208,11 +226,11 @@ class BatchCleaner:
         )
         if projection >= frozenset(self.ruleset.input_schema.names):
             projection = None
-        with trace.span("plan", rows=len(dirty), shards=n_shards):
+        with trace.span("plan", rows=len(dirty), shards=shards):
             plan = build_plan(
                 dirty,
                 truth,
-                shards=n_shards,
+                shards=shards,
                 dedupe=dedupe,
                 # The master content digest is O(|master|); only the journal
                 # ever consumes the fingerprint, so only pay for it then.
@@ -222,15 +240,11 @@ class BatchCleaner:
                 projection=projection,
             )
 
-        # The scenario generator is only ever consulted under SCENARIO
-        # mode; dropping it otherwise keeps the context picklable (it is
-        # typically a closure), which is what the process backend needs.
-        scenario = self.scenario if self.mode is CertaintyMode.SCENARIO else None
         ctx = BatchContext(
             ruleset=self.ruleset,
             master=self.master,
             mode=self.mode,
-            scenario=scenario,
+            scenario=self._scenario(),
             strategy=self.strategy,
             regions=self.regions,
             validated=tuple(validated),
@@ -240,36 +254,25 @@ class BatchCleaner:
             cache_size=self.cache_size,
             trace=trace.carrier(),  # the clean-run span, ready to ship
         )
-        # Probe only the fields that can realistically be unpicklable
-        # (scenario closures, exotic regions/rules) — not the master
-        # relation, whose serialization can be large and is known-good.
-        if workers > 1 and backend == "process" and not _picklable(
-            (ctx.scenario, ctx.regions, ctx.ruleset)
-        ):
-            backend = "thread"
-            notes.append(
-                "process backend unavailable (context not picklable — typically a "
-                "scenario closure); fell back to threads"
-            )
-        # Workers of the process backend rebuild the master indexes
-        # themselves (pickling strips them); the parent only needs them
-        # when it resolves shards on its own threads.
-        if not (workers > 1 and backend == "process"):
+        # Process workers rebuild the master indexes themselves
+        # (pickling strips them); the parent only needs them when it
+        # resolves shards on its own thread.
+        if not processes:
             self.master.prebuild(self.ruleset)
 
         done: dict[int, ShardResult] = journal.open(plan.fingerprint) if journal else {}
         pending = [s for s in plan.shards if s.shard_id not in done]
 
-        # Cross-run probe-cache persistence (remote stores on the
-        # serial/thread paths only: process workers hold private caches
-        # the parent never sees).
+        # Cross-run probe-cache persistence (remote stores on the serial
+        # path only: process workers hold private caches the parent
+        # never sees).
         persistence = ""
         preloaded = None
         cache_stamp: dict | None = None
         if cache_path is not None:
             if not self.master.store.io_bound:
                 persistence = "skipped (in-process store: probes need no cache)"
-            elif workers > 1 and backend == "process":
+            elif processes:
                 persistence = "skipped (process workers hold private caches)"
             else:
                 cache_stamp = {
@@ -280,9 +283,7 @@ class BatchCleaner:
                     cache_path, maxsize=self.cache_size, **cache_stamp
                 )
 
-        executor = ShardExecutor(
-            ctx, workers=workers, backend=backend, cache=preloaded
-        )
+        executor = ShardExecutor(ctx, workers=workers, cache=preloaded)
         on_result = journal.record if journal is not None else None
         fresh = executor.run(pending, on_result=on_result)
         results = sorted(
@@ -291,11 +292,11 @@ class BatchCleaner:
 
         relation = self._assemble(dirty, results, projection)
         changed_cells = self._replay_audit(results, tuple_ids, dirty, projection)
-        # This run's probe-cache lookups. The serial/thread paths share
-        # the executor's cache, which counts them exactly; process
-        # workers each hold a private cache, so there the per-shard
-        # counters are the only record.
-        if workers > 1 and backend == "process":
+        # This run's probe-cache lookups. The serial path shares the
+        # executor's cache, which counts them exactly; process workers
+        # each hold a private cache, so there the per-shard counters are
+        # the only record.
+        if processes:
             cache = CacheStats()
             for r in results:
                 if not r.resumed:
@@ -309,7 +310,7 @@ class BatchCleaner:
             tuples=plan.total_tuples,
             groups=plan.n_groups,
             workers=workers,
-            backend=backend,
+            backend=_path(workers),
             elapsed_seconds=time.perf_counter() - start,
             cache=cache,
             notes=notes,
@@ -323,6 +324,13 @@ class BatchCleaner:
         return BatchResult(relation=relation, report=report)
 
     # -- internals -----------------------------------------------------------
+
+    def _scenario(self) -> Scenario | None:
+        """The scenario generator, only under SCENARIO mode — the one
+        mode that consults it. Dropping it otherwise keeps the context
+        picklable (it is typically a closure), which process workers
+        need."""
+        return self.scenario if self.mode is CertaintyMode.SCENARIO else None
 
     def _publish_metrics(
         self,
@@ -461,6 +469,11 @@ class BatchCleaner:
                 ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
                 self.audit.record_group(transcript, ids, olds)
         return changed
+
+
+def _path(workers: int) -> str:
+    """The executor path ``workers`` selects, as the report names it."""
+    return "process" if workers > 1 else "serial"
 
 
 def _picklable(obj: object) -> bool:

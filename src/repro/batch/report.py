@@ -65,7 +65,7 @@ class BatchReport:
     cache: CacheStats = field(default_factory=CacheStats)
     shards: list[ShardStats] = field(default_factory=list)
     workers: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     elapsed_seconds: float = 0.0
     notes: list[str] = field(default_factory=list)
     #: What cross-run probe-cache persistence did this run (``""`` when

@@ -9,6 +9,7 @@ output capture and can be pasted into EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -95,10 +96,13 @@ def save_json(result: BenchResult, filename: str, out_dir: Path | None = None) -
 
 
 def time_call(fn: Callable[[], Any], repeat: int = 3) -> tuple[float, Any]:
-    """(best wall-clock seconds, last return value) over ``repeat`` runs."""
+    """(best wall-clock seconds, last return value) over ``repeat`` runs.
+    Each run starts after a full collection: one owed by earlier work is
+    not charged to whichever run happens to trigger it."""
     best = float("inf")
     value = None
     for _ in range(repeat):
+        gc.collect()
         start = time.perf_counter()
         value = fn()
         best = min(best, time.perf_counter() - start)

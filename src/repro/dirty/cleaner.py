@@ -132,7 +132,6 @@ class DbCleaner:
         self,
         *,
         workers: int = 1,
-        backend: str = "thread",
         shards: int | None = None,
         dedupe: bool = True,
         validated: tuple[str, ...] = (),
@@ -171,7 +170,6 @@ class DbCleaner:
                         pages_total,
                         start,
                         workers=workers,
-                        backend=backend,
                         shards=shards,
                         dedupe=dedupe,
                         validated=validated,
@@ -184,7 +182,6 @@ class DbCleaner:
                     pages_total,
                     start,
                     workers=workers,
-                    backend=backend,
                     shards=shards,
                     dedupe=dedupe,
                     validated=validated,
@@ -205,7 +202,6 @@ class DbCleaner:
         start: float,
         *,
         workers: int,
-        backend: str,
         shards: int | None,
         dedupe: bool,
         validated: tuple[str, ...],
@@ -218,7 +214,6 @@ class DbCleaner:
                 page,
                 seq_start=len(changes),
                 workers=workers,
-                backend=backend,
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
@@ -254,7 +249,6 @@ class DbCleaner:
         start: float,
         *,
         workers: int,
-        backend: str,
         shards: int | None,
         dedupe: bool,
         validated: tuple[str, ...],
@@ -297,7 +291,6 @@ class DbCleaner:
                 page,
                 seq_start=seq,
                 workers=workers,
-                backend=backend,
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
@@ -351,7 +344,6 @@ class DbCleaner:
         *,
         seq_start: int,
         workers: int,
-        backend: str,
         shards: int | None,
         dedupe: bool,
         validated: tuple[str, ...],
@@ -372,7 +364,6 @@ class DbCleaner:
                 page.relation,
                 None,
                 workers=workers,
-                backend=backend,
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,

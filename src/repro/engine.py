@@ -220,7 +220,6 @@ class CerFix:
         truth: Relation | None = None,
         *,
         workers: int = 1,
-        backend: str = "thread",
         shards: int | None = None,
         dedupe: bool = True,
         validated: Sequence[str] = (),
@@ -234,9 +233,9 @@ class CerFix:
 
         The batch counterpart of :meth:`stream`: duplicate repair
         signatures are resolved once, and the plan is sharded across
-        ``workers`` (``backend`` picks threads or processes;
-        ``workers=1`` is the deterministic serial path — parallel runs
-        produce bit-identical output). Probes on an in-process store go
+        ``workers`` (``workers=1`` is the deterministic serial path;
+        ``workers > 1`` runs that many worker processes, with
+        bit-identical output). Probes on an in-process store go
         straight to the store; over a remote store they go through a
         ``cache_size``-entry LRU probe cache, and ``cache_path``
         persists that cache across runs (warm-started only when master
@@ -262,7 +261,6 @@ class CerFix:
             dirty,
             truth,
             workers=workers,
-            backend=backend,
             shards=shards,
             dedupe=dedupe,
             validated=validated,
@@ -281,7 +279,6 @@ class CerFix:
         dry_run: bool = False,
         resume: str | None = None,
         workers: int = 1,
-        backend: str = "thread",
         shards: int | None = None,
         dedupe: bool = True,
         validated: Sequence[str] = (),
@@ -325,7 +322,6 @@ class CerFix:
         cleaner = DbCleaner(batch, DirtyTable(db, table), page_rows=page_rows)
         return cleaner.clean(
             workers=workers,
-            backend=backend,
             shards=shards,
             dedupe=dedupe,
             validated=tuple(validated),

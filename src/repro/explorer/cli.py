@@ -124,7 +124,7 @@ def _configure_trace(args) -> None:
 
     Also mirrors the targets into ``CERFIX_TRACE`` /
     ``CERFIX_SLOW_SPAN`` so subprocesses this command spawns
-    (process-backend workers, shard servers launched from the same
+    (process workers, shard servers launched from the same
     shell) append to the same files — multi-process runs yield one
     connected trace and one fleet-wide slowlog."""
     import os
@@ -281,7 +281,6 @@ def cmd_clean(args) -> int:
         dirty,
         truth,
         workers=args.workers,
-        backend=args.backend,
         shards=args.shards,
         dedupe=not args.no_dedupe,
         validated=validated,
@@ -335,7 +334,6 @@ def _clean_db(args, engine: CerFix, db: str, table: str, page_rows) -> int:
         dry_run=args.dry_run,
         resume=args.resume,
         workers=args.workers,
-        backend=args.backend,
         shards=args.shards,
         dedupe=not args.no_dedupe,
         validated=validated,
@@ -739,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="load engine and dirty-table location "
                    "from a saved instance directory")
     p.add_argument("--truth", help="ground-truth CSV driving an oracle user (optional)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--backend", choices=("thread", "process"), default="thread")
+    p.add_argument("--workers", type=int, default=1,
+                   help="shard workers: 1 runs serially, N > 1 runs N worker processes")
     p.add_argument("--shards", type=int, help="shard count (default: 4 per worker)")
     p.add_argument("--no-dedupe", action="store_true", dest="no_dedupe",
                    help="disable duplicate-signature collapsing")

@@ -2,9 +2,9 @@
 
 Every :mod:`repro.master.store` backend must produce bit-identical
 fixes, certain regions and audit events through every cleaning path —
-the interactive monitor/stream path, the batch pipeline (serial,
-threaded, multi-process), randomly interleaved monitor sessions, and
-the async entry service. This module is that contract as *reusable
+the interactive monitor/stream path, the batch pipeline (serial and
+multi-process), randomly interleaved monitor sessions, and the async
+entry service. This module is that contract as *reusable
 machinery*: a new backend (the remote shard cluster was the first
 customer) registers a factory and runs the same suite the built-in
 backends pass, instead of growing its own ad-hoc parity tests.
@@ -219,7 +219,7 @@ def run_failover_conformance(
     cluster: Any,
     *,
     disrupt: Callable[[Any], Any],
-    batch_workers: int = 2,
+    path: str = "batch",
     max_batch: int = 512,
     cache_size: int = 4096,
     timeout: float = 10.0,
@@ -227,9 +227,9 @@ def run_failover_conformance(
     backoff: float = 0.02,
     circuit_reset: float = 0.2,
 ) -> PathOutcome:
-    """Batch-clean through a remote store while ``disrupt(cluster)``
-    fires mid-run, and assert the disrupted outcome bit-identical to
-    the ``single`` backend's undisrupted run.
+    """Clean through a remote store while ``disrupt(cluster)`` fires
+    mid-run, and assert the disrupted outcome bit-identical to the
+    ``single`` backend's undisrupted run.
 
     This is the certainty guarantee under failover as an executable
     assertion: a replica dying (or a whole rolling restart) may change
@@ -237,33 +237,35 @@ def run_failover_conformance(
     store's stats — but never a repaired cell, an audit event or a
     report scalar. The disruption fires from the store's one-shot
     :attr:`~repro.master.remote.RemoteMasterStore.reply_hook`, right
-    after the clean's first ``/probe_many`` reply: the clean starts
+    after the run's first ``/probe_many`` reply: the run starts
     against a verified healthy cluster and the failure lands
-    mid-probing, whatever the run's speed. With thread workers (the
-    default) the hook's thread runs the disruption while the other
-    workers keep probing, so requests are in flight as replicas go
-    down. ``max_batch`` and ``cache_size`` shrink the wire chunks and
-    the prefetch windows of a seeded clean, so the disruption lands
-    between them.
+    mid-probing, whatever the run's speed.
 
-    A serial clean (``batch_workers=1``) must also show at least one
-    retry or failover — a chaos case whose chaos never touched a
-    request asserts nothing. Its request sequence is the same on every
-    run: after a restart each of its pooled connections is stale and
-    the next request on one retries; a stopped replica fails the next
-    request rotated to it. Under thread workers which connections go
-    stale, and whether the other workers finish before a stop lands,
-    is a race, so those runs assert parity only.
+    ``path="batch"`` cleans serially, in this process (a process worker
+    would hold its own copy of the store). ``max_batch`` and
+    ``cache_size`` shrink the wire chunks and the prefetch windows of a
+    seeded clean, so the disruption lands between them. The run must
+    show at least one retry or failover — a chaos case whose chaos
+    never touched a request asserts nothing — and its request sequence
+    is the same on every run: after a restart each pooled connection is
+    stale and the next request on one retries; a stopped replica fails
+    the next request rotated to it.
+
+    ``path="service"`` drives the async entry service with
+    :func:`run_service_path`'s 8 concurrent sessions, whose executor threads keep probing while
+    the hook's thread disrupts. Which requests fail is then a race, so
+    it asserts parity only, with the ``single`` backend's serial monitor
+    outcome as :func:`run_conformance` does.
     """
     from repro.master.remote import RemoteMasterStore
 
-    reference = run_batch_path(
-        case,
-        SingleRelationStore(Relation(case.master.schema, case.master.tuples())),
-        workers=batch_workers,
-        backend="thread",
-        cache_size=cache_size,
-    )
+    if path not in ("batch", "service"):
+        raise ValueError(f"unknown failover path {path!r}")
+    single = SingleRelationStore(Relation(case.master.schema, case.master.tuples()))
+    if path == "batch":
+        reference = run_batch_path(case, single, cache_size=cache_size)
+    else:
+        reference = normalize_outcome(run_monitor_path(case, single))
     store = RemoteMasterStore(
         cluster.urls,
         timeout=timeout,
@@ -272,22 +274,31 @@ def run_failover_conformance(
         circuit_reset=circuit_reset,
         max_batch=max_batch,
     )
-    store.reply_hook = lambda: disrupt(cluster)
+
+    def arm() -> None:
+        store.reply_hook = lambda: disrupt(cluster)
+
     try:
-        disrupted = run_batch_path(
-            case, store, workers=batch_workers, backend="thread", cache_size=cache_size
-        )
+        if path == "batch":
+            arm()
+            disrupted = run_batch_path(case, store, cache_size=cache_size)
+        else:
+            # Armed once serving: region precompute probes too, and the
+            # disruption belongs under the concurrent session load.
+            disrupted = run_service_path(case, store, on_serve=arm)
         per_shard = store.stats()["per_shard"]
     finally:
         store.close()
     # The store clears its one-shot hook as it fires it.
     assert store.reply_hook is None, (
-        "the clean made no /probe_many call, so the disruption never fired"
+        "the run made no /probe_many call, so the disruption never fired"
     )
+    if path == "service":
+        _assert_service_parity("single", reference, "remote-disrupted", disrupted)
+        return disrupted
     assert_parity({"single": reference, "remote-disrupted": disrupted})
-    if batch_workers == 1:
-        rerouted = sum(s["retries"] + s["failovers"] for s in per_shard)
-        assert rerouted >= 1, "the disruption fired but no request retried or failed over"
+    rerouted = sum(s["retries"] + s["failovers"] for s in per_shard)
+    assert rerouted >= 1, "the disruption fired but no request retried or failed over"
     return disrupted
 
 
@@ -384,18 +395,17 @@ def run_batch_path(
     store: MasterStore,
     *,
     workers: int = 1,
-    backend: str = "thread",
     shards: int | None = None,
     journal_path: Path | None = None,
     cache_size: int = 4096,
 ) -> PathOutcome:
-    """Drive the batch pipeline under one executor configuration."""
+    """Drive the batch pipeline serially (``workers=1``) or in
+    ``workers`` processes."""
     engine = CerFix(case.ruleset, store)
     result = engine.clean_relation(
         case.dirty,
         case.truth,
         workers=workers,
-        backend=backend,
         shards=shards,
         validated=case.validated,
         journal_path=journal_path,
@@ -528,10 +538,12 @@ def run_service_path(
     concurrency: int = 8,
     regions_k: int = 2,
     max_combos: int = 50_000,
+    on_serve: Callable[[], Any] | None = None,
     **service_options,
 ) -> PathOutcome:
     """Drive the async entry service over real HTTP with ``concurrency``
     sessions in flight, and capture the serial-comparable outcome.
+    ``on_serve`` runs once the service is up, right before the load.
 
     The acceptance gate of ISSUE 4: for any interleaving of sessions,
     the per-tuple (fix, region, audit-event) outputs are bit-identical
@@ -548,6 +560,8 @@ def run_service_path(
     ranked = engine.precompute_regions(k=regions_k)
     server = engine.serve_async(port=0, **service_options)
     try:
+        if on_serve is not None:
+            on_serve()
         rows = [r.to_dict() for r in case.dirty.rows()]
         truth = [r.to_dict() for r in case.truth.rows()]
         load = run_load(server.url, rows, truth, concurrency=concurrency)
@@ -582,6 +596,23 @@ def assert_parity(outcomes: Mapping[str, PathOutcome]) -> None:
         )
 
 
+def _assert_service_parity(
+    ref_name: str, serial: PathOutcome, name: str, got: PathOutcome
+) -> None:
+    """Assert a service-path outcome bit-identical to a serial monitor
+    outcome (already :func:`normalize_outcome`-ed)."""
+    ref_name = f"{ref_name} (serial monitor)"
+    assert got.fixed_rows == serial.fixed_rows, _first_diff(
+        ref_name, name, "service fixed row", serial.fixed_rows, got.fixed_rows
+    )
+    assert got.audit_events == serial.audit_events, _first_diff(
+        ref_name, name, "service audit event", serial.audit_events, got.audit_events
+    )
+    assert got.regions == serial.regions, (
+        f"{name} regions diverge from {ref_name}: {got.regions!r} != {serial.regions!r}"
+    )
+
+
 def _first_diff(ref_name: str, name: str, what: str, ref: list, got: list) -> str:
     if len(ref) != len(got):
         return (
@@ -610,7 +641,6 @@ def run_conformance(
     paths: Sequence[str] = ("monitor", "batch", "service"),
     reference: str = "single",
     batch_workers: int = 2,
-    batch_backend: str = "thread",
     order_seeds: Sequence[int] = (1, 7),
     concurrency: int = 8,
 ) -> dict[str, dict[str, PathOutcome]]:
@@ -618,7 +648,8 @@ def run_conformance(
     assert bit-identical outcomes against the ``reference`` backend.
 
     * ``monitor`` — region precompute + one oracle session per tuple;
-    * ``batch`` — the batch pipeline (serial when ``batch_workers=1``);
+    * ``batch`` — the batch pipeline (serial when ``batch_workers=1``,
+      else in ``batch_workers`` processes);
     * ``interleaved`` — seeded random interleavings of non-oracle user
       sessions, parity across backends *and* orders;
     * ``service`` — the async entry service over real HTTP, compared
@@ -660,9 +691,7 @@ def run_conformance(
         outcomes = {
             name: drive(
                 name,
-                lambda store: run_batch_path(
-                    case, store, workers=batch_workers, backend=batch_backend
-                ),
+                lambda store: run_batch_path(case, store, workers=batch_workers),
             )
             for name in ordered
         }
@@ -690,15 +719,7 @@ def run_conformance(
             got = drive(
                 name, lambda store: run_service_path(case, store, concurrency=concurrency)
             )
-            assert got.fixed_rows == serial.fixed_rows, _first_diff(
-                f"{reference} (serial monitor)", name, "service fixed row",
-                serial.fixed_rows, got.fixed_rows,
-            )
-            assert got.audit_events == serial.audit_events, _first_diff(
-                f"{reference} (serial monitor)", name, "service audit event",
-                serial.audit_events, got.audit_events,
-            )
-            assert got.regions == serial.regions
+            _assert_service_parity(reference, serial, name, got)
             outcomes[name] = got
         results["service"] = outcomes
 

@@ -565,7 +565,7 @@ class ShardedMasterStore(MasterStore):
             return shard_id, None
         # Unlocked bump: the counter is a diagnostic, and a GIL-atomic
         # list-element increment is accurate enough — taking the store
-        # lock here would serialise every probe of every thread worker.
+        # lock here would serialise every probe of every service thread.
         self._probes_by_shard[shard_id] += 1
         return shard_id, self._match_at(
             rule, tuple(part.index_for(shard_id).get(normalised, ()))

@@ -102,7 +102,7 @@ class RoutingCore:
     GET     /api/rules/check?samples=20  the consistency analysis
     GET     /api/regions?k=5             top-k certain regions
     POST    /api/clean                   ``{"rows": [...], "truth": [...]?}``
-                                         — batch-clean a relation
+                                         — batch-clean a relation serially
     POST    /api/sessions                ``{"tuple_id"?, "values": {...}}``
                                          — open a monitor session
     GET     /api/sessions/<id>           session state
@@ -193,11 +193,11 @@ class RoutingCore:
             dirty = Relation(schema, rows)
             truth_rows = body.get("truth")
             truth = Relation(schema, truth_rows) if truth_rows else None
+            # Always serial: forking a worker pool inside the process
+            # that runs the event loop is unsafe.
             result = self.engine.clean_relation(
                 dirty,
                 truth,
-                workers=_int_param(body, "workers", 1),
-                backend=str(body.get("backend", "thread")),
                 dedupe=bool(body.get("dedupe", True)),
                 validated=tuple(body.get("validated", ())),
             )

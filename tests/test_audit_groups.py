@@ -223,7 +223,7 @@ def test_unstamped_events_take_the_replay_span(uk_case, shadow, tmp_path):
 
 
 def test_process_backend(uk_case, shadow):
-    engine, result = _clean(uk_case, workers=PARITY_WORKERS, backend="process")
+    engine, result = _clean(uk_case, workers=PARITY_WORKERS)
     assert result.report.backend == "process"
     assert_same_log(engine.audit, shadow.log)
 

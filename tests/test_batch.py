@@ -147,14 +147,17 @@ def test_plan_rejects_bad_inputs(uk_batch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_uk_parallel_identical_to_serial(uk_batch, backend, workers):
+#: The executor path each worker count runs, as the report names it.
+WORKER_PATHS = {1: "serial", 2: "process", 4: "process"}
+WORKER_IDS = [f"{w}-{path}" for w, path in WORKER_PATHS.items()]
+
+
+@pytest.mark.parametrize("workers", WORKER_PATHS, ids=WORKER_IDS)
+def test_uk_parallel_identical_to_serial(uk_batch, workers):
     master, wl = uk_batch
     serial = _clean(master, wl, uk.paper_ruleset(), workers=1)
-    parallel = _clean(
-        master, wl, uk.paper_ruleset(), workers=workers, backend=backend
-    )
+    parallel = _clean(master, wl, uk.paper_ruleset(), workers=workers)
+    assert parallel.report.backend == WORKER_PATHS[workers]
     assert parallel.relation.tuples() == serial.relation.tuples()
     assert parallel.relation.schema.names == serial.relation.schema.names
     # the work accounting is scheduling-independent too
@@ -163,14 +166,12 @@ def test_uk_parallel_identical_to_serial(uk_batch, backend, workers):
     assert parallel.report.rule_cells == serial.report.rule_cells
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_hospital_parallel_identical_to_serial(hospital_batch, backend, workers):
+@pytest.mark.parametrize("workers", WORKER_PATHS, ids=WORKER_IDS)
+def test_hospital_parallel_identical_to_serial(hospital_batch, workers):
     master, wl = hospital_batch
     serial = _clean(master, wl, hospital.hospital_ruleset(), workers=1)
-    parallel = _clean(
-        master, wl, hospital.hospital_ruleset(), workers=workers, backend=backend
-    )
+    parallel = _clean(master, wl, hospital.hospital_ruleset(), workers=workers)
+    assert parallel.report.backend == WORKER_PATHS[workers]
     assert parallel.relation.tuples() == serial.relation.tuples()
     assert parallel.report.completed == serial.report.completed
 
@@ -256,16 +257,14 @@ def test_cache_counters_exact_on_duplicated_relation(tmp_path):
     assert result3.relation.tuples() == result1.relation.tuples() * 3
 
 
-@pytest.mark.parametrize(
-    "workers,backend", ((1, "thread"), (2, "process"))
-)
-def test_tiny_cache_reports_evictions(uk_batch, uk_cluster, workers, backend):
+@pytest.mark.parametrize("workers", (1, 2), ids=("1-serial", "2-process"))
+def test_tiny_cache_reports_evictions(uk_batch, uk_cluster, workers):
     """A 1-entry probe cache over a remote store must thrash — and the
-    report must say so, on the shared-cache path and the per-process
-    path alike."""
+    report must say so, on the serial path's one cache and from the
+    per-process caches alike."""
     _, wl = uk_batch
     with _remote_cleaner(uk_cluster, cache_size=1) as cleaner:
-        result = cleaner.clean(wl.dirty, wl.clean, workers=workers, backend=backend)
+        result = cleaner.clean(wl.dirty, wl.clean, workers=workers)
     assert result.report.cache.evictions > 0
 
 
@@ -282,7 +281,7 @@ def test_duplicate_signatures_mean_cache_hits_and_dedup(uk_batch, uk_cluster):
 
 
 # ---------------------------------------------------------------------------
-# Pickling (what the process backend ships to its workers)
+# Pickling (what the pipeline ships to its process workers)
 # ---------------------------------------------------------------------------
 
 
@@ -337,7 +336,7 @@ def test_process_backend_with_sharded_store_identical(uk_batch):
     store = ShardedMasterStore(Relation(master.schema, master.tuples()), shards=3)
     serial = _clean(master, wl, uk.paper_ruleset(), workers=1, shards=6)
     sharded = CerFix(uk.paper_ruleset(), store).clean_relation(
-        wl.dirty, wl.clean, workers=2, backend="process", shards=6
+        wl.dirty, wl.clean, workers=2, shards=6
     )
     assert sharded.relation.tuples() == serial.relation.tuples()
     assert sharded.report.completed == serial.report.completed
@@ -552,7 +551,7 @@ def test_probe_cache_corrupt_snapshot_degrades_to_cold_start(uk_batch, uk_cluste
 def test_probe_cache_persistence_skipped_on_process_backend(uk_batch, uk_cluster, tmp_path):
     _, wl = uk_batch
     path = tmp_path / "probes.cache"
-    result = _remote_clean(uk_cluster, wl, cache_path=path, workers=2, backend="process")
+    result = _remote_clean(uk_cluster, wl, cache_path=path, workers=2)
     assert result.report.persistence.startswith("skipped")
     assert not path.exists()
 

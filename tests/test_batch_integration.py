@@ -53,11 +53,13 @@ def test_engine_clean_relation_custom_tuple_ids(workload):
     assert set(engine.audit.tuple_ids()) == set(ids)
 
 
-def test_scenario_mode_process_falls_back_to_threads(workload):
+def test_scenario_mode_process_falls_back_to_serial(workload, tmp_path):
     """A closure scenario cannot cross a process boundary; the pipeline
-    must degrade to threads (same output) instead of crashing."""
+    must run the plan serially (same output) instead of crashing, and
+    the report and the trace must record the serial run."""
     master, wl = workload
     from repro import CertaintyMode
+    from repro.obs import trace
 
     engine = CerFix(
         uk.paper_ruleset(),
@@ -72,11 +74,37 @@ def test_scenario_mode_process_falls_back_to_threads(workload):
         mode=CertaintyMode.SCENARIO,
         scenario=uk.scenario_tuples(master),
     )
-    result = engine2.clean_relation(
-        wl.dirty, wl.clean, workers=2, backend="process"
-    )
+    spans = tmp_path / "spans.jsonl"
+    trace.configure(spans)
+    try:
+        result = engine2.clean_relation(wl.dirty, wl.clean, workers=2)
+    finally:
+        trace.disable()
     assert result.relation.tuples() == serial.relation.tuples()
-    assert any("fell back to threads" in n for n in result.report.notes)
+    assert any("ran serially" in n for n in result.report.notes)
+    assert (result.report.workers, result.report.backend) == (1, "serial")
+    with open(spans, encoding="utf-8") as f:
+        recorded = [json.loads(line) for line in f]
+    run = [s for s in recorded if s["name"] == "clean-run"]
+    assert [s["attrs"]["backend"] for s in run] == ["serial"]
+    assert run[0]["attrs"]["workers"] == 1
+    # The plan still follows the request (2 workers x 4 shards), so a
+    # journal written for the same command stays valid.
+    plan = [s for s in recorded if s["name"] == "plan"]
+    assert [s["attrs"]["shards"] for s in plan] == [8]
+
+
+def test_no_backend_option(workload, tmp_path):
+    """``workers`` alone picks the executor path."""
+    master, wl = workload
+    with pytest.raises(TypeError):
+        CerFix(uk.paper_ruleset(), master).clean_relation(wl.dirty, backend="process")
+    dirty_csv = tmp_path / "dirty.csv"
+    write_csv(wl.dirty, dirty_csv)
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["clean", "--scenario", "uk", "--input", str(dirty_csv),
+                  "--backend", "thread"])
+    assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +206,8 @@ def test_web_api_clean(workload):
     assert status == 200
     assert payload["report"]["tuples"] == len(rows)
     assert payload["report"]["completed"] == payload["report"]["tuples"]
+    # The route ignores "workers": it never forks a pool in the server.
+    assert (payload["report"]["workers"], payload["report"]["backend"]) == (1, "serial")
     got = [tuple(r[n] for n in uk.INPUT_SCHEMA.names) for r in payload["rows"]]
     assert got == expected.relation.tuples()
 

@@ -82,18 +82,19 @@ def test_all_backends_interleaving_fuzz(tmp_path):
 
 def test_remote_rolling_restart_mid_run_conformance(tmp_path):
     """The CI matrix point's acceptance scenario: a replicated cluster
-    rolled member by member *while* a batch clean runs against it —
-    bit-identical to the single backend, zero wrong answers."""
-    _rolling_restart_conformance(tmp_path, batch_workers=2)
+    rolled member by member *while* the entry service serves 8
+    concurrent sessions against it — bit-identical to the single
+    backend's serial monitor run, zero wrong answers."""
+    _rolling_restart_conformance(tmp_path, path="service")
 
 
 def test_remote_rolling_restart_mid_run_conformance_serial(tmp_path):
-    """The same under a serial clean, which must also have retried or
-    failed over."""
-    _rolling_restart_conformance(tmp_path, batch_workers=1)
+    """The same under a serial batch clean, which must also have
+    retried or failed over."""
+    _rolling_restart_conformance(tmp_path, path="batch")
 
 
-def _rolling_restart_conformance(tmp_path, *, batch_workers: int) -> None:
+def _rolling_restart_conformance(tmp_path, *, path: str) -> None:
     case = generate_case(1707, scenario="uk", n=20)
     replicas = max(2, REMOTE_REPLICAS)
     with case_cluster(
@@ -103,7 +104,7 @@ def _rolling_restart_conformance(tmp_path, *, batch_workers: int) -> None:
             case,
             cluster,
             disrupt=lambda c: c.rolling_restart(pause=0.02),
-            batch_workers=batch_workers,
+            path=path,
         )
 
 

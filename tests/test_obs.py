@@ -5,9 +5,9 @@ Pins the observability contracts the rest of the system leans on:
 * the :class:`MetricsRegistry` instrument semantics and the
   ``cerfix.metrics.v1`` dump schema every surface re-exports;
 * span-tree integrity — one connected trace across the batch
-  pipeline's thread *and* process executors, and across a real
-  ``cerfix shard-server`` subprocess via the ``X-Cerfix-Trace``
-  header;
+  pipeline's serial *and* process executors, across the entry
+  service's executor threads, and across a real ``cerfix
+  shard-server`` subprocess via the ``X-Cerfix-Trace`` header;
 * tracing is observation only: a traced clean produces bit-identical
   fixes, reports and (trace-stamp-stripped) audit streams;
 * per-store remote stats survive pickle rebuilds without leaking
@@ -28,6 +28,7 @@ from repro.master.conformance import (
     case_cluster,
     generate_case,
     run_batch_path,
+    run_service_path,
     store_factories,
 )
 from repro.master.remote import RemoteMasterStore
@@ -414,7 +415,7 @@ class TestSlowlog:
 
 
 class TestSpanTree:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_batch_clean_yields_one_connected_trace(self, world, tmp_path, backend):
         master, ruleset, wl = world
         path = tmp_path / f"{backend}.jsonl"
@@ -422,7 +423,7 @@ class TestSpanTree:
         try:
             engine = CerFix(ruleset, master)
             result = engine.clean_relation(
-                wl.dirty, wl.clean, workers=2, backend=backend
+                wl.dirty, wl.clean, workers=1 if backend == "serial" else 2
             )
         finally:
             trace.disable()
@@ -432,6 +433,7 @@ class TestSpanTree:
         assert {s["trace"] for s in spans} == {spans[0]["trace"]}
         roots = [s for s in spans if s["parent"] is None]
         assert [s["name"] for s in roots] == ["clean-run"]
+        assert roots[0]["attrs"]["backend"] == backend
         ids = {s["span"] for s in spans}
         orphans = [s for s in spans if s["parent"] is not None and s["parent"] not in ids]
         assert orphans == []
@@ -439,6 +441,32 @@ class TestSpanTree:
         assert {"clean-run", "plan", "shard", "group-chase"} <= names
         if backend == "process":
             assert len({s["pid"] for s in spans}) >= 2  # workers exported too
+
+    def test_service_executor_threads_join_the_trace(self, tmp_path):
+        """The entry service over a remote store sends its batched
+        probes from executor threads, which have no ambient span: each
+        ``probe_many`` must still parent under the loop's ``probe``
+        span, in its trace."""
+        case = generate_case(3, master_size=20, n=8)
+        path = tmp_path / "service.jsonl"
+        with case_cluster(case, tmp_path) as cluster:
+            store = store_factories(case, tmp_path, remote_urls=cluster.urls)["remote"]()
+            try:
+                # Traced from serving on: region precompute probes too,
+                # from this thread.
+                run_service_path(case, store, on_serve=lambda: trace.configure(path))
+            finally:
+                store.close()
+                trace.disable()
+
+        spans = _read_spans(path)
+        by_id = {s["span"]: s for s in spans}
+        batched = [s for s in spans if s["name"] == "probe_many"]
+        assert batched, "the service sent no batched probe"
+        for s in batched:
+            parent = by_id.get(s["parent"])
+            assert parent is not None and parent["name"] == "probe"
+            assert parent["trace"] == s["trace"]
 
     def test_shard_server_subprocess_joins_the_trace(self, tmp_path, monkeypatch):
         case = generate_case(3, master_size=20, n=8)

@@ -29,10 +29,11 @@ from repro.batch.cache import (
     save_probe_cache,
 )
 from repro.master.conformance import (
+    PathOutcome,
     assert_parity,
     case_cluster,
     generate_case,
-    run_batch_path,
+    normalize_report,
     run_service_path,
     store_factories,
 )
@@ -81,15 +82,34 @@ def _remote_reference(case, cluster, tmp_path, run, **kwargs):
         store.close()
 
 
+def _batch_with_lookups(case, store, *, workers):
+    """The batch path's outcome plus its report's probe-cache lookups.
+    Process workers count their lookups and ship them back, so the
+    number holds at ``workers > 1``, where a spy in this process would
+    see nothing."""
+    engine = CerFix(case.ruleset, store)
+    result = engine.clean_relation(
+        case.dirty, case.truth, workers=workers, validated=case.validated
+    )
+    outcome = PathOutcome(
+        fixed_rows=result.relation.tuples(),
+        audit_events=[e.to_json() for e in engine.audit],
+        regions=[],
+        report=normalize_report(result.report.to_json()),
+    )
+    return outcome, result.report.cache.probes
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_in_process_batch_probes_bypass_the_cache(case, cluster, cached_matches, tmp_path, workers):
-    reference = _remote_reference(case, cluster, tmp_path, run_batch_path, workers=workers)
-    assert cached_matches[0] > 0  # the remote reference did go through the cache
+def test_in_process_batch_probes_bypass_the_cache(case, cluster, tmp_path, workers):
+    reference, lookups = _remote_reference(
+        case, cluster, tmp_path, _batch_with_lookups, workers=workers
+    )
+    assert lookups > 0  # the remote reference did go through the cache
     factories = store_factories(case, tmp_path)
     for backend in IN_PROCESS:
-        cached_matches[0] = 0
-        outcome = run_batch_path(case, factories[backend](), workers=workers)
-        assert cached_matches[0] == 0, f"{backend} batch probed through the cache"
+        outcome, lookups = _batch_with_lookups(case, factories[backend](), workers=workers)
+        assert lookups == 0, f"{backend} batch probed through the cache"
         assert_parity({"remote": reference, backend: outcome})
 
 

@@ -68,7 +68,9 @@ def cluster(tmp_path_factory):
 
 @pytest.fixture()
 def prefetches(monkeypatch):
-    """Every prefetch call's probe count, in call order."""
+    """Every prefetch call's probe count, in call order — in this
+    process only: a process worker prefetches out of the spy's sight,
+    so ``workers=2`` runs assert parity alone."""
     seen: list[int] = []
     original = CachingMasterDataManager.prefetch
 
@@ -106,19 +108,20 @@ def _assert_remote_matches_single(case, cluster, *, workers, max_batch=512, cach
 def test_prefetched_clean_bit_identical_to_single(cluster, prefetches, truth, workers):
     case = _case(60, truth=truth)
     _assert_remote_matches_single(case, cluster, workers=workers)
-    assert sum(prefetches) > 0, "the remote clean never prefetched"
+    if workers == 1:
+        assert sum(prefetches) > 0, "the remote clean never prefetched"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_many_windows_and_tiny_wire_chunks_bit_identical(cluster, prefetches, workers):
     """A 16-entry cache holds windows of two groups (4 zip-only rules,
-    8 keys at most); two thread workers share it, so each gets windows
-    of one group (4 keys). ``max_batch=2`` splits each prefetch into
-    many wire chunks."""
+    8 keys at most); each process worker has a cache of its own.
+    ``max_batch=2`` splits each prefetch into many wire chunks."""
     case = _case(60, truth=False, extended=True)
     _assert_remote_matches_single(case, cluster, workers=workers, max_batch=2, cache_size=16)
-    assert len(prefetches) >= 10, f"only {len(prefetches)} prefetch windows"
-    assert max(prefetches) <= 16 // (2 * workers), "a window overran its cache share"
+    if workers == 1:
+        assert len(prefetches) >= 10, f"only {len(prefetches)} prefetch windows"
+        assert max(prefetches) <= 16 // 2, "a window overran half the cache"
 
 
 def test_later_rounds_fall_back_to_single_probes(cluster, prefetches, monkeypatch):
@@ -193,5 +196,5 @@ def test_local_store_batch_clean_never_calls_probe_many(prefetches, monkeypatch)
     monkeypatch.setattr(SingleRelationStore, "probe_many", spy)
     for truth in (False, True):
         case = _case(60, truth=truth)
-        run_batch_path(case, _single(case), workers=2)
+        run_batch_path(case, _single(case))
     assert calls == [] and prefetches == []

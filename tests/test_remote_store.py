@@ -754,7 +754,7 @@ def test_replicated_store_pickles_with_topology(world, replicated):
 
 
 # ---------------------------------------------------------------------------
-# Chaos conformance: kills and rolling restarts under a live batch clean
+# Chaos conformance: kills and rolling restarts under live cleans and sessions
 # ---------------------------------------------------------------------------
 
 
@@ -776,42 +776,41 @@ DISRUPTIONS = {
 }
 
 
-def _run_failover(tmp_path, seed, kind, disruption, batch_workers):
+def _run_failover(tmp_path, seed, kind, disruption, path="batch"):
     case, sizes = _failover_case(seed, kind)
     with case_cluster(case, tmp_path, shards=SHARDS, replicas=REPLICAS) as cluster:
         return run_failover_conformance(
             case,
             cluster,
             disrupt=DISRUPTIONS[disruption],
-            batch_workers=batch_workers,
+            path=path,
             **sizes,
         )
 
 
 def test_failover_conformance_replica_killed_mid_run(tmp_path):
-    """A replica dying while a batch clean is probing: zero wrong
-    answers, bit-identical to the single-backend run."""
-    outcome = _run_failover(tmp_path, 2303, "oracle", "replica-kill", 2)
+    """A replica dying while the entry service has 8 sessions probing:
+    zero wrong answers, bit-identical to the single backend's serial
+    monitor run."""
+    outcome = _run_failover(tmp_path, 2303, "oracle", "replica-kill", path="service")
     assert outcome.fixed_rows
 
 
 def test_failover_conformance_rolling_restart_under_live_traffic(tmp_path):
-    """Every member bounced one at a time while the clean runs — the
-    zero-downtime deployment shape — with bit-identical output."""
-    _run_failover(tmp_path, 2404, "oracle", "rolling-restart", 2)
+    """Every member bounced one at a time while the entry service
+    serves concurrent sessions — the zero-downtime deployment shape —
+    with bit-identical output."""
+    _run_failover(tmp_path, 2404, "oracle", "rolling-restart", path="service")
 
 
-@pytest.mark.parametrize(
-    "kind, batch_workers", [("oracle", 1), ("rule-only", 2), ("rule-only", 1)]
-)
+@pytest.mark.parametrize("kind", ["oracle", "rule-only"])
 @pytest.mark.parametrize(
     "disruption, seed", [("replica-kill", 2303), ("rolling-restart", 2404)]
 )
-def test_failover_conformance_serial_and_prefetched(
-    tmp_path, disruption, seed, kind, batch_workers
-):
-    """The same disruptions under a serial clean, which must also show a
-    retry or failover, and under a prefetched rule-only clean, where
-    they land between prefetch chunks and windows."""
-    outcome = _run_failover(tmp_path, seed, kind, disruption, batch_workers)
+def test_failover_conformance_serial_and_prefetched(tmp_path, disruption, seed, kind):
+    """The same disruptions under a serial batch clean, which must show
+    a retry or failover, with the oracle loop and with a prefetched
+    rule-only clean, where they land between prefetch chunks and
+    windows."""
+    outcome = _run_failover(tmp_path, seed, kind, disruption)
     assert outcome.fixed_rows

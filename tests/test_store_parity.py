@@ -3,7 +3,7 @@
 The acceptance gate for the store refactor (ISSUE 3): the single,
 sharded and sqlite backends must produce **bit-identical** fixes,
 certain regions and audit events through the monitor/stream path and
-the batch pipeline (serial, threaded and multi-process executors).
+the batch pipeline (serial and multi-process executors).
 The harness lives in :mod:`repro.master.conformance` (lifted out of
 ``tests/`` so any backend — including the remote shard cluster — runs
 the same suite; ``tests/test_conformance.py`` drives the full kit).
@@ -85,15 +85,14 @@ def test_monitor_path_parity(seed, scenario, tmp_path):
 
 @pytest.mark.parametrize("seed,scenario", [(404, "uk"), (505, "hospital")])
 @pytest.mark.parametrize(
-    "workers,backend",
-    [(1, "thread"), (PARITY_WORKERS, "thread"), (PARITY_WORKERS, "process")],
+    "workers", [1, PARITY_WORKERS], ids=["1-serial", f"{PARITY_WORKERS}-process"]
 )
-def test_batch_path_parity(seed, scenario, workers, backend, tmp_path):
-    """Batch cleaning under every executor configuration: identical
-    repaired relations, audit trails and work accounting per backend."""
+def test_batch_path_parity(seed, scenario, workers, tmp_path):
+    """Batch cleaning on both executor paths: identical repaired
+    relations, audit trails and work accounting per backend."""
     case = generate_case(seed, scenario=scenario)
     outcomes = {
-        name: run_batch_path(case, factory(), workers=workers, backend=backend)
+        name: run_batch_path(case, factory(), workers=workers)
         for name, factory in store_factories(case, tmp_path).items()
     }
     assert_parity(outcomes)
@@ -159,7 +158,7 @@ def test_parallel_equals_serial_on_sharded_store(tmp_path):
     # sharding legitimately reorders the (per-tuple identical) audit replay
     serial = run_batch_path(case, factory(), workers=1, shards=8)
     parallel = run_batch_path(
-        case, factory(), workers=PARITY_WORKERS, backend="process", shards=8
+        case, factory(), workers=PARITY_WORKERS, shards=8
     )
     assert parallel.fixed_rows == serial.fixed_rows
     assert parallel.audit_events == serial.audit_events
