@@ -73,7 +73,6 @@ from repro.service import (
     AsyncCerFixServer,
     AsyncCerFixService,
     LoadReport,
-    ServiceMetrics,
     run_load,
 )
 from repro.audit import AuditLog, attribute_stats, overall_stats
@@ -99,7 +98,7 @@ from repro.rules import (
 from repro.discovery import discover_constant_cfds, discover_fds, discover_mds
 from repro.config import InstanceConfig, load_instance, save_instance
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "CerFix",
@@ -145,7 +144,6 @@ __all__ = [
     "AsyncCerFixServer",
     "AsyncCerFixService",
     "LoadReport",
-    "ServiceMetrics",
     "run_load",
     "BatchCleaner",
     "BatchReport",

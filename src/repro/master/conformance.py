@@ -252,8 +252,9 @@ def run_failover_conformance(
     the next request rotated to it.
 
     ``path="service"`` drives the async entry service with
-    :func:`run_service_path`'s 8 concurrent sessions, whose executor threads keep probing while
-    the hook's thread disrupts. Which requests fail is then a race, so
+    :func:`run_service_path`'s :data:`SERVICE_CONCURRENCY` concurrent
+    sessions, whose executor threads keep probing while the hook's
+    thread disrupts. Which requests fail is then a race, so
     it asserts parity only, with the ``single`` backend's serial monitor
     outcome as :func:`run_conformance` does.
     """
@@ -531,19 +532,23 @@ def run_interleaved_monitor_path(
     )
 
 
+#: Sessions :func:`run_service_path` keeps in flight at once.
+SERVICE_CONCURRENCY = 8
+
+
 def run_service_path(
     case: DifferentialCase,
     store: MasterStore,
     *,
-    concurrency: int = 8,
     regions_k: int = 2,
     max_combos: int = 50_000,
     on_serve: Callable[[], Any] | None = None,
     **service_options,
 ) -> PathOutcome:
-    """Drive the async entry service over real HTTP with ``concurrency``
-    sessions in flight, and capture the serial-comparable outcome.
-    ``on_serve`` runs once the service is up, right before the load.
+    """Drive the async entry service over real HTTP with
+    :data:`SERVICE_CONCURRENCY` sessions in flight, and capture the
+    serial-comparable outcome. ``on_serve`` runs once the service is
+    up, right before the load.
 
     The acceptance gate of ISSUE 4: for any interleaving of sessions,
     the per-tuple (fix, region, audit-event) outputs are bit-identical
@@ -564,7 +569,7 @@ def run_service_path(
             on_serve()
         rows = [r.to_dict() for r in case.dirty.rows()]
         truth = [r.to_dict() for r in case.truth.rows()]
-        load = run_load(server.url, rows, truth, concurrency=concurrency)
+        load = run_load(server.url, rows, truth, concurrency=SERVICE_CONCURRENCY)
     finally:
         server.close()
     assert not load.errors, f"load errors: {load.errors[:3]}"
@@ -642,7 +647,6 @@ def run_conformance(
     reference: str = "single",
     batch_workers: int = 2,
     order_seeds: Sequence[int] = (1, 7),
-    concurrency: int = 8,
 ) -> dict[str, dict[str, PathOutcome]]:
     """Drive every registered backend through every requested path and
     assert bit-identical outcomes against the ``reference`` backend.
@@ -716,9 +720,7 @@ def run_conformance(
         serial = normalize_outcome(results["monitor"][reference])
         outcomes = {}
         for name in ordered:
-            got = drive(
-                name, lambda store: run_service_path(case, store, concurrency=concurrency)
-            )
+            got = drive(name, lambda store: run_service_path(case, store))
             _assert_service_parity(reference, serial, name, got)
             outcomes[name] = got
         results["service"] = outcomes

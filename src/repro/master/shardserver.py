@@ -13,11 +13,11 @@ process-pool worker from building shards its probes never route to.
 Wire protocol (all JSON)::
 
     GET  /healthz      {ok, shard_id, shards, tuples, digest, name}
-    GET  /stats        request counters + the underlying store's stats
-    GET  /metrics      the process-wide registry dump + this server's
-                       request counters and delta rates (see
-                       :mod:`repro.obs.metrics`) — the scrape endpoint
-                       for the whole cluster;
+    GET  /stats        {shard_id, store}: the underlying store's stats
+    GET  /metrics      the process-wide registry dump merged with this
+                       server's own ``cerfix.shard.*`` instruments, plus
+                       their delta rates (see :mod:`repro.obs.metrics`)
+                       — the scrape endpoint for the whole cluster;
                        ``?format=prometheus`` answers the Prometheus
                        text exposition instead (:mod:`repro.obs.promfmt`)
     GET  /relation     {schema, tuples, digest} — the canonical content
@@ -54,7 +54,7 @@ from typing import Any, Sequence
 from repro.errors import MasterDataError
 from repro.core.ruleset import RuleSet
 from repro.obs import promfmt, trace
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, component_dump
 from repro.obs.monitor import install_process_gauges
 from repro.master.store import (
     MasterMatch,
@@ -103,31 +103,15 @@ class ShardServerApp:
         # only ever *read* the built structures.
         self.store.build_shard(ruleset, shard_id)
         self._rules = {r.rule_id: r for r in ruleset if not r.is_constant}
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.probes = 0
-        self.misroutes = 0
-        registry = get_registry()
-        registry.register_source(f"shard{shard_id}", self.counters)
-        # The cluster monitor consumes flat instruments, not sources:
-        # mirror the request counters into registry counters and time
-        # every request into a histogram, and register the per-process
-        # self-gauges so a scrape answers rss/fds/threads/uptime too.
-        install_process_gauges(registry)
-        self._req_counter = registry.counter("cerfix.shard.requests")
-        self._probe_counter = registry.counter("cerfix.shard.probes")
-        self._misroute_counter = registry.counter("cerfix.shard.misroutes")
-        self._req_seconds = registry.histogram("cerfix.shard.request_seconds")
-
-    def counters(self) -> dict[str, Any]:
-        """This server's request counters (a registry source)."""
-        with self._lock:
-            return {
-                "shard_id": self.shard_id,
-                "requests": self.requests,
-                "probes": self.probes,
-                "misroutes": self.misroutes,
-            }
+        # This server's own instruments: shard servers sharing a process
+        # (an in-process cluster) must not share request counts. The
+        # per-process self-gauges stay on the process registry.
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter("cerfix.shard.requests")
+        self._probes = self.metrics.counter("cerfix.shard.probes")
+        self._misroutes = self.metrics.counter("cerfix.shard.misroutes")
+        self._req_seconds = self.metrics.histogram("cerfix.shard.request_seconds")
+        install_process_gauges()
 
     # -- routes -------------------------------------------------------------
 
@@ -145,24 +129,15 @@ class ShardServerApp:
             self._req_seconds.observe(time.perf_counter() - start)
 
     def metrics_prometheus(self) -> str:
-        """The registry as Prometheus text (``/metrics?format=prometheus``)."""
-        registry = get_registry()
-        registry.record_snapshot()
-        return promfmt.render(registry.dump())
+        """The scrape dump as Prometheus text (``/metrics?format=prometheus``)."""
+        return promfmt.render(component_dump(self.metrics))
 
     def _route(self, method: str, path: str, body: Any) -> tuple[int, Any]:
         path = path.partition("?")[0]
-        with self._lock:
-            self.requests += 1
-        self._req_counter.inc()
+        self._requests.inc()
         if method == "GET" and path == "/metrics":
-            registry = get_registry()
-            registry.record_snapshot()
-            return 200, {
-                **registry.dump(),
-                "shard": self.counters(),
-                "rates": registry.rates(),
-            }
+            self.metrics.record_snapshot()
+            return 200, {**component_dump(self.metrics), "rates": self.metrics.rates()}
         if method == "GET" and path == "/healthz":
             return 200, {
                 "ok": True,
@@ -175,9 +150,6 @@ class ShardServerApp:
         if method == "GET" and path == "/stats":
             return 200, {
                 "shard_id": self.shard_id,
-                "requests": self.requests,
-                "probes": self.probes,
-                "misroutes": self.misroutes,
                 "store": self.store.stats(),
             }
         if method == "GET" and path == "/relation":
@@ -216,9 +188,7 @@ class ShardServerApp:
                 rule, values, use_index=use_index, expect_shard=self.shard_id
             )
             if match is None:
-                with self._lock:
-                    self.misroutes += 1
-                self._misroute_counter.inc()
+                self._misroutes.inc()
                 return 409, {
                     "error": f"probe {i}: key routes to shard {expected}, "
                     f"not this server's shard {self.shard_id} — client and "
@@ -226,9 +196,7 @@ class ShardServerApp:
                     "expected_shard": expected,
                 }
             matches.append({"positions": list(match.positions), "values": list(match.values)})
-        with self._lock:
-            self.probes += len(matches)
-        self._probe_counter.inc(len(matches))
+        self._probes.inc(len(matches))
         return 200, {"matches": matches}
 
     def match_from_json(self, obj: dict) -> MasterMatch:

@@ -3,11 +3,12 @@
 The subsystem has four halves, all stdlib-only and process-wide:
 
 * :mod:`repro.obs.metrics` — a lock-striped :class:`MetricsRegistry`
-  (counters, gauges, fixed-bucket latency histograms) that absorbs the
-  previously ad-hoc metric surfaces (``ServiceMetrics``, remote
-  per-shard stats, probe-cache counters, audit stats) under one
+  (counters, gauges, fixed-bucket latency histograms) under one
   namespaced ``cerfix.metrics.v1`` dump, plus a bounded snapshot
-  history ring for delta rates (probes/s, error rate).
+  history ring for delta rates (probes/s, error rate). One registry
+  serves the process; the entry service and each shard server own one
+  more for their request counts, and their scrape surfaces serve
+  :func:`~repro.obs.metrics.component_dump` of the two.
 * :mod:`repro.obs.trace` — context-propagated spans with trace/span
   ids that cross thread pools, process pools and the remote-store HTTP
   boundary (``X-Cerfix-Trace``), exported as size-rotated sampled

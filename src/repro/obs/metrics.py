@@ -5,12 +5,11 @@ names (``cerfix.<surface>.<metric>``), lock-striped so hot paths (the
 chase, remote round trips) pay one short critical section per update —
 the same contention discipline as the batch probe cache.
 
-Subsystems that already keep their own structured stats (the async
-service's ``ServiceMetrics``, the remote store's per-shard stats, a
-shard server's request counters, the audit log) register themselves as
-**sources**: named zero-argument callables re-exported verbatim under
-``dump()["sources"]``. Sources are held weakly (a registered engine or
-service must not be kept alive by telemetry) and keyed by name with
+Subsystems that keep their own structured stats (the remote store's
+per-shard stats, the master store, the audit log) register themselves
+as **sources**: named zero-argument callables re-exported verbatim
+under ``dump()["sources"]``. Sources are held weakly (a registered
+engine must not be kept alive by telemetry) and keyed by name with
 last-wins semantics, so re-creating an engine in the same process
 simply repoints the source.
 
@@ -28,12 +27,20 @@ and *callable* gauges (:meth:`register_gauge`) evaluated at dump time —
 what per-process self-stats (``cerfix.proc.rss_bytes``, ``open_fds``)
 use, since their value is only meaningful when somebody scrapes it.
 
+A serving component (the async entry service, a shard server) owns a
+:class:`MetricsRegistry` of its own for its request counters and
+latency histograms (``cerfix.service.*``, ``cerfix.shard.*``), so
+several components in one process never share a count. Its scrape
+surfaces serve :func:`component_dump`: the process registry's dump with
+the component's instruments merged in.
+
 The registry also keeps a bounded **snapshot history ring**
 (:meth:`record_snapshot` / :meth:`rates`): timestamped slim snapshots
 of every counter and histogram, from which delta rates (probes/s,
 requests/s) and windowed latency percentiles are derived. The scrape
 endpoints record a snapshot per scrape, so two scrapes apart are
-enough for rates-over-time — no background thread involved.
+enough for rates-over-time — no background thread involved. A scrape
+records a snapshot only in the registry whose :meth:`rates` it serves.
 """
 
 from __future__ import annotations
@@ -141,6 +148,12 @@ class Histogram:
             self.total_ms += ms
             if ms > self.max_ms:
                 self.max_ms = ms
+
+    def totals(self) -> tuple[int, float]:
+        """One consistent ``(count, total_ms)`` read, without copying
+        the buckets."""
+        with self._lock:
+            return self.count, self.total_ms
 
     def snapshot(self) -> tuple[list[int], int, float, float]:
         """One consistent ``(counts, count, total_ms, max_ms)`` read."""
@@ -391,3 +404,14 @@ _GLOBAL = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide registry every subsystem shares."""
     return _GLOBAL
+
+
+def component_dump(own: MetricsRegistry) -> dict[str, Any]:
+    """What a serving component's scrape surfaces serve: the process
+    registry's dump with ``own``'s counters, gauges and histograms
+    merged in (``own`` wins a name clash)."""
+    out = _GLOBAL.dump()
+    mine = own.dump()
+    for kind in ("counters", "gauges", "histograms"):
+        out[kind].update(mine[kind])
+    return out

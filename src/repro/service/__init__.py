@@ -15,8 +15,6 @@ over one engine:
 :mod:`repro.service.limits`
     admission control — bounded global and per-session queues with
     ``429 Retry-After`` backpressure;
-:mod:`repro.service.metrics`
-    race-free counters and latency percentiles for ``/api/metrics``;
 :mod:`repro.service.http`
     the asyncio HTTP server (stdlib only);
 :mod:`repro.service.loadgen`
@@ -35,17 +33,14 @@ from repro.service.batcher import ProbeBatcher
 from repro.service.http import AsyncCerFixServer
 from repro.service.limits import Admission, AdmissionController
 from repro.service.loadgen import LoadReport, run_load
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 __all__ = [
     "Admission",
     "AdmissionController",
     "AsyncCerFixServer",
     "AsyncCerFixService",
-    "LatencyWindow",
     "LoadReport",
     "ProbeBatcher",
     "RoutingCore",
-    "ServiceMetrics",
     "run_load",
 ]

@@ -7,11 +7,11 @@ per-session asyncio locks (session routes) or one engine lock
 
 :class:`AsyncCerFixService` is the concurrent orchestrator behind
 ``cerfix serve``: it owns the suggestion and chase memos, the admission
-controller and the metrics — plus, over a remote store, the shared
-probe cache and the probe micro-batcher — multiplexes many concurrent
-monitor sessions over one engine, and serialises exactly what must be
-serialised — operations *within* one session (per-session asyncio
-lock) and engine-level routes (one engine lock). The store kind picks
+controller and its own metrics registry — plus, over a remote store,
+the shared probe cache and the probe micro-batcher — multiplexes many
+concurrent monitor sessions over one engine, and serialises exactly
+what must be serialised — operations *within* one session
+(per-session asyncio lock) and engine-level routes (one engine lock). The store kind picks
 where session routes run: on the event loop for in-process stores, on
 a thread-pool executor for an ``io_bound`` (remote) store. Engine-level
 routes always run on the executor, so a long ``/api/clean`` never
@@ -32,11 +32,10 @@ from repro.batch.cache import CachingMasterDataManager, LRUMemo, MemoView
 from repro.errors import CerFixError, MonitorError, ValidationError
 from repro.monitor.session import MonitorSession
 from repro.obs import trace
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, component_dump
 from repro.obs.monitor import install_process_gauges
 from repro.service.batcher import ProbeBatcher
 from repro.service.limits import Admission, AdmissionController
-from repro.service.metrics import ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.engine import CerFix
@@ -60,6 +59,10 @@ def session_state(session: MonitorSession) -> dict[str, Any]:
             "rationale": suggestion.rationale,
         },
     }
+
+
+#: Route classes a request is binned into for latency accounting.
+ROUTE_CLASSES = ("open", "validate", "read", "other")
 
 
 def classify_route(method: str, parts: list[str]) -> tuple[str, str | None]:
@@ -282,7 +285,10 @@ class AsyncCerFixService:
       sessions;
     * an :class:`AdmissionController` enforcing the global/per-session
       queue bounds (saturation answers ``429`` + ``Retry-After``);
-    * :class:`ServiceMetrics` behind ``GET /api/metrics``.
+    * a :class:`~repro.obs.metrics.MetricsRegistry` of its own
+      (:attr:`metrics`) for the ``cerfix.service.*`` request, session
+      and probe counters and the per-route-class latency histograms,
+      behind ``GET /api/metrics``.
 
     Session operations run under per-session asyncio locks, where the
     store kind puts them (``dispatch_mode``): ``inline`` (on the event
@@ -317,7 +323,12 @@ class AsyncCerFixService:
         io_bound = engine.master.store.io_bound
         self.dispatch_mode = "executor" if io_bound else "inline"
         self.engine = engine
-        self.metrics = ServiceMetrics()
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter("cerfix.service.requests")
+        self._latency = {
+            cls: self.metrics.histogram(f"cerfix.service.request_seconds.{cls}")
+            for cls in ROUTE_CLASSES
+        }
         self.memo = LRUMemo(memo_size)
         #: One chase-transcript memo for the service's lifetime: sound
         #: because master content is fixed here (the probe cache is never
@@ -362,12 +373,10 @@ class AsyncCerFixService:
         #: grow memory with every session it ever finished.
         self._retained: dict[str, None] = {}
         self._id_counter = itertools.count()
-        registry = get_registry()
-        self.metrics.register(registry)
-        install_process_gauges(registry)
-        registry.set_gauge("cerfix.service.max_sessions", max_sessions)
-        registry.set_gauge("cerfix.service.max_inflight", max_inflight)
-        registry.set_gauge("cerfix.service.max_session_pending", max_session_pending)
+        install_process_gauges()
+        self.metrics.set_gauge("cerfix.service.max_sessions", max_sessions)
+        self.metrics.set_gauge("cerfix.service.max_inflight", max_inflight)
+        self.metrics.set_gauge("cerfix.service.max_session_pending", max_session_pending)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -457,7 +466,7 @@ class AsyncCerFixService:
         carrier = trace.parse_header((headers or {}).get(trace.HEADER.lower()))
         with trace.activate(carrier):
             with trace.span("request", method=method, route=route_class):
-                self.metrics.request_started()
+                self._requests.inc()
                 start = time.perf_counter()
                 status: int = 500
                 try:
@@ -469,9 +478,8 @@ class AsyncCerFixService:
                     status = 500
                     return 500, {"error": f"internal error: {exc}"}, {}
                 finally:
-                    self.metrics.request_finished(
-                        route_class, status, time.perf_counter() - start
-                    )
+                    self._latency[route_class].observe(time.perf_counter() - start)
+                    self.metrics.inc(f"cerfix.service.responses.{status}")
 
     async def _process(
         self,
@@ -482,7 +490,7 @@ class AsyncCerFixService:
         route_class: str,
         session_id: str | None,
     ) -> tuple[int, dict | list, dict[str, str]]:
-        mean_latency = self.metrics.mean_latency()
+        mean_latency = self.mean_latency()
         admission = self.admission.enter_request(mean_latency)
         if not admission.admitted:
             return self._rejected(admission)
@@ -565,7 +573,7 @@ class AsyncCerFixService:
         for one session are ordered by its lock). A completed or evicted
         session releases its admission slot exactly once."""
         if route_class == "open" and status == 201:
-            self.metrics.session_opened()
+            self.metrics.inc("cerfix.service.sessions.opened")
             if isinstance(payload, dict) and payload.get("complete"):
                 self._mark_completed(session_id)
         elif route_class == "validate" and status == 200:
@@ -577,7 +585,7 @@ class AsyncCerFixService:
                 self._mark_completed(session_id)
         elif method == "DELETE" and status == 200:
             if session_id not in self._completed:
-                self.metrics.session_evicted()
+                self.metrics.inc("cerfix.service.sessions.evicted")
                 self.admission.release_session()
             self._completed.discard(session_id)
             self._retained.pop(session_id, None)
@@ -588,7 +596,7 @@ class AsyncCerFixService:
         ``completed_retention`` (completed work must not grow memory
         forever — the fix itself is in the response and the audit log)."""
         self._completed.add(session_id)
-        self.metrics.session_completed()
+        self.metrics.inc("cerfix.service.sessions.completed")
         self.admission.release_session()
         self._retained[session_id] = None
         while len(self._retained) > self.completed_retention:
@@ -601,23 +609,63 @@ class AsyncCerFixService:
 
     # -- metrics -------------------------------------------------------------
 
+    def mean_latency(self) -> float:
+        """Lifetime mean request latency (seconds), the admission
+        controller's Retry-After estimate: the latency histograms'
+        running totals, so O(1) on the per-request hot path."""
+        count, total_ms = 0, 0.0
+        for hist in self._latency.values():
+            n, ms = hist.totals()
+            count += n
+            total_ms += ms
+        return total_ms / count / 1000.0 if count else 0.0
+
     def metrics_json(self) -> dict:
-        data = self.metrics.to_json()
-        # An in-process service has no probe cache: it reports 0 lookups.
-        data["probe_cache"] = {
-            **_memo_json(self.cache),
-            "evictions": self.cache.evictions if self.cache is not None else 0,
+        """The ``GET /api/metrics`` payload: this service's counts and
+        limits, read from the scrape dump it also carries as
+        ``registry``, plus the memos."""
+        registry = component_dump(self.metrics)
+        ns = "cerfix.service."
+        counts = {k[len(ns):]: v for k, v in registry["counters"].items() if k.startswith(ns)}
+        by_status = {
+            k[len("responses."):]: v for k, v in sorted(counts.items()) if k.startswith("responses.")
         }
-        data["suggestion_memo"] = _memo_json(self.memo)
-        data["chase_memo"] = _memo_json(self.chase_memo)
-        data["limits"] = {
-            "max_sessions": self.admission.max_sessions,
-            "max_inflight": self.admission.max_inflight,
-            "max_session_pending": self.admission.max_session_pending,
+        sessions = {k: counts.get(f"sessions.{k}", 0) for k in ("opened", "completed", "evicted")}
+        total = counts.get("requests", 0)
+        return {
+            "requests": {
+                "total": total,
+                "in_flight": total - sum(by_status.values()),
+                "by_status": by_status,
+                "rejected_429": by_status.get("429", 0),
+            },
+            "sessions": {
+                **sessions,
+                "active": sessions["opened"] - sessions["completed"] - sessions["evicted"],
+            },
+            "probes": {
+                k: counts.get(f"probes.{k}", 0) for k in ("coalesced", "batches", "store_probes")
+            },
+            "latency_ms": {
+                cls: {
+                    k: registry["histograms"][f"{ns}request_seconds.{cls}"][k]
+                    for k in ("count", "p50_ms", "p95_ms", "p99_ms", "mean_ms")
+                }
+                for cls in ROUTE_CLASSES
+            },
+            # An in-process service has no probe cache: it reports 0 lookups.
+            "probe_cache": {
+                **_memo_json(self.cache),
+                "evictions": self.cache.evictions if self.cache is not None else 0,
+            },
+            "suggestion_memo": _memo_json(self.memo),
+            "chase_memo": _memo_json(self.chase_memo),
+            "limits": {
+                k[len(ns):]: v for k, v in registry["gauges"].items() if k.startswith(ns)
+            },
+            "dispatch": self.dispatch_mode,
+            "registry": registry,
         }
-        data["dispatch"] = self.dispatch_mode
-        data["registry"] = get_registry().dump()
-        return data
 
 
 def _memo_json(memo: LRUMemo | None) -> dict:

@@ -40,7 +40,7 @@ from repro.core.rule import EditingRule
 from repro.master.manager import MasterMatch
 from repro.master.store import MasterStore
 from repro.obs import trace
-from repro.service.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
 
 
 class ProbeBatcher:
@@ -49,7 +49,9 @@ class ProbeBatcher:
     Lives on the service's event loop; :meth:`bind_loop` must run
     before the first probe. ``window`` (seconds) is how long a drain
     waits for more misses to pile up — 0 still coalesces everything
-    submitted in the same loop tick.
+    submitted in the same loop tick. Coalesced probes, drained batches
+    and the store probes they made count in ``metrics`` (the service's
+    registry) as ``cerfix.service.probes.*``.
     """
 
     def __init__(
@@ -58,12 +60,15 @@ class ProbeBatcher:
         *,
         window: float = 0.001,
         max_batch: int = 64,
-        metrics: ServiceMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
     ):
         self.store = store
         self.window = window
         self.max_batch = max_batch
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._coalesced = metrics.counter("cerfix.service.probes.coalesced")
+        self._batches = metrics.counter("cerfix.service.probes.batches")
+        self._store_probes = metrics.counter("cerfix.service.probes.store_probes")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pending: dict[tuple, asyncio.Future] = {}
         self._queue: list[tuple[tuple, EditingRule, Mapping[str, Any]]] = []
@@ -78,7 +83,7 @@ class ProbeBatcher:
         """Resolve one cache miss, collapsing against in-flight keys."""
         pending = self._pending.get(key)
         if pending is not None:
-            self.metrics.probe_coalesced()
+            self._coalesced.inc()
             return await pending
         assert self._loop is not None, "ProbeBatcher.bind_loop() was never called"
         future: asyncio.Future = self._loop.create_future()
@@ -113,7 +118,8 @@ class ProbeBatcher:
                     if future is not None and not future.done():
                         future.set_exception(exc)
                 continue
-            self.metrics.batch_executed(len(batch))
+            self._batches.inc()
+            self._store_probes.inc(len(batch))
             for (key, _, _), match in zip(batch, matches):
                 future = self._pending.pop(key, None)
                 if future is not None and not future.done():

@@ -26,7 +26,7 @@ import threading
 from typing import Any
 
 from repro.obs import promfmt
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import component_dump
 from repro.service.app import AsyncCerFixService
 
 #: Bounds a hostile/buggy client can hit before we drop the connection.
@@ -190,10 +190,9 @@ class AsyncCerFixServer:
                     and "format=prometheus" in query
                 ):
                     # Prometheus scrapes bypass the JSON routing table:
-                    # text exposition of the process-wide registry.
-                    registry = get_registry()
-                    registry.record_snapshot()
-                    text = promfmt.render(registry.dump()).encode("utf-8")
+                    # text exposition of the process registry merged
+                    # with the service's own instruments.
+                    text = promfmt.render(component_dump(self.service.metrics)).encode()
                     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
                     writer.write(
                         _encode_raw(

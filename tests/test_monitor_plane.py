@@ -227,7 +227,7 @@ class TestScrapeEndpoints:
             with urllib.request.urlopen(f"{url}/metrics") as resp:
                 data = json.loads(resp.read())
         assert data["schema"] == "cerfix.metrics.v1"
-        assert data["shard"]["requests"] >= 2
+        assert data["counters"]["cerfix.shard.requests"] >= 2
         assert "counters_per_s" in data["rates"]
 
     def test_counter_monotonic_across_scrapes(self, cluster):
@@ -314,6 +314,33 @@ class TestClusterMonitor:
         assert set(rates["per_shard"]) == {"0", "1"}
         for shard_rates in rates["per_shard"].values():
             assert shard_rates["p50_ms"] <= shard_rates["p95_ms"] <= shard_rates["p99_ms"]
+
+    def test_fleet_counts_each_member_once(self, cluster):
+        """Shard servers sharing a process each count their own requests:
+        the fleet delta between two scrapes is what the members served,
+        and a shard's latency count covers only that shard's members."""
+        n = 10
+        monitor = ClusterMonitor(cluster.urls, fail_threshold=1)
+        first = monitor.scrape_once()
+        for _ in range(n):
+            urllib.request.urlopen(f"{cluster.urls[0][0]}/healthz").read()
+        second = monitor.scrape_once()
+        members = SHARDS * REPLICAS
+        # A member's dump is taken inside its /metrics request, which the
+        # scrape sends after /healthz; between the two dumps each member
+        # served one scrape's /healthz + /metrics, and replica 0 of
+        # shard 0 also the n test requests.
+        served = n + 2 * members
+        fleet = [ClusterMonitor._fleet_counters(s) for s in (first, second)]
+        assert fleet[1]["cerfix.shard.requests"] - fleet[0]["cerfix.shard.requests"] == served
+        # A request is timed after its response is built: the window
+        # holds the first scrape's /metrics instead of the second's.
+        hists = [
+            ClusterMonitor._shard_hist(s, "cerfix.shard.request_seconds")
+            for s in (first, second)
+        ]
+        latency_counts = {shard: hists[1][shard][1] - hists[0][shard][1] for shard in (0, 1)}
+        assert latency_counts == {0: n + 2 * REPLICAS, 1: 2 * REPLICAS}
 
     def test_bad_topology_rejected(self):
         with pytest.raises(MasterDataError):

@@ -155,7 +155,7 @@ def test_server_rejects_misrouted_probe(world):
     )
     assert status == 409
     assert "routes to shard" in payload["error"]
-    assert app.misroutes == 1
+    assert app.metrics.counter_value("cerfix.shard.misroutes") == 1
 
 
 def test_client_misroute_is_loud_not_wrong(world, cluster, monkeypatch):

@@ -37,6 +37,7 @@ from repro.explorer.cli import build_parser
 from repro.master.shardserver import ShardCluster
 from repro.master.store import SingleRelationStore
 from repro.monitor.user import OracleUser
+from repro.obs.metrics import MetricsRegistry
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
 from repro.batch.cache import CachingMasterDataManager, LRUMemo, MemoView
@@ -44,7 +45,6 @@ from repro.service.app import AsyncCerFixService, classify_route
 from repro.service.batcher import ProbeBatcher
 from repro.service.limits import AdmissionController
 from repro.service.loadgen import run_load
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 
 def _request(url: str, method: str = "GET", body: dict | None = None):
@@ -160,7 +160,7 @@ def test_service_parity_across_backends(backend, tmp_path):
     case = generate_case(1001, scenario="uk", n=20)
     factories = store_factories(case, tmp_path)
     serial = normalize_outcome(run_monitor_path(case, factories[backend]()))
-    service = run_service_path(case, factories[backend](), concurrency=8)
+    service = run_service_path(case, factories[backend]())
     assert service.fixed_rows == serial.fixed_rows
     assert service.audit_events == serial.audit_events
     assert service.regions == serial.regions
@@ -223,7 +223,7 @@ def test_probe_coalescing_collapses_identical_keys():
     store = _SlowCountingStore(Relation(master.schema, master.tuples()))
     store.prebuild(ruleset)
     cache = LRUMemo(128)
-    metrics = ServiceMetrics()
+    metrics = MetricsRegistry()
     batcher = ProbeBatcher(store, window=0.02, max_batch=64, metrics=metrics)
     manager = CachingMasterDataManager(store, cache, fetch=batcher.probe_sync)
 
@@ -250,8 +250,8 @@ def test_probe_coalescing_collapses_identical_keys():
     assert len(results) == 8
     assert all(r == results[0] for r in results)
     assert store.probe_calls == 1  # one store hit served all eight
-    assert metrics.coalesced_probes == 7
-    assert metrics.store_probes == 1
+    assert metrics.counter_value("cerfix.service.probes.coalesced") == 7
+    assert metrics.counter_value("cerfix.service.probes.store_probes") == 1
     # ... and the next call is a pure cache hit
     assert manager.match(rule, values) == results[0]
     assert cache.stats.hits >= 1
@@ -279,7 +279,7 @@ def test_coalescing_happens_under_real_service_contention(uk_workload):
             assert metrics["dispatch"] == "executor"
             assert metrics["probes"]["batches"] > 0
             assert metrics["probes"]["coalesced"] > 0
-            assert service.metrics.batched_misses == service.metrics.store_probes
+            assert metrics["probes"]["store_probes"] >= metrics["probes"]["batches"]
         finally:
             server.close()
         _assert_sessions_match_serial_fix(service, master, ids, rows, truth)
@@ -311,7 +311,7 @@ def test_session_capacity_429_with_retry_after(uk_workload):
         status, _, _ = _request(f"{server.url}/api/sessions", "POST",
                                 {"tuple_id": "cap2", "values": values})
         assert status == 201
-        assert server.service.metrics.to_json()["requests"]["rejected_429"] == 1
+        assert server.service.metrics_json()["requests"]["rejected_429"] == 1
     finally:
         server.close()
 
@@ -328,7 +328,7 @@ def test_backpressure_retries_drop_nothing(uk_workload):
         report = run_load(server.url, rows, truth, concurrency=24)
         assert report.dropped == 0 and not report.errors
         assert report.retries_429 > 0  # backpressure actually fired
-        metrics = server.service.metrics.to_json()
+        metrics = server.service.metrics_json()
         assert metrics["requests"]["rejected_429"] == report.retries_429
         assert metrics["sessions"]["completed"] == len(rows)
     finally:
@@ -445,6 +445,32 @@ def test_metrics_endpoint_schema(server, uk_workload):
     opened = metrics["latency_ms"]["open"]["count"]
     assert opened == 8
     assert metrics["limits"]["max_sessions"] == 256
+
+
+def test_metrics_prometheus_carries_service_instruments(server, uk_workload):
+    """The service's Prometheus page serves its own request counters and
+    latency histograms next to the process registry, with the same
+    numbers ``/api/metrics`` reports (the scrape itself is not a routed
+    request, so it counts nowhere)."""
+    _, wl = uk_workload
+    rows = [r.to_dict() for r in wl.dirty.rows()][:4]
+    truth = [r.to_dict() for r in wl.clean.rows()][:4]
+    report = run_load(server.url, rows, truth, concurrency=2)
+    assert report.dropped == 0
+    with urllib.request.urlopen(f"{server.url}/metrics?format=prometheus", timeout=60) as resp:
+        assert resp.headers["Content-Type"].startswith("text/plain; version=0.0.4")
+        lines = resp.read().decode("utf-8").splitlines()
+    samples = dict(line.rsplit(" ", 1) for line in lines if not line.startswith("#"))
+    assert "# TYPE cerfix_service_requests_total counter" in lines
+    assert int(samples["cerfix_service_requests_total"]) == report.requests
+    assert int(samples["cerfix_service_responses_201_total"]) == 4
+    assert "# TYPE cerfix_service_request_seconds_open histogram" in lines
+    assert int(samples["cerfix_service_request_seconds_open_count"]) == 4
+    assert 'cerfix_service_request_seconds_validate_bucket{le="+Inf"}' in samples
+    assert "cerfix_proc_rss_bytes" in samples  # the process dump rides along
+    metrics = server.service.metrics_json()
+    assert metrics["requests"]["total"] == report.requests
+    assert metrics["latency_ms"]["open"]["count"] == 4
 
 
 def test_suggestion_memo_preserves_suggestions():
@@ -599,17 +625,6 @@ def test_classify_route():
     assert classify_route("GET", []) == ("other", None)
 
 
-def test_latency_window_percentiles():
-    window = LatencyWindow(maxlen=10)
-    assert window.to_json()["count"] == 0
-    for ms in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
-        window.record(ms / 1000)
-    snap = window.to_json()
-    assert snap["count"] == 10
-    assert snap["p50_ms"] == pytest.approx(6.0, abs=1.01)
-    assert snap["p99_ms"] == pytest.approx(10.0, abs=0.01)
-
-
 def test_default_session_ids_survive_deletes(server):
     """Auto ids must not collide after DELETE shrinks the sessions dict
     (len()-based ids would repeat forever), and skip ids a client
@@ -696,4 +711,4 @@ def test_bad_query_integer_is_400(server, path, name):
     status, payload, _ = _request(f"{server.url}{path}")
     assert status == 400
     assert f"{name} must be an integer" in payload["error"]
-    assert server.service.metrics.to_json()["requests"]["by_status"].get("500") is None
+    assert server.service.metrics_json()["requests"]["by_status"].get("500") is None

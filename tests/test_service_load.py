@@ -98,7 +98,6 @@ def test_metrics_accounting_is_consistent(load_result):
     # the load generator saw every response the server sent
     assert metrics["requests"]["total"] == report.requests
     probes = metrics["probes"]
-    # every store probe the service makes is a micro-batched miss
-    assert probes["batched_misses"] == probes["store_probes"]
-    assert probes["batches"] <= probes["batched_misses"] or probes["batches"] == 0
+    # every micro-batch carries at least one store probe
+    assert probes["batches"] <= probes["store_probes"]
     assert metrics["dispatch"] in ("executor", "inline")
