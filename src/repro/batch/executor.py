@@ -1,10 +1,12 @@
 """The shard executor: run a repair plan serially or in worker processes.
 
-Each shard resolves its groups independently — monitor sessions never
-mutate the master data, so groups are embarrassingly parallel and the
-result of a group depends only on the group and the engine
-configuration, never on scheduling. That is what makes the process
-path *bit-identical* to the serial path.
+Each shard resolves its groups independently: a group with truth runs
+a monitor session with an oracle user, and a rule-only group (no truth,
+so no user and no session) chases once from the trusted ``validated``
+attributes. Neither mutates the master data, so groups are
+embarrassingly parallel and the result of a group depends only on the
+group and the engine configuration, never on scheduling. That is what
+makes the process path *bit-identical* to the serial path.
 
 Probes on an in-process store (single, sharded, sqlite) go straight
 to the store, whose own memo and indexes answer them. Only an
@@ -29,16 +31,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from repro.errors import CerFixError
 from repro.batch.cache import CachingMasterDataManager, LRUMemo
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
+from repro.core.chase import ChaseResult, rebind_chase
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
-from repro.monitor.session import MonitorSession
+from repro.monitor.session import MonitorSession, record_steps, timed_chase
 from repro.monitor.suggest import SuggestionStrategy
 from repro.monitor.user import OracleUser
 from repro.obs import trace
@@ -75,6 +79,15 @@ class BatchContext:
     #: their own exporter from its path/sample — so shard spans land in
     #: the same trace on either path.
     trace: Any = None
+
+    @cached_property
+    def round0(self) -> ChaseResult:
+        """The chase from nothing validated, once per run or worker
+        process. Only rules reading nothing (constants with an empty
+        pattern) fire there — none in the paper's rule set — so every
+        rule-only group shares it up to each step's ``old``."""
+        names = self.ruleset.input_schema.names
+        return timed_chase(dict.fromkeys(names), (), self.ruleset, self.master)
 
 
 @dataclass(frozen=True)
@@ -169,7 +182,7 @@ class ShardResult:
 class _TranscriptRecorder:
     """An audit sink recording straight into the serialized event form.
 
-    A group session's audit trail only ever becomes the transcript
+    A group's audit trail (session or chase) only becomes the transcript
     shipped in :attr:`GroupOutcome.audit_events`; recording through a
     full :class:`~repro.audit.log.AuditLog` (lock, sequence numbers,
     per-tuple index, frozen event objects) just to strip all of that
@@ -224,62 +237,86 @@ def _resolve_group(
     """Clean one group's representative tuple.
 
     With truth, an :class:`OracleUser` drives the full monitor loop (the
-    same machinery as the point-of-entry stream). Without truth, the
-    chase runs from the trusted ``ctx.validated`` attributes and stops —
-    rule-only repair; unvalidated cells keep their input values.
+    same machinery as the point-of-entry stream). Without truth there is
+    no user and no session: :func:`_chase_group` chases once from the
+    trusted ``ctx.validated`` attributes — rule-only repair; unvalidated
+    cells keep their input values.
     """
     with trace.span(
         "group-chase", rep=group.representative, members=len(group.members)
     ):
-        return _resolve_group_inner(
-            group, ctx, manager, memo, chase_memo, _TranscriptRecorder()
+        audit = _TranscriptRecorder()
+        if group.truth is None:
+            return _chase_group(group, ctx, manager, chase_memo, audit)
+        session = MonitorSession(
+            ctx.ruleset,
+            manager,
+            group.values,
+            f"g{group.representative}",
+            regions=ctx.regions,
+            strategy=ctx.strategy,
+            mode=ctx.mode,
+            scenario=ctx.scenario,
+            audit=audit,
+            use_index=ctx.use_index,
+            max_combos=ctx.max_combos,
+            suggestion_memo=memo,
+            chase_memo=chase_memo,
+            trace=False,  # the group-chase span covers the whole session
         )
-
-
-def _resolve_group_inner(
-    group: PlanGroup,
-    ctx: BatchContext,
-    manager: MasterDataManager,
-    memo: LRUMemo | None,
-    chase_memo: LRUMemo | None,
-    audit: _TranscriptRecorder,
-) -> GroupOutcome:
-    session = MonitorSession(
-        ctx.ruleset,
-        manager,
-        group.values,
-        f"g{group.representative}",
-        regions=ctx.regions,
-        strategy=ctx.strategy,
-        mode=ctx.mode,
-        scenario=ctx.scenario,
-        audit=audit,
-        use_index=ctx.use_index,
-        max_combos=ctx.max_combos,
-        suggestion_memo=memo,
-        chase_memo=chase_memo,
-        trace=False,  # the group-chase span covers the whole session
-    )
-    if group.truth is not None:
         seed = [a for a in ctx.validated if a not in session.validated]
         if seed and not session.is_complete:
             session.validate({a: group.truth[a] for a in seed})
         session.run(OracleUser(group.truth), max_rounds=ctx.max_rounds)
+        provenance = session.provenance
+        events = tuple(audit.events)
+        return GroupOutcome(
+            members=group.members,
+            values=session.current_values(),
+            complete=session.is_complete,
+            rounds=session.round_no,
+            user_cells=sum(1 for s in provenance.values() if s == "user"),
+            rule_cells=sum(1 for s in provenance.values() if s == "rule"),
+            normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
+            conflicts=len(session.conflicts),
+            audit_events=events,
+        )
+
+
+def _chase_group(
+    group: PlanGroup, ctx: BatchContext, manager: MasterDataManager,
+    chase_memo: LRUMemo | None, audit: _TranscriptRecorder,
+) -> GroupOutcome:
+    """Rule-only repair, recording what a monitor session recorded:
+    round 0 is ``ctx.round0`` rebound onto the group; round 1, while a
+    seed attribute is unvalidated, assures the seed and chases once."""
+    names = ctx.ruleset.input_schema.names
+    result = rebind_chase(ctx.round0, group.values)
+    values, validated, conflicts = result.values, result.validated, len(result.conflicts)
+    record_steps(audit, None, result.steps, 0)
+    seed = [a for a in dict.fromkeys(ctx.validated) if a not in validated]
+    if seed and len(validated) < len(names):
+        for a in seed:
+            audit.record(None, a, values[a], values[a], "user", round_no=1)
+        result = timed_chase(
+            values, validated.union(seed), ctx.ruleset, manager,
+            memo=chase_memo, use_index=ctx.use_index,
+        )
+        values, validated = result.values, result.validated
+        conflicts += len(result.conflicts)
+        record_steps(audit, None, result.steps, 1)
     else:
-        seed = [a for a in ctx.validated if a not in session.validated]
-        if seed and not session.is_complete:
-            session.assure(seed)
-    provenance = session.provenance
+        seed = []
     events = tuple(audit.events)
     return GroupOutcome(
         members=group.members,
-        values=session.current_values(),
-        complete=session.is_complete,
-        rounds=session.round_no,
-        user_cells=sum(1 for s in provenance.values() if s == "user"),
-        rule_cells=sum(1 for s in provenance.values() if s == "rule"),
+        values=values,
+        complete=len(validated) == len(names),
+        rounds=1 if seed else 0,
+        user_cells=len(seed),
+        rule_cells=len(validated) - len(seed),
         normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
-        conflicts=len(session.conflicts),
+        conflicts=conflicts,
         audit_events=events,
     )
 

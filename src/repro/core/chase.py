@@ -376,7 +376,7 @@ def _chase_memo_key(
     return key
 
 
-def _rebind_chase(template: ChaseResult, values: Mapping[str, Any]) -> ChaseResult:
+def rebind_chase(template: ChaseResult, values: Mapping[str, Any]) -> ChaseResult:
     """Replay a memoised transcript onto ``values``.
 
     Steps keep their (attr, new, rule, provenance) — only ``old`` is
@@ -438,4 +438,4 @@ def chase_memoized(
     if template is None:
         template = chase(values, validated, ruleset, master, use_index=use_index)
         memo.put(key, template)
-    return _rebind_chase(template, values)
+    return rebind_chase(template, values)

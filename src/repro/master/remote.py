@@ -309,15 +309,16 @@ class ShardEndpoint:
                 return "closed"
             return "half-open" if now >= s.open_until else "open"
 
-    def claim_half_open_probe(self) -> bool:
+    def claim_half_open_probe(self, now: float | None = None) -> bool:
         """Atomically claim the half-open re-probe slot.
 
         True for exactly one caller per ``circuit_reset`` window (the
         window re-arms on claim), so a recovering replica sees one
-        timed probe, not a stampede of them.
+        timed probe, not a stampede of them. ``now`` (a
+        ``time.monotonic()`` reading) defaults to the current time.
         """
         s = self._stats
-        now = time.monotonic()
+        now = time.monotonic() if now is None else now
         with s.lock:
             if not s.open_until or now < s.open_until:
                 return False
@@ -330,9 +331,9 @@ class ShardEndpoint:
             s.failures_in_row = 0
             s.open_until = 0.0
 
-    def note_failure(self) -> None:
+    def note_failure(self, now: float | None = None) -> None:
         s = self._stats
-        now = time.monotonic()
+        now = time.monotonic() if now is None else now
         with s.lock:
             s.failures_in_row += 1
             if s.failures_in_row < self.circuit_threshold:
@@ -450,14 +451,10 @@ class ShardEndpoint:
             self._stats.probes += n
 
     def stats(self) -> dict[str, Any]:
-        now = time.monotonic()
+        circuit = self.circuit_state()
         s = self._stats
         with s.lock:
             mean_ms = 1000 * s.latency_s / s.round_trips if s.round_trips else 0.0
-            if not s.open_until:
-                circuit = "closed"
-            else:
-                circuit = "half-open" if now >= s.open_until else "open"
             return {
                 "shard_id": self.shard_id,
                 "url": self.url,

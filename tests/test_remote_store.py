@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-import time
 
 import pytest
 
@@ -653,6 +652,8 @@ def test_replica_killed_mid_run_fails_over_bit_identically(world):
 
 
 def test_circuit_opens_and_half_opens_on_schedule():
+    """The breaker on an injected clock: every transition at a chosen
+    instant, with no wait for a real window to elapse."""
     endpoint = ShardEndpoint(
         0,
         "http://127.0.0.1:9",
@@ -660,24 +661,28 @@ def test_circuit_opens_and_half_opens_on_schedule():
         circuit_threshold=2,
         circuit_reset=0.15,
     )
-    assert endpoint.circuit_state() == "closed"
-    endpoint.note_failure()
-    assert endpoint.circuit_state() == "closed"  # below threshold
-    endpoint.note_failure()
-    assert endpoint.circuit_state() == "open"
+    t = 1000.0
+    assert endpoint.circuit_state(now=t) == "closed"
+    endpoint.note_failure(now=t)
+    assert endpoint.circuit_state(now=t) == "closed"  # below threshold
+    endpoint.note_failure(now=t)
+    assert endpoint.circuit_state(now=t) == "open"
     assert endpoint.stats()["circuit_opens"] == 1
-    assert not endpoint.claim_half_open_probe()  # window not elapsed yet
-    time.sleep(0.2)
-    assert endpoint.circuit_state() == "half-open"
-    assert endpoint.claim_half_open_probe()  # exactly one claimant...
-    assert not endpoint.claim_half_open_probe()  # ...window re-armed
-    endpoint.note_failure()  # the re-probe failed: open again, counted once
-    assert endpoint.circuit_state() == "open"
+    assert endpoint.circuit_state(now=t + 0.149) == "open"
+    assert not endpoint.claim_half_open_probe(now=t + 0.149)  # window not elapsed yet
+    t += 0.15
+    assert endpoint.circuit_state(now=t) == "half-open"
+    assert endpoint.claim_half_open_probe(now=t)  # exactly one claimant...
+    assert not endpoint.claim_half_open_probe(now=t)  # ...window re-armed
+    assert endpoint.circuit_state(now=t) == "open"
+    endpoint.note_failure(now=t + 0.01)  # the re-probe failed: open again, counted once
+    assert endpoint.circuit_state(now=t + 0.15) == "open"
     assert endpoint.stats()["circuit_opens"] == 1
-    time.sleep(0.2)
-    assert endpoint.claim_half_open_probe()
+    t += 0.2
+    assert endpoint.circuit_state(now=t) == "half-open"
+    assert endpoint.claim_half_open_probe(now=t)
     endpoint.note_success()  # the re-probe succeeded: fully closed
-    assert endpoint.circuit_state() == "closed"
+    assert endpoint.circuit_state(now=t) == "closed"
     assert endpoint.stats()["circuit"] == "closed"
 
 
