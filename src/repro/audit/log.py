@@ -22,6 +22,7 @@ class _Group(NamedTuple):
     transcript: Sequence[dict]
     tuple_ids: Sequence[str]
     olds: Mapping[int, Sequence[Any]]  # event index → per-member ``old``
+    news: Mapping[int, Sequence[Any]]  # event index → per-member ``new``
     stamp: tuple  # (trace_id, span_id) for events the worker left unstamped
 
     def member_events(self, m: int) -> list[ChangeEvent]:
@@ -33,8 +34,9 @@ class _Group(NamedTuple):
             if trace_id is None:
                 trace_id, span_id = self.stamp
             old = self.olds[j][m] if j in self.olds else e["old"]
+            new = self.news[j][m] if j in self.news else e["new"]
             out.append(ChangeEvent(
-                seq + j, tid, e["attr"], old, e["new"], e["source"], e["rule_id"],
+                seq + j, tid, e["attr"], old, new, e["source"], e["rule_id"],
                 tuple(e["master_positions"]), e["round_no"], trace_id, span_id,
             ))
         return out
@@ -116,19 +118,21 @@ class AuditLog:
         transcript: Sequence[dict],
         tuple_ids: Sequence[str],
         olds: Mapping[int, Sequence[Any]],
+        news: Mapping[int, Sequence[Any]] | None = None,
     ) -> None:
         """Append one batch group's transcript for every member tuple.
 
         ``transcript`` holds the worker's event dicts (kept by reference)
-        with :meth:`record`'s fields. ``olds`` maps a transcript index to
-        per-member ``old`` values, for events whose old value differs
-        member by member. Events the worker left unstamped take the span
-        active here, as :meth:`record` would stamp them."""
+        with :meth:`record`'s fields. ``olds`` and ``news`` map a
+        transcript index to per-member ``old`` and ``new`` values, for
+        events whose values differ member by member. Events the worker
+        left unstamped take the span active here, as :meth:`record` would
+        stamp them."""
         if not transcript:
             return
         stamp = tracing.current_ids()
         with self._lock:
-            group = _Group(self._seq, transcript, tuple_ids, olds, stamp)
+            group = _Group(self._seq, transcript, tuple_ids, olds, news or {}, stamp)
             self._seq += len(transcript) * len(tuple_ids)
             self._entries.append(group)
             for m, tid in enumerate(tuple_ids):

@@ -217,15 +217,12 @@ class BatchCleaner:
     ) -> BatchResult:
         start = time.perf_counter()
         processes = workers > 1
-        # Dedup on transcript-relevant attributes only: payload columns
-        # no rule or region ever looks at cannot change a repair, so
-        # rows differing only there share one group. Assembly and audit
-        # replay restore each member's own payload values below.
+        # Group rows on the values their repair validates (see
+        # repro.batch.planner); _rebind restores each member's own
+        # values below.
         projection = transcript_projection(
-            self.ruleset, regions=self.regions, validated=validated
+            self.ruleset, regions=self.regions, mode=self.mode, strategy=self.strategy
         )
-        if projection >= frozenset(self.ruleset.input_schema.names):
-            projection = None
         with trace.span("plan", rows=len(dirty), shards=shards):
             plan = build_plan(
                 dirty,
@@ -238,6 +235,7 @@ class BatchCleaner:
                     validated, max_rounds, include_master=journal is not None
                 ),
                 projection=projection,
+                validated=validated,
             )
 
         ctx = BatchContext(
@@ -290,8 +288,9 @@ class BatchCleaner:
             list(done.values()) + list(fresh), key=lambda r: r.shard_id
         )
 
-        relation = self._assemble(dirty, results, projection)
-        changed_cells = self._replay_audit(results, tuple_ids, dirty, projection)
+        relation, changed_cells = self._rebind(
+            dirty, truth, results, tuple_ids, plan.signature_attrs
+        )
         # This run's probe-cache lookups. The serial path shares the
         # executor's cache, which counts them exactly; process workers
         # each hold a private cache, so there the per-shard counters are
@@ -386,89 +385,67 @@ class BatchCleaner:
             f"regions={len(self.regions)}",
         )
 
-    def _assemble(
+    def _rebind(
         self,
         dirty: Relation,
-        results: Sequence[ShardResult],
-        projection: frozenset[str] | None = None,
-    ) -> Relation:
-        """Assemble the repaired relation from group outcomes.
-
-        Under a projection, a payload attribute (outside the projection)
-        that the transcript never touched kept its *input* value — which
-        differs per member — so those cells are restored from each
-        member's own dirty row rather than the representative's."""
-        schema = self.ruleset.input_schema
-        names = schema.names
-        rows: list[tuple | None] = [None] * len(dirty)
-        raw = dirty.raw_tuples() if projection is not None else None
-        for result in results:
-            for outcome in result.outcomes:
-                values = tuple(outcome.values[n] for n in names)
-                untouched = self._untouched_payload(outcome, projection)
-                if not untouched:
-                    for member in outcome.members:
-                        rows[member] = values
-                    continue
-                for member in outcome.members:
-                    member_row = raw[member]
-                    patched = list(values)
-                    for i in untouched:
-                        patched[i] = member_row[i]
-                    rows[member] = tuple(patched)
-        missing = [i for i, r in enumerate(rows) if r is None]
-        if missing:
-            raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
-        return Relation(schema, rows)
-
-    def _untouched_payload(self, outcome, projection: frozenset[str] | None) -> list[int]:
-        """Column positions outside the projection with no audit event —
-        cells the repair provably never read or wrote."""
-        if projection is None:
-            return []
-        touched = {e["attr"] for e in outcome.audit_events}
-        return [
-            i
-            for i, n in enumerate(self.ruleset.input_schema.names)
-            if n not in projection and n not in touched
-        ]
-
-    def _replay_audit(
-        self,
+        truth: Relation | None,
         results: Sequence[ShardResult],
         tuple_ids: Sequence[str] | None,
-        dirty: Relation,
-        projection: frozenset[str] | None = None,
-    ) -> int:
-        """Record per-cell provenance for every member tuple; returns
-        the exact changed-cell count across all members.
+        shared: Sequence[str],
+    ) -> tuple[Relation, int]:
+        """Rebind every group's transcript onto its members: returns the
+        repaired relation and the exact changed-cell count.
 
-        Each duplicate member genuinely received the group's repair, so
-        each gets its own audit trail (ids follow the stream convention:
-        ``t<row>`` unless ``tuple_ids`` overrides), recorded as one
-        :meth:`AuditLog.record_group` per group and expanded per member
-        only when read. Under a projection, a user validation of a
-        payload attribute carries *this member's* input value as ``old``
-        — what a serial monitor session on the member would have
-        recorded — so only those events count member by member."""
+        One pass replays the transcript over each member's input row.
+        Each event's ``old`` is the member's current cell. A user event
+        on an attribute outside the signature (``shared``) takes the
+        member's own answer as ``new``: its truth value, or its input
+        value when the seed assures it. Every other event keeps the
+        group's ``new``. Each member gets its own audit trail (ids follow
+        the stream convention: ``t<row>`` unless ``tuple_ids``
+        overrides), recorded as one :meth:`AuditLog.record_group` per
+        group with the per-member values as overrides."""
+        schema = self.ruleset.input_schema
+        position = {n: i for i, n in enumerate(schema.names)}
+        shared = frozenset(shared)
+        raw = dirty.raw_tuples()
+        answers = truth.raw_tuples() if truth is not None else None
+        rows: list[tuple | None] = [None] * len(dirty)
         changed = 0
-        position = {n: i for i, n in enumerate(self.ruleset.input_schema.names)}
-        raw = dirty.raw_tuples() if projection is not None else None
         for result in results:
             for outcome in result.outcomes:
                 transcript = outcome.audit_events
-                members = outcome.members
-                olds = {}
-                for j, e in enumerate(transcript):
-                    if projection is not None and e["attr"] not in projection:
-                        col = position[e["attr"]]
-                        olds[j] = column = [raw[m][col] for m in members]
-                        changed += sum(old != e["new"] for old in column)
-                    elif e["old"] != e["new"]:
-                        changed += len(members)
-                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
-                self.audit.record_group(transcript, ids, olds)
-        return changed
+                steps = [
+                    (
+                        position[e["attr"]],
+                        e["new"],
+                        e["source"] == "user" and e["attr"] not in shared,
+                    )
+                    for e in transcript
+                ]
+                olds: dict[int, list] = {j: [] for j in range(len(steps))}
+                news: dict[int, list] = {j: [] for j, s in enumerate(steps) if s[2]}
+                for m in outcome.members:
+                    row = list(raw[m])
+                    answer = answers[m] if answers is not None else row
+                    for j, (col, new, answered) in enumerate(steps):
+                        old = row[col]
+                        if answered:
+                            new = answer[col]
+                            news[j].append(new)
+                        olds[j].append(old)
+                        changed += old != new
+                        row[col] = new
+                    rows[m] = tuple(row)
+                ids = [
+                    tuple_ids[m] if tuple_ids is not None else f"t{m}"
+                    for m in outcome.members
+                ]
+                self.audit.record_group(transcript, ids, olds, news)
+        missing = [i for i, r in enumerate(rows) if r is None]
+        if missing:
+            raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
+        return Relation(schema, rows), changed
 
 
 def _path(workers: int) -> str:

@@ -3,23 +3,26 @@
 Whole-relation workloads are repetitive: the same customer re-enters the
 same transaction, the same noise pattern corrupts the same clean tuple.
 The planner exploits this by fingerprinting every tuple with its *repair
-signature* — the value vector that determines the repair transcript —
-and grouping rows that share one. Each group is resolved once by a
-shard worker and the outcome is replayed onto every member row.
+signature* and grouping rows that share one. Each group is resolved once
+by a shard worker and the outcome is rebound onto every member row.
 
-The signature covers the dirty values of the *transcript-relevant*
-attributes plus (when ground truth drives an oracle user) the truth
-values of **all** attributes. Relevant means: read by some rule (its
-LHS or pattern), written by some rule (its target — the chase compares
-the prescribed value against the current one when checking conflicts),
-mentioned by a precomputed region's attributes or tableau, or seeded
-as trusted. A dirty value *outside* that set can influence exactly two
-things — the ``old`` field of the user-validation audit event and the
-final value when the cell is never validated — and the pipeline
-restores both per member row at assembly/replay time
-(:meth:`repro.batch.pipeline.BatchCleaner`), so two rows collapse into
-one group exactly when their repair is guaranteed identical. Pass
-``projection=None`` to fall back to whole-row signatures.
+A certain fix is decided by the values the user validates, the editing
+rules and the master data. A dirty cell only supplies the ``old`` side
+of the event that overwrites it. So the signature is the values the
+repair will *validate* from the row, on the attributes that can steer a
+repair (:func:`transcript_projection`):
+
+- with ground truth driving an oracle user, the truth values there;
+- rule-only, the dirty values of the trusted ``validated`` seed columns
+  there.
+
+Rows sharing a signature get the same transcript up to per-member
+values: each event's ``old`` (the member's own dirty cell), and the
+``new`` of a user event on an attribute outside the signature (the
+member's own answer: its truth value, or its input value when the seed
+assures it). The pipeline replays the group's transcript over each
+member's input row to restore both (:mod:`repro.batch.pipeline`). Pass
+``projection=None`` to key on every attribute.
 
 Groups are dealt round-robin into :class:`Shard` s (deterministically,
 by first-seen order), so shard workloads stay balanced without
@@ -30,37 +33,42 @@ journal to the exact inputs and partitioning that produced it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
+from repro.core.certainty import CertaintyMode
 from repro.core.ruleset import RuleSet
 from repro.errors import CerFixError
+from repro.monitor.suggest import SuggestionStrategy
 from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-
-#: Sentinel replacing projected-out dirty values in a repair signature.
-_ELIDED = "\x00<elided>"
 
 
 def transcript_projection(
     ruleset: RuleSet,
     *,
     regions: Sequence[Any] = (),
-    validated: Sequence[str] = (),
+    mode: CertaintyMode = CertaintyMode.STRICT,
+    strategy: SuggestionStrategy = SuggestionStrategy.CORE_FIRST,
 ) -> frozenset[str]:
-    """The attributes whose *dirty* values can influence a repair
+    """The attributes whose *validated* values can steer a repair
     transcript.
 
-    Everything a session's machinery reads from unvalidated state:
-    rule reads (LHS + pattern — gate rule firing), rule targets (the
-    chase's conflict check compares the prescribed value against the
-    current cell), region attributes and tableau patterns (region
-    compatibility checks), and the trusted seed columns. Suggestions
-    read only *validated* values (every strategy treats unvalidated
-    cells as unknown), so they add nothing beyond the above.
+    Rule reads (LHS + pattern: readiness, pattern and probe key), rule
+    targets (the chase's conflict check compares the prescribed value
+    against the validated cell), and region attributes and tableau
+    patterns (region compatibility checks). Suggestions read validated
+    values only through those, with one exception: a semantic
+    suggestion under SCENARIO mode filters the scenario's universe by
+    every validated value, so there every attribute counts. A validated
+    value anywhere else (a payload column no rule or region mentions)
+    steers nothing, and unvalidated values steer nothing at all.
     """
-    attrs: set[str] = set(validated)
+    if mode is CertaintyMode.SCENARIO and strategy is SuggestionStrategy.SEMANTIC:
+        return frozenset(ruleset.input_schema.names)
+    attrs: set[str] = set()
     for rule in ruleset:
         attrs |= set(rule.reads)
         attrs.add(rule.target)
@@ -72,25 +80,37 @@ def transcript_projection(
     return frozenset(attrs)
 
 
+def signature_attrs(
+    schema: Schema,
+    *,
+    truth: bool,
+    projection: frozenset[str] | None = None,
+    validated: Sequence[str] = (),
+) -> tuple[str, ...]:
+    """The attributes a repair signature covers, in schema order: the
+    ``projection`` (every attribute when None), narrowed to the
+    ``validated`` seed columns when there is no ``truth``."""
+    attrs = [n for n in schema.names if projection is None or n in projection]
+    if not truth:
+        attrs = [n for n in attrs if n in validated]
+    return tuple(attrs)
+
+
 def repair_signature(
     values: Mapping[str, Any],
     truth: Mapping[str, Any] | None,
     schema: Schema,
     projection: frozenset[str] | None = None,
+    validated: Sequence[str] = (),
 ) -> tuple:
-    """The value vector that determines a tuple's repair transcript.
-
-    With a ``projection``, dirty values outside it are elided (see
-    :func:`transcript_projection`); truth values always cover the whole
-    schema — every validated cell ends at its truth value.
-    """
-    if projection is None:
-        sig = tuple(values[n] for n in schema.names)
-    else:
-        sig = tuple(values[n] if n in projection else _ELIDED for n in schema.names)
-    if truth is not None:
-        sig += tuple(truth[n] for n in schema.names)
-    return sig
+    """The values a tuple's repair validates from the row, which
+    determine its transcript: ``truth`` on :func:`signature_attrs`, or
+    without truth the dirty ``values`` of the seed columns there."""
+    source = truth if truth is not None else values
+    attrs = signature_attrs(
+        schema, truth=truth is not None, projection=projection, validated=validated
+    )
+    return tuple(source[n] for n in attrs)
 
 
 @dataclass(frozen=True)
@@ -126,8 +146,20 @@ class RepairPlan:
     groups: tuple[PlanGroup, ...]
     shards: tuple[Shard, ...]
     total_tuples: int
-    fingerprint: str
     dedupe: bool
+    signature_attrs: tuple[str, ...]  # what every member of a group shares
+    #: (identity header, per-row signatures): the fingerprint's input.
+    _identity: tuple[str, list] = field(repr=False, compare=False)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 over the inputs and partitioning, computed when first
+        read: only a checkpoint journal reads it."""
+        header, signatures = self._identity
+        digest = hashlib.sha256(header.encode("utf-8"))
+        for sig in signatures:
+            digest.update(repr(sig).encode("utf-8"))
+        return digest.hexdigest()
 
     @property
     def n_groups(self) -> int:
@@ -154,18 +186,17 @@ def build_plan(
     dedupe: bool = True,
     context: Sequence[str] = (),
     projection: frozenset[str] | None = None,
+    validated: Sequence[str] = (),
 ) -> RepairPlan:
     """Plan the batch repair of ``dirty`` (optionally oracle-backed by
     ``truth``).
 
     ``context`` is extra identity (rule ids, mode, …) folded into the
     plan fingerprint so a checkpoint journal written under one engine
-    configuration is never resumed under another. ``projection``
-    restricts the dirty half of the repair signature to the
-    transcript-relevant attributes (:func:`transcript_projection`),
-    collapsing rows that differ only in payload columns; the caller
-    (the pipeline) is responsible for restoring per-member payload
-    values at assembly/replay time.
+    configuration is never resumed under another. ``projection`` and
+    ``validated`` pick the signature's attributes
+    (:func:`signature_attrs`); the caller (the pipeline) rebinds each
+    member's own values at assembly.
     """
     if shards < 1:
         raise CerFixError(f"shards must be >= 1, got {shards}")
@@ -174,26 +205,21 @@ def build_plan(
             f"truth has {len(truth)} rows but the dirty relation has {len(dirty)}"
         )
     schema = dirty.schema
+    attrs = signature_attrs(
+        schema, truth=truth is not None, projection=projection, validated=validated
+    )
+    # Signatures are computed column-wise: one decode pass per signature
+    # attribute, then one zip — the same tuples, in the same order, as
+    # the per-row :func:`repair_signature`, without materialising a dict
+    # per row. ``repair_signature`` remains the specification (and the
+    # parity tests hold the two paths together).
+    source = truth if truth is not None else dirty
+    n_rows = len(dirty)
+    sig_rows = (
+        zip(*(source.column(name) for name in attrs)) if attrs else [()] * n_rows
+    )
     by_signature: dict[tuple, list[int]] = {}
     signatures: list[tuple] = []
-    if projection is not None and projection >= frozenset(schema.names):
-        projection = None  # everything is relevant — whole-row semantics
-    # Signatures are computed column-wise: one decode pass per attribute
-    # over the relation's value arrays (elided attributes never decode at
-    # all), then one zip — same tuples, in the same order, as the
-    # per-row :func:`repair_signature`, without materialising a dict per
-    # row. ``repair_signature`` remains the specification (and the
-    # parity tests hold the two paths together).
-    n_rows = len(dirty)
-    parts: list[list] = [
-        dirty.column(name)
-        if projection is None or name in projection
-        else [_ELIDED] * n_rows
-        for name in schema.names
-    ]
-    if truth is not None:
-        parts.extend(truth.column(name) for name in schema.names)
-    sig_rows = zip(*parts) if parts else iter(() for _ in range(n_rows))
     for i, sig in enumerate(sig_rows):
         if not dedupe:
             sig = sig + (i,)  # unique per row: every row is its own group
@@ -218,14 +244,12 @@ def build_plan(
         for i in range(n_shards)
     )
 
-    digest = hashlib.sha256()
-    digest.update(repr(tuple(schema.names)).encode("utf-8"))
-    digest.update(repr(tuple(context)).encode("utf-8"))
-    digest.update(f"shards={n_shards};dedupe={dedupe}".encode("utf-8"))
-    projected = "*" if projection is None else ",".join(sorted(projection))
-    digest.update(f"projection={projected}".encode("utf-8"))
-    for sig in signatures:
-        digest.update(repr(sig).encode("utf-8"))
+    header = (
+        repr(tuple(schema.names))
+        + repr(tuple(context))
+        + f"shards={n_shards};dedupe={dedupe}"
+        + f"signature={','.join(attrs)};truth={truth is not None}"
+    )
 
     reg = get_registry()
     reg.inc("cerfix.plan.rows", len(dirty))
@@ -236,6 +260,7 @@ def build_plan(
         groups=tuple(groups),
         shards=shard_list,
         total_tuples=len(dirty),
-        fingerprint=digest.hexdigest(),
         dedupe=dedupe,
+        signature_attrs=attrs,
+        _identity=(header, signatures),
     )

@@ -56,7 +56,7 @@ class BatchReport:
     tuples: int = 0
     groups: int = 0
     duplicates_collapsed: int = 0
-    completed: int = 0  # tuples that reached a certain fix
+    completed: int = 0  # tuples fully validated with no conflicts: certain fixes
     conflicts: int = 0
     user_cells: int = 0
     rule_cells: int = 0
@@ -192,7 +192,7 @@ def build_report(
         report.shards.append(ShardStats.from_result(result))
         for outcome in result.outcomes:
             n = len(outcome.members)
-            if outcome.complete:
+            if outcome.complete and not outcome.conflicts:
                 report.completed += n
             report.conflicts += outcome.conflicts * n
             report.user_cells += outcome.user_cells * n

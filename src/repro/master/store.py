@@ -297,9 +297,15 @@ class MasterStore:
 
         Backend-independent by design — a checkpoint journal written
         against one backend stays resumable under another as long as the
-        master tuples are the same.
+        master tuples are the same. Memoized on the relation's mutation
+        version, so a paged clean hashes the master once, and any write
+        to it still changes the digest.
         """
-        return _relation_digest(self.relation)
+        relation = self.relation
+        memo = getattr(self, "_digest_memo", None)
+        if memo is None or memo[0] is not relation or memo[1] != relation._version:
+            memo = self._digest_memo = (relation, relation._version, _relation_digest(relation))
+        return memo[2]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.relation!r})"

@@ -55,7 +55,8 @@ class StreamReport:
 
     @property
     def completed(self) -> int:
-        return sum(1 for o in self.outcomes if o.complete)
+        """Tuples with a certain fix: fully validated, no conflicts."""
+        return sum(1 for o in self.outcomes if o.complete and not o.conflicts)
 
     @property
     def user_cells(self) -> int:

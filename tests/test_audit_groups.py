@@ -3,11 +3,12 @@
 The batch pipeline records each group's transcript once
 (:meth:`AuditLog.record_group`) and the log expands it per tuple only
 when read. :func:`eager_replay` below is the reference: one
-:meth:`AuditLog.record` per (member, event), in member order. The
-``shadow`` fixture runs it beside the real replay on the same shard
-results, inside the same span, so the two logs must agree event for
-event — seq, tuple id, attr, old/new, source, rule, master positions,
-round and trace/span ids — and on the changed-cell count.
+:meth:`AuditLog.record` per (member, event), in member order, with the
+transcript replayed over each member's own input row. The ``shadow``
+fixture runs it beside the real rebind on the same shard results,
+inside the same span, so the two logs must agree event for event — seq,
+tuple id, attr, old/new, source, rule, master positions, round and
+trace/span ids — and on the repaired rows and the changed-cell count.
 
 CI runs this file in the ``store-parity`` leg with 4 process workers
 (``CERFIX_PARITY_WORKERS``).
@@ -35,26 +36,30 @@ from repro.relational.relation import Relation
 PARITY_WORKERS = int(os.environ.get("CERFIX_PARITY_WORKERS", "2"))
 
 
-def eager_replay(audit, names, results, tuple_ids, dirty, projection) -> int:
-    """The reference: every (member, event) recorded one by one."""
+def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
+    """The reference: every (member, event) recorded one by one, each
+    member's transcript replayed over its own input row. Returns the
+    repaired relation and the changed-cell count."""
+    names = schema.names
+    rows = [None] * len(dirty)
     changed = 0
-    position = {n: i for i, n in enumerate(names)}
-    raw = dirty.raw_tuples() if projection is not None else None
     for result in results:
         for outcome in result.outcomes:
             for member in outcome.members:
                 tid = tuple_ids[member] if tuple_ids is not None else f"t{member}"
+                state = dirty.row(member).to_dict()
                 for e in outcome.audit_events:
-                    old = e["old"]
-                    if projection is not None and e["attr"] not in projection:
-                        old = raw[member][position[e["attr"]]]
-                    if old != e["new"]:
+                    old, new = state[e["attr"]], e["new"]
+                    if e["source"] == "user" and e["attr"] not in shared:
+                        new = truth.row(member)[e["attr"]] if truth is not None else old
+                    state[e["attr"]] = new
+                    if old != new:
                         changed += 1
                     audit.record(
                         tid,
                         e["attr"],
                         old,
-                        e["new"],
+                        new,
                         e["source"],
                         rule_id=e["rule_id"],
                         master_positions=tuple(e["master_positions"]),
@@ -62,7 +67,8 @@ def eager_replay(audit, names, results, tuple_ids, dirty, projection) -> int:
                         trace_id=e.get("trace_id"),
                         span_id=e.get("span_id"),
                     )
-    return changed
+                rows[member] = tuple(state[n] for n in names)
+    return Relation(schema, rows), changed
 
 
 @dataclasses.dataclass
@@ -74,28 +80,28 @@ class Shadow:
 
 @pytest.fixture()
 def shadow(monkeypatch):
-    """Run :func:`eager_replay` into ``shadow.log`` beside every real replay."""
+    """Run :func:`eager_replay` into ``shadow.log`` beside every real rebind."""
     ref = Shadow(AuditLog())
-    grouped = BatchCleaner._replay_audit
+    grouped = BatchCleaner._rebind
 
-    def both(self, results, tuple_ids, dirty, projection=None):
-        got = grouped(self, results, tuple_ids, dirty, projection)
-        want = eager_replay(
-            ref.log, self.ruleset.input_schema.names, results, tuple_ids, dirty, projection
+    def both(self, dirty, truth, results, tuple_ids, shared):
+        got, changed = grouped(self, dirty, truth, results, tuple_ids, shared)
+        want, want_changed = eager_replay(
+            ref.log, self.ruleset.input_schema, dirty, truth, results, tuple_ids, shared
         )
-        assert got == want
-        ref.changed += want
+        assert got.raw_tuples() == want.raw_tuples()
+        assert changed == want_changed
+        ref.changed += want_changed
         ref.groups_with_overrides += sum(
             1
             for r in results
             for o in r.outcomes
             if len(o.members) > 1
-            and projection is not None
-            and any(e["attr"] not in projection for e in o.audit_events)
+            and any(e["attr"] not in shared for e in o.audit_events)
         )
-        return got
+        return got, changed
 
-    monkeypatch.setattr(BatchCleaner, "_replay_audit", both)
+    monkeypatch.setattr(BatchCleaner, "_rebind", both)
     return ref
 
 
@@ -335,10 +341,10 @@ def test_db_archive_matches_eager_provenance(
     with monkeypatch.context() as m:
         m.setattr(
             BatchCleaner,
-            "_replay_audit",
-            lambda self, results, tuple_ids, dirty, projection=None: eager_replay(
-                self.audit, self.ruleset.input_schema.names, results, tuple_ids,
-                dirty, projection,
+            "_rebind",
+            lambda self, dirty, truth, results, tuple_ids, shared: eager_replay(
+                self.audit, self.ruleset.input_schema, dirty, truth, results,
+                tuple_ids, shared,
             ),
         )
         _, parent, parent_rows = run(tmp_path / "parent.db")

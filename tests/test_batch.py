@@ -31,6 +31,7 @@ from repro.errors import CerFixError
 from repro.master.conformance import DifferentialCase, case_cluster
 from repro.master.manager import MasterDataManager
 from repro.master.store import ShardedMasterStore
+from repro.monitor.suggest import SuggestionStrategy
 from repro.relational.relation import Relation
 from repro.scenarios import hospital, uk_customers as uk
 
@@ -419,7 +420,14 @@ def test_transcript_projection_covers_rule_and_region_attrs():
     assert set(hospital.INPUT_SCHEMA.names) - projection == {"score", "sample"}
     region = RankedRegion(Region(("score", "zip")), CertaintyMode.ANCHORED, coverage=1.0)
     assert "score" in transcript_projection(ruleset, regions=(region,))
-    assert "sample" in transcript_projection(ruleset, validated=("sample",))
+    # A semantic suggestion under SCENARIO mode filters the scenario by
+    # every validated value, payload columns included.
+    assert transcript_projection(
+        ruleset, mode=CertaintyMode.SCENARIO, strategy=SuggestionStrategy.SEMANTIC
+    ) == frozenset(hospital.INPUT_SCHEMA.names)
+    assert transcript_projection(
+        ruleset, mode=CertaintyMode.ANCHORED, strategy=SuggestionStrategy.SEMANTIC
+    ) == projection
     # uk: only 'item' (a mandatory payload column — user-validated, never
     # read or written by a rule) falls outside the projection
     uk_proj = transcript_projection(uk.paper_ruleset())
@@ -575,3 +583,36 @@ def test_probe_cache_preload_respects_maxsize():
     assert cache.evictions == 0  # preload overflow is not a runtime eviction
     assert cache.get(("r4", (4,))) is not None
     assert cache.get(("r0", (0,))) is None
+
+
+# ---------------------------------------------------------------------------
+# Report: a tuple with conflicts is not a certain fix
+# ---------------------------------------------------------------------------
+
+
+def test_completed_counts_only_conflict_free_tuples():
+    from repro.core.chase import chase
+    from repro.master.conformance import generate_case
+
+    case = generate_case(4, scenario="uk", with_truth=False, rate=0.4)
+    names = case.ruleset.input_schema.names
+    engine = CerFix(case.ruleset, case.master)
+    report = engine.clean_relation(case.dirty, validated=names).report
+    certain = sum(
+        chase(row.to_dict(), names, case.ruleset, engine.master).is_complete
+        for row in case.dirty.rows()
+    )
+    assert report.conflicts == 78
+    assert report.completed == certain < report.tuples == 40
+    assert report.incomplete == 40 - certain
+
+
+def test_stream_completed_counts_only_conflict_free_tuples():
+    from repro.monitor.stream import StreamReport, TupleOutcome
+
+    report = StreamReport([
+        TupleOutcome("a", True, 1, 2, 7, 3, 0),
+        TupleOutcome("b", True, 1, 2, 7, 3, 2),
+        TupleOutcome("c", False, 2, 3, 1, 1, 0),
+    ])
+    assert report.completed == 1

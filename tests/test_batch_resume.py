@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import shutil
+import sqlite3
+from pathlib import Path
 
 import pytest
 
 from repro import CerFix
 from repro.batch import CheckpointJournal
 import repro.batch.executor as executor_mod
+from repro.dirty import DirtyTable
+from repro.dirty.cleaner import list_runs
+from repro.master.conformance import generate_case, normalize_report
 from repro.scenarios import uk_customers as uk
 
 
@@ -150,3 +156,61 @@ def test_record_before_open_raises(tmp_path):
 
     with pytest.raises(RuntimeError):
         journal.record(ShardResult(shard_id=0, outcomes=()))
+
+
+# -- journals written by 1.14 --------------------------------------------------
+# 1.15 keys batch groups on the values a repair validates, so plan
+# fingerprints changed. ``tests/data`` holds checkpoints a 1.14 run left
+# behind when it crashed: a ``clean_relation(journal_path=...)`` file
+# after 2 of 4 shards, and a paged ``clean_table`` (30-row pages, 4
+# shards) with page 0 committed and 2 shard checkpoints of page 1. A
+# checkpoint is either resumed or discarded as stale; the output must
+# match a fresh run either way.
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_file_journal_from_1_14(tmp_path):
+    case = generate_case(5, scenario="uk", n=40)
+    journal = tmp_path / "clean.journal"
+    shutil.copyfile(DATA / "clean-1.14.journal", journal)
+    fresh = CerFix(case.ruleset, case.master).clean_relation(case.dirty, case.truth, shards=4)
+    engine = CerFix(case.ruleset, case.master)
+    result = engine.clean_relation(case.dirty, case.truth, shards=4, journal_path=journal)
+    assert result.relation.raw_tuples() == fresh.relation.raw_tuples()
+    assert normalize_report(result.report.to_json()) == normalize_report(fresh.report.to_json())
+    assert result.report.resumed_shards == 0  # stale: a 1.14 plan fingerprint
+    lines = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [line["kind"] for line in lines] == ["header"] + ["shard"] * len(result.report.shards)
+
+
+def test_crashed_paged_run_from_1_14(tmp_path, monkeypatch):
+    case = generate_case(3, scenario="uk", n=60, rate=0.35, with_truth=False)
+    fresh = CerFix(case.ruleset, case.master).clean_relation(case.dirty, validated=case.validated)
+    db = tmp_path / "dirty.db"
+    conn = sqlite3.connect(db)
+    conn.executescript((DATA / "crashed-run-1.14.sql").read_text())
+    conn.close()
+    (run,) = list_runs(DirtyTable(db))
+    assert (run.status, run.pages_done) == ("running", 1)
+
+    real = executor_mod._run_shard
+    executed = []
+    monkeypatch.setattr(
+        executor_mod, "_run_shard",
+        lambda shard, *args: executed.append(shard) or real(shard, *args),
+    )
+    result = CerFix(case.ruleset, case.master).clean_table(
+        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    )
+    # Page 0 stays committed; page 1's 2 checkpoints are stale, so all 4
+    # of its shards rerun.
+    assert result.resumed_pages == 1
+    assert len(executed) == 4
+    table = DirtyTable(db)
+    conn = table.backend.connect(readonly=True)
+    try:
+        assert table.read_relation(conn).raw_tuples() == fresh.relation.raw_tuples()
+    finally:
+        conn.close()
+    assert result.changed_cells == fresh.report.changed_cells

@@ -103,3 +103,23 @@ class TestDiagnostics:
         # every rule's index spec is now cached on the relation
         for attrs, ops in paper_ruleset.index_specs():
             assert mgr.relation.index_on(attrs, ops) is mgr.relation.index_on(attrs, ops)
+
+
+class TestContentDigest:
+    def test_hashed_once_per_version(self, manager, monkeypatch):
+        import repro.master.store as store_mod
+
+        scans = []
+        real = store_mod._relation_digest
+        monkeypatch.setattr(
+            store_mod, "_relation_digest", lambda rel: scans.append(rel) or real(rel)
+        )
+        first = manager.content_digest()
+        assert manager.content_digest() == manager.content_digest() == first
+        assert len(scans) == 1
+        manager.relation.update_cell(0, "value", "v9")
+        changed = manager.content_digest()
+        assert changed != first and len(scans) == 2
+        assert changed == real(manager.relation)
+        manager.relation.update_cell(0, "value", "v1")
+        assert manager.content_digest() == first and len(scans) == 3
