@@ -18,10 +18,11 @@ wall-clock parallelism on top. The JSON snapshot (``BENCH_batch.json``
 at the repo root) records the machine so trajectories stay comparable.
 
 B2 (same module) adds the ``--store`` axis: raw master-probe throughput
-and whole-relation batch throughput per master-store backend (single vs
-sharded vs sqlite — see :mod:`repro.master.store`), recorded in
+and whole-relation batch throughput per in-process master-store backend
+(single vs sqlite — see :mod:`repro.master.store`; the remote store has
+its own bench, ``bench_remote_store.py``), recorded in
 ``BENCH_master_store.json``. Restrict the sweep with
-``pytest benchmarks/bench_batch_throughput.py --store sharded``.
+``pytest benchmarks/bench_batch_throughput.py --store sqlite``.
 """
 
 import os
@@ -53,12 +54,11 @@ WORKER_SWEEP = (
 MASTER_SIZE = 40  # small population -> realistic signature duplication
 RATE = 0.15
 
-# -- B2: the --store axis (single vs sharded vs sqlite master stores) --------
-STORE_SWEEP = ("single", "sharded", "sqlite")
-STORE_MASTER_SIZE = 300 if QUICK else 2_000  # probe routing must matter
+# -- B2: the --store axis (single vs sqlite master stores) -------------------
+STORE_SWEEP = ("single", "sqlite")
+STORE_MASTER_SIZE = 300 if QUICK else 2_000
 STORE_PROBE_ROUNDS = 2 if QUICK else 10  # probe repetitions over clean inputs
 STORE_BATCH_ROWS = 200 if QUICK else 2_000
-STORE_SHARDS = 8
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ def test_batch_throughput(table, workloads, size):
 def store_table(store_axis):
     result = BenchResult(
         "B2 — master store backends: probe + batch throughput "
-        "(single vs sharded vs sqlite)",
+        "(single vs sqlite)",
         ("store", "master rows", "probes", "probes/s",
          "batch rows", "batch mode", "seconds", "tuples/s"),
     )
@@ -151,8 +151,8 @@ def store_table(store_axis):
         # A restricted sweep must not clobber the committed full-table
         # snapshot with a partial one.
         return
-    result.note(f"sharded store runs {STORE_SHARDS} shards; probes repeat the "
-                f"clean inputs {STORE_PROBE_ROUNDS}x against every master-sourced rule")
+    result.note(f"probes repeat the clean inputs {STORE_PROBE_ROUNDS}x against "
+                f"every master-sourced rule")
     result.note("acceptance: every backend within 3x of 'single' on raw probes "
                 "(parity is asserted functionally by tests/test_store_parity.py)")
     save_table(result, "b2_master_store.txt")
@@ -172,7 +172,7 @@ def store_workload():
 def _build_store(name: str, master, tmp_path):
     if name == "sqlite":
         return make_store(master, name, path=tmp_path / "bench_master.db")
-    return make_store(master, name, shards=STORE_SHARDS)
+    return make_store(master, name)
 
 
 @pytest.mark.parametrize("store_name", STORE_SWEEP)

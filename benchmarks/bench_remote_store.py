@@ -319,7 +319,7 @@ def test_remote_batch_pipeline_end_to_end(table, world):
     def clean_once():
         engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
         result = engine.clean_relation(batch_wl.dirty, batch_wl.clean)
-        trips = _round_trips(engine.master.store, baseline=2)  # handshake+prebuild
+        trips = _round_trips(engine.master.store)  # the handshake is the only non-probe trip
         engine.master.store.close()
         return result, trips
 
@@ -345,8 +345,7 @@ def test_remote_batch_pipeline_rule_only(table, world):
     def clean_once():
         engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
         result = engine.clean_relation(batch_wl.dirty, validated=("zip",))
-        # handshake, then a prebuild at construction and one before the clean
-        trips = _round_trips(engine.master.store, baseline=3)
+        trips = _round_trips(engine.master.store)  # the handshake is the only non-probe trip
         engine.master.store.close()
         return result, trips
 

@@ -3,7 +3,7 @@
 Adds the ``--store`` axis: restrict store-sweeping benches (B2 in
 ``bench_batch_throughput.py``) to one master-store backend, e.g.::
 
-    pytest benchmarks/bench_batch_throughput.py --store sharded
+    pytest benchmarks/bench_batch_throughput.py --store sqlite
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ def pytest_addoption(parser):
         "--store",
         action="store",
         default="all",
-        choices=("all", "single", "sharded", "sqlite"),
+        choices=("all", "single", "sqlite"),
         help="master store backend to sweep (default: all)",
     )
 

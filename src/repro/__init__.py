@@ -56,7 +56,6 @@ from repro.master import (
     MasterDataManager,
     MasterStore,
     RemoteMasterStore,
-    ShardedMasterStore,
     SingleRelationStore,
     SqliteMasterStore,
     make_store,
@@ -98,7 +97,7 @@ from repro.rules import (
 from repro.discovery import discover_constant_cfds, discover_fds, discover_mds
 from repro.config import InstanceConfig, load_instance, save_instance
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "CerFix",
@@ -136,7 +135,6 @@ __all__ = [
     "MasterDataManager",
     "MasterStore",
     "SingleRelationStore",
-    "ShardedMasterStore",
     "SqliteMasterStore",
     "RemoteMasterStore",
     "STORE_BACKENDS",

@@ -5,7 +5,7 @@ that counts its own hits, misses and evictions. It backs the suggestion
 memo, the chase memo and — only where a probe is expensive — the probe
 cache.
 
-A probe on an in-process store (single, sharded, sqlite) is a memo or
+A probe on an in-process store (single, sqlite) is a memo or
 index lookup, so batch, stream, monitor and service all call the store
 directly. An ``io_bound`` store (the remote shard cluster) pays a
 network round trip per probe; there the :class:`CachingMasterDataManager`

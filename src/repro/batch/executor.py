@@ -8,7 +8,7 @@ embarrassingly parallel and the result of a group depends only on the
 group and the engine configuration, never on scheduling. That is what
 makes the process path *bit-identical* to the serial path.
 
-Probes on an in-process store (single, sharded, sqlite) go straight
+Probes on an in-process store (single, sqlite) go straight
 to the store, whose own memo and indexes answer them. Only an
 ``io_bound`` store (remote shards) gets a probe cache
 (:class:`~repro.batch.cache.CachingMasterDataManager` over one
@@ -52,10 +52,10 @@ class BatchContext:
     """Everything a shard worker needs, picklable for process workers.
 
     ``master`` carries its configured
-    :class:`~repro.master.store.MasterStore` backend along: a sharded
-    store pickles as raw tuples and rebuilds only the shards a worker's
-    probes route to; the single store rebuilds its indexes eagerly in
-    the worker (see :func:`_init_process`).
+    :class:`~repro.master.store.MasterStore` backend along: the single
+    and sqlite stores pickle as raw tuples and rebuild their indexes
+    eagerly in the worker; a remote store ships its shard urls and
+    reconnects (see :func:`_init_process`).
 
     ``scenario`` is typically a closure and therefore unpicklable; the
     pipeline runs such a plan serially when the context cannot be
@@ -435,10 +435,9 @@ def _init_process(ctx: BatchContext) -> None:
     _PROCESS_CACHE = _probe_cache(ctx)
     _PROCESS_MEMO = LRUMemo(ctx.cache_size)
     _PROCESS_CHASE_MEMO = LRUMemo(ctx.cache_size)
-    # Store-specific warm-up: the single store rebuilds its (pickle-
-    # stripped) indexes eagerly; the sharded store stays lazy so this
-    # worker only materialises the shards its probes actually route to.
-    ctx.master.prepare_worker(ctx.ruleset)
+    # Pickling stripped the in-process stores' indexes: rebuild them
+    # before the first fix. A remote store only warms its normalisers.
+    ctx.master.prebuild(ctx.ruleset)
 
 
 def _process_shard(shard: Shard) -> ShardResult:

@@ -73,22 +73,18 @@ class BatchCleaner:
         max_combos: int = 50_000,
         cache_size: int = 4096,
         store: str | None = None,
-        store_shards: int = 4,
         store_path: str | Path | None = None,
         store_urls: Sequence | None = None,
     ):
         """``master`` may be a bare relation, a manager, or a
         :class:`~repro.master.store.MasterStore`. ``store`` selects a
         backend by name for the bare-relation form (``"single"``,
-        ``"sharded"``, ``"sqlite"``, ``"remote"``); ``store_shards`` /
-        ``store_path`` / ``store_urls`` parameterise the sharded,
-        sqlite and remote backends (``store_urls`` entries may be
-        replica-url lists — see
+        ``"sqlite"``, ``"remote"``); ``store_path`` / ``store_urls``
+        parameterise the sqlite and remote backends (``store_urls``
+        entries may be replica-url lists — see
         :class:`~repro.master.remote.RemoteMasterStore`)."""
         self.ruleset = ruleset
-        master = resolve_master(
-            master, store, shards=store_shards, path=store_path, urls=store_urls
-        )
+        master = resolve_master(master, store, path=store_path, urls=store_urls)
         if master is None:
             raise CerFixError(
                 "master data is required (master=None is only valid with "

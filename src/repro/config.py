@@ -23,7 +23,7 @@ Example document::
       "mode": "strict",
       "strategy": "core_first",
       "precompute_regions": 5,
-      "store": {"backend": "sharded", "shards": 8},
+      "store": {"backend": "sqlite", "path": "master.db"},
       "service": {"max_sessions": 64, "cache_size": 8192}
     }
 
@@ -32,8 +32,6 @@ The optional ``store`` section selects the master store backend (see
 
 ``{"backend": "single"}``
     the default — one in-memory relation;
-``{"backend": "sharded", "shards": N}``
-    probe structures hash-partitioned across N shards;
 ``{"backend": "sqlite", "path": "master.db"}``
     in-memory probing over a SQLite-persisted snapshot (``path``
     resolves against the instance directory; the snapshot is written or
@@ -182,7 +180,7 @@ class InstanceConfig:
     mode: CertaintyMode = CertaintyMode.STRICT
     strategy: SuggestionStrategy = SuggestionStrategy.CORE_FIRST
     precompute_regions: int = 0
-    #: Master store selection: {"backend": ..., "shards": ..., "path": ...}.
+    #: Master store selection: {"backend": ..., "path": ..., "urls": ...}.
     store: dict[str, Any] = field(default_factory=dict)
     #: Async entry service options (``cerfix serve``); keys mirror
     #: :class:`~repro.service.app.AsyncCerFixService` (see _SERVICE_KEYS).
@@ -253,16 +251,12 @@ class InstanceConfig:
                         "(one entry per shard, in shard-id order — each entry "
                         "a shard-server url, or a list of replica urls)"
                     )
-            if "shards" in store:
-                try:
-                    shards = int(store["shards"])
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"store 'shards' must be an integer, got {store['shards']!r}"
-                    ) from None
-                if shards < 1:
-                    raise ValidationError(f"store 'shards' must be >= 1, got {shards}")
-                store["shards"] = shards
+            unknown = sorted(set(store) - {"backend", "path", "urls"})
+            if unknown:
+                raise ValidationError(
+                    f"unknown store key(s) {unknown}: the store section takes "
+                    f"'backend', 'path' and 'urls'"
+                )
         return cls(
             name=obj["name"],
             input_schema=_schema_from_json(obj["input_schema"]),
@@ -353,7 +347,6 @@ def load_instance(path: str | Path) -> tuple[CerFix, InstanceConfig]:
         master = make_store(
             master,
             backend,
-            shards=int(store_cfg.get("shards", 4)),
             # relative snapshot paths live next to the other artefacts
             path=(base / store_path) if store_path else None,
             urls=store_cfg.get("urls"),

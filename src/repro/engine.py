@@ -66,13 +66,13 @@ class CerFix:
     single-relation backend), any
     :class:`~repro.master.store.MasterStore`, or a ready
     :class:`MasterDataManager`. ``store`` selects a backend by name for
-    the bare-relation form — ``"single"``, ``"sharded"`` (with
-    ``store_shards``), ``"sqlite"`` (with ``store_path``) or
-    ``"remote"`` (with ``store_urls``, one entry per shard — a
-    shard-server url, or a list of replica urls for client-side
-    failover; the master content then lives on the servers, so
-    ``master`` may be ``None`` — when a relation *is* given its content
-    digest is verified against the cluster, every replica included).
+    the bare-relation form — ``"single"``, ``"sqlite"`` (with
+    ``store_path``) or ``"remote"`` (with ``store_urls``, one entry
+    per shard — a shard-server url, or a list of replica urls for
+    client-side failover; the master content then lives on the
+    servers, so ``master`` may be ``None`` — when a relation *is* given
+    its content digest is verified against the cluster, every replica
+    included).
     Every backend produces bit-identical
     fixes (the conformance suite enforces this), so the choice is
     purely about scale, durability and topology.
@@ -90,14 +90,11 @@ class CerFix:
         use_index: bool = True,
         max_combos: int = 50_000,
         store: str | None = None,
-        store_shards: int = 4,
         store_path: Any = None,
         store_urls: Any = None,
     ):
         self.ruleset = ruleset
-        master = resolve_master(
-            master, store, shards=store_shards, path=store_path, urls=store_urls
-        )
+        master = resolve_master(master, store, path=store_path, urls=store_urls)
         if master is None:
             raise MasterDataError(
                 "master data is required (master=None is only valid with "

@@ -10,8 +10,8 @@ Subcommands::
     cerfix fix      [--scenario ...] --input CSV --truth CSV [--out CSV]
     cerfix clean    [--scenario ...] --input CSV [--truth CSV] [--workers N]
                     [--cache FILE]  # probe-cache persistence (remote stores)
-                    [--store single|sharded|sqlite|remote [--store-shards N]
-                     [--store-path DB] [--shard-urls URL,..[;URL,..]]]
+                    [--store single|sqlite|remote [--store-path DB]
+                     [--shard-urls URL,..[;URL,..]]]
     cerfix clean    [--scenario ...|--instance DIR] --db FILE [--table T]
                     [--page-rows N] [--dry-run] [--resume RUN_ID]
                     [--validated A,B]             # DB-native paged cleaning
@@ -105,7 +105,6 @@ def _engine(args) -> CerFix:
             "server urls, one per shard, in shard-id order; use ';' between "
             "shards to give each a comma-separated replica list)"
         )
-    store_shards = getattr(args, "store_shards", None)
     return CerFix(
         ruleset,
         master,
@@ -113,7 +112,6 @@ def _engine(args) -> CerFix:
         scenario=scenario,
         strategy=SuggestionStrategy(getattr(args, "strategy", "core_first")),
         store=store,
-        store_shards=store_shards if store_shards is not None else 4,
         store_path=getattr(args, "store_path", None),
         store_urls=shard_urls,
     )
@@ -599,12 +597,7 @@ def cmd_serve(args) -> int:
     _configure_trace(args)
     service_cfg: dict[str, Any] = {}
     if args.instance:
-        if (
-            args.store
-            or args.store_path
-            or args.store_shards is not None
-            or getattr(args, "shard_urls", None)
-        ):
+        if args.store or args.store_path or getattr(args, "shard_urls", None):
             raise CerFixError(
                 "--store flags conflict with --instance: configure the "
                 "backend in the instance document's 'store' section"
@@ -678,8 +671,6 @@ def _add_store_flags(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--store", choices=STORE_BACKENDS, default=None,
                    help="master store backend (default: single in-memory relation)")
-    p.add_argument("--store-shards", type=int, default=None, dest="store_shards",
-                   help="shard count for --store sharded (default 4)")
     p.add_argument("--store-path", dest="store_path",
                    help="snapshot file for --store sqlite")
     p.add_argument("--shard-urls", dest="shard_urls",

@@ -5,7 +5,6 @@ from repro.master.remote import RemoteMasterStore
 from repro.master.store import (
     STORE_BACKENDS,
     MasterStore,
-    ShardedMasterStore,
     SingleRelationStore,
     SqliteMasterStore,
     make_store,
@@ -18,7 +17,6 @@ __all__ = [
     "MasterMatch",
     "MasterStore",
     "SingleRelationStore",
-    "ShardedMasterStore",
     "SqliteMasterStore",
     "RemoteMasterStore",
     "STORE_BACKENDS",

@@ -53,7 +53,6 @@ from repro import CerFix, CertaintyMode
 from repro.core.ruleset import RuleSet
 from repro.master.store import (
     MasterStore,
-    ShardedMasterStore,
     SingleRelationStore,
     SqliteMasterStore,
 )
@@ -124,14 +123,13 @@ def store_factories(
     case: DifferentialCase,
     tmp_path: Path,
     *,
-    shards: int = 3,
     remote_urls: Sequence[Any] | None = None,
 ) -> dict[str, Callable[[], MasterStore]]:
     """One factory per backend, each over a fresh copy of the master.
 
-    Fresh :class:`Relation` copies guarantee no index or partition is
-    shared between backends — each backend builds its own probe
-    structures from the same content. ``remote_urls`` (a running shard
+    Fresh :class:`Relation` copies guarantee no index is shared between
+    backends — each backend builds its own probe structures from the
+    same content. ``remote_urls`` (a running shard
     cluster over the *same* master content — see :func:`case_cluster`)
     additionally registers the ``remote`` backend; its factory verifies
     the cluster's content digest against the case's master, so a kit
@@ -143,7 +141,6 @@ def store_factories(
 
     factories: dict[str, Callable[[], MasterStore]] = {
         "single": lambda: SingleRelationStore(copy()),
-        "sharded": lambda: ShardedMasterStore(copy(), shards=shards),
         "sqlite": lambda: SqliteMasterStore(tmp_path / f"{case.name}.db", copy()),
     }
     if remote_urls is not None:

@@ -4,8 +4,8 @@ Master data (reference data) is "a single repository of high-quality data
 … assumed consistent and accurate" (paper §2, citing [9]). The manager is
 the facade the chase, monitor and batch layers talk to; storage itself
 lives behind the :class:`~repro.master.store.MasterStore` interface
-(single in-memory relation, hash-sharded, or sqlite-persisted — see
-:mod:`repro.master.store`). The manager serves exactly one query shape —
+(single in-memory relation, sqlite-persisted, or remote shard servers —
+see :mod:`repro.master.store`). The manager serves exactly one query shape —
 *given an editing rule and an input tuple's validated values, which
 master tuples match, and do they agree on the correction value?* — and
 handles the one case no store ever sees: constant-sourced rules, whose
@@ -69,10 +69,6 @@ class MasterDataManager:
         store from several threads.
         """
         self.store.prebuild(ruleset)
-
-    def prepare_worker(self, ruleset: RuleSet) -> None:
-        """Store-specific warm-up for a freshly unpickled process worker."""
-        self.store.prepare_worker(ruleset)
 
     def match(
         self,

@@ -1,14 +1,13 @@
 """The remote master store: shard-server-backed probing over the network.
 
-:class:`RemoteMasterStore` is the fourth :class:`~repro.master.store.MasterStore`
-backend: the hash routing of
-:class:`~repro.master.store.ShardedMasterStore` pointed at N
-:mod:`shard-server <repro.master.shardserver>` processes instead of N
-in-process partitions. A probe normalises its match key locally, routes
-it with the same deterministic :func:`~repro.master.store.shard_of`
-hash the servers use, and asks exactly one server — which verifies the
-routing before answering, so a client/server disagreement is a loud
-409, never a silently wrong match.
+:class:`RemoteMasterStore` is the third :class:`~repro.master.store.MasterStore`
+backend, beside ``single`` and ``sqlite``: probes hash-routed by match
+key to N :mod:`shard-server <repro.master.shardserver>` processes. A
+probe normalises its match key locally, routes it with the same
+deterministic :func:`~repro.master.store.shard_of` hash the servers
+use, and asks exactly one server — which verifies the routing before
+answering, so a client/server disagreement is a loud 409, never a
+silently wrong match.
 
 What makes it production-shaped rather than a toy RPC wrapper:
 
@@ -44,9 +43,9 @@ What makes it production-shaped rather than a toy RPC wrapper:
   shard count or content digest is rejected at handshake, so a stale
   replica is refused loudly instead of silently consulted.
 
-Parity: the servers answer through the same
-:class:`~repro.master.store.ShardedMasterStore` probe path every other
-backend shares, and the conformance kit
+Parity: each server answers from its own shard's slice of the global
+index, positions in global order, and assembles correction values with
+the same helper every backend shares; the conformance kit
 (:mod:`repro.master.conformance`) pins the remote backend bit-identical
 to ``single`` on the monitor, batch and async-service paths.
 """
@@ -659,9 +658,7 @@ class RemoteMasterStore(MasterStore):
     verified) the first time a non-probe path needs it — region
     finding, certainty analysis, audit provenance. The probe hot path
     never touches it: positions *and* correction values come back over
-    the wire, computed by the same shared
-    :class:`~repro.master.store.ShardedMasterStore` code path every
-    backend answers through.
+    the wire, from the owning server's slice of the global index.
     """
 
     backend = "remote"
@@ -911,17 +908,8 @@ class RemoteMasterStore(MasterStore):
     # -- index lifecycle ----------------------------------------------------
 
     def prebuild(self, ruleset: RuleSet) -> None:
-        """Warm the local normalisers and every server's own shard."""
-        for rule in ruleset:
-            if not rule.is_constant:
-                self._normalizer(rule)
-        for group in self.groups:
-            for endpoint in group.replicas:
-                endpoint.request("POST", "/prebuild", {})
-
-    def prepare_worker(self, ruleset: RuleSet) -> None:
-        """Nothing to rebuild: a freshly unpickled worker reconnects to
-        servers that are already warm."""
+        """Warm the local key normalisers. No round trip: every server
+        builds its own shard's index when it starts."""
         for rule in ruleset:
             if not rule.is_constant:
                 self._normalizer(rule)

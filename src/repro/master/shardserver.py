@@ -1,19 +1,16 @@
 """The shard server: one master-data shard served over HTTP/JSON.
 
-The scale-out counterpart of :class:`~repro.master.store.ShardedMasterStore`:
-instead of N in-process partitions, N *processes* (possibly on N hosts)
-each serve one shard of the probe key space, and
-:class:`~repro.master.remote.RemoteMasterStore` routes probes to them
-with the same deterministic :func:`~repro.master.store.shard_of` hash.
-Every server loads the full master content (raw tuples are cheap; it is
-the *probe indexes* that dominate memory at scale) but warms and serves
-only its own shard's lookup structures — the same laziness that keeps a
-process-pool worker from building shards its probes never route to.
+N shard-server *processes* (possibly on N hosts) each serve one shard of
+the probe key space, and :class:`~repro.master.remote.RemoteMasterStore`
+routes probes to them with the same deterministic
+:func:`~repro.master.store.shard_of` hash. Every server loads the full
+master content (raw tuples are cheap, and ``/relation`` serves them) but
+indexes only the keys routed to its own shard: it is the probe indexes
+that dominate memory at scale.
 
 Wire protocol (all JSON)::
 
     GET  /healthz      {ok, shard_id, shards, tuples, digest, name}
-    GET  /stats        {shard_id, store}: the underlying store's stats
     GET  /metrics      the process-wide registry dump merged with this
                        server's own ``cerfix.shard.*`` instruments, plus
                        their delta rates (see :mod:`repro.obs.metrics`)
@@ -21,15 +18,15 @@ Wire protocol (all JSON)::
                        ``?format=prometheus`` answers the Prometheus
                        text exposition instead (:mod:`repro.obs.promfmt`)
     GET  /relation     {schema, tuples, digest} — the canonical content
-    POST /prebuild     warm this shard's indexes for every rule spec
     POST /probe_many   {"probes": [{"rule_id": ..., "values": {...}}],
                         "use_index": true}
                        -> {"matches": [{"positions": [...], "values": [...]}]}
 
-``/probe_many`` verifies that every probe's normalised key actually
-routes to this shard (409 on a misroute): a client/server disagreement
-on shard count or routing must surface as a loud error, never as a
-silently incomplete match.
+``/probe_many`` normalises each probe's key once and verifies that it
+routes to this shard (409 on a misroute, before any index or scan is
+read): a client/server disagreement on shard count or routing must
+surface as a loud error, never as a silently incomplete match. The
+server builds its index at construction, so no request warms anything.
 
 Run one server per shard::
 
@@ -57,10 +54,13 @@ from repro.obs import promfmt, trace
 from repro.obs.metrics import MetricsRegistry, component_dump
 from repro.obs.monitor import install_process_gauges
 from repro.master.store import (
-    MasterMatch,
-    ShardedMasterStore,
+    _distinct_in_position_order,
+    _relation_digest,
+    _scan_positions,
     require_scalar_cells,
+    shard_of,
 )
+from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import schema_to_json
 
@@ -72,10 +72,16 @@ SPAWN_TIMEOUT = 20.0
 class ShardServerApp:
     """The request handling behind one shard server (transport-free).
 
-    Holds the rule set and a :class:`ShardedMasterStore` over the full
-    master content, but answers probes only for its own ``shard_id`` —
-    anything else is a misroute. Separated from the HTTP plumbing so
-    tests can drive the routing table directly.
+    Holds the rule set and the full master relation: ``/relation``
+    serves it, and every match reads its correction values from it. Its
+    probe index is small: for each rule index spec, one plain
+    ``key → positions`` dict holding only the normalised keys
+    :func:`~repro.master.store.shard_of` routes to this ``shard_id``.
+    Every master row carrying a key sits in that key's bucket, and the
+    positions stay in global order, so a routed probe answers exactly
+    what a global index lookup would. A probe routing elsewhere is a
+    misroute. Separated from the HTTP plumbing so tests can drive the
+    routing table directly.
     """
 
     def __init__(
@@ -92,17 +98,32 @@ class ShardServerApp:
         require_scalar_cells(
             (v for t in relation.raw_tuples() for v in t), "shard-server master data"
         )
-        self.ruleset = ruleset
+        self.relation = relation
         self.shard_id = shard_id
         self.shards = shards
         self.name = name
-        self.store = ShardedMasterStore(relation, shards=shards)
-        self.digest = self.store.content_digest()
-        # Warm this shard's lookup dicts up front: probing then never
-        # pays a first-request build, and concurrent handler threads
-        # only ever *read* the built structures.
-        self.store.build_shard(ruleset, shard_id)
-        self._rules = {r.rule_id: r for r in ruleset if not r.is_constant}
+        self.digest = _relation_digest(relation)
+        # Built once, up front, from a throwaway full index: handler
+        # threads only ever read these dicts, and no other shard's keys
+        # stay resident.
+        self.indexes: dict[tuple, dict[tuple, list[int]]] = {}
+        for attrs, ops in ruleset.index_specs():
+            self.indexes[(attrs, ops)] = {
+                key: positions
+                for key, positions in relation.build_index(attrs, ops).items()
+                if shard_of(key, shards) == shard_id
+            }
+        #: rule id -> (rule, key normaliser, own-shard index, source column)
+        self._rules = {
+            r.rule_id: (
+                r,
+                HashIndex(r.m_attrs, r.ops),
+                self.indexes[(r.m_attrs, r.ops)],
+                relation.schema.position(r.source.name),
+            )
+            for r in ruleset
+            if not r.is_constant
+        }
         # This server's own instruments: shard servers sharing a process
         # (an in-process cluster) must not share request counts. The
         # per-process self-gauges stay on the process registry.
@@ -143,24 +164,16 @@ class ShardServerApp:
                 "ok": True,
                 "shard_id": self.shard_id,
                 "shards": self.shards,
-                "tuples": len(self.store),
+                "tuples": len(self.relation),
                 "digest": self.digest,
                 "name": self.name,
             }
-        if method == "GET" and path == "/stats":
-            return 200, {
-                "shard_id": self.shard_id,
-                "store": self.store.stats(),
-            }
         if method == "GET" and path == "/relation":
             return 200, {
-                "schema": schema_to_json(self.store.schema),
-                "tuples": [list(t) for t in self.store.relation.tuples()],
+                "schema": schema_to_json(self.relation.schema),
+                "tuples": [list(t) for t in self.relation.tuples()],
                 "digest": self.digest,
             }
-        if method == "POST" and path == "/prebuild":
-            built = self.store.build_shard(self.ruleset, self.shard_id)
-            return 200, {"built": built}
         if method == "POST" and path == "/probe_many":
             return self._probe_many(body)
         return 404, {"error": f"no route {method} {path}"}
@@ -169,25 +182,28 @@ class ShardServerApp:
         if not isinstance(body, dict) or not isinstance(body.get("probes"), list):
             return 400, {"error": "expected a JSON body with a 'probes' list"}
         use_index = bool(body.get("use_index", True))
+        relation = self.relation
         matches: list[dict] = []
         for i, probe in enumerate(body["probes"]):
             rule_id = probe.get("rule_id") if isinstance(probe, dict) else None
-            rule = self._rules.get(rule_id)
-            if rule is None:
+            entry = self._rules.get(rule_id)
+            if entry is None:
                 return 400, {
                     "error": f"probe {i}: unknown or constant rule {rule_id!r} "
                     f"(this server holds {sorted(self._rules)})"
                 }
+            rule, normalizer, index, source_col = entry
             values = probe.get("values")
             if not isinstance(values, dict):
                 return 400, {"error": f"probe {i}: 'values' must be an object"}
             missing = [a for a in rule.lhs_attrs if a not in values]
             if missing:
                 return 400, {"error": f"probe {i}: rule {rule_id} needs values for {missing}"}
-            expected, match = self.store.probe_routed(
-                rule, values, use_index=use_index, expect_shard=self.shard_id
-            )
-            if match is None:
+            raw = tuple(values[a] for a in rule.lhs_attrs)
+            key = normalizer.key_of(raw)
+            expected = shard_of(key, self.shards)
+            if expected != self.shard_id:
+                # Answered before any index or scan is touched.
                 self._misroutes.inc()
                 return 409, {
                     "error": f"probe {i}: key routes to shard {expected}, "
@@ -195,13 +211,18 @@ class ShardServerApp:
                     f"server disagree on shard count or routing",
                     "expected_shard": expected,
                 }
-            matches.append({"positions": list(match.positions), "values": list(match.values)})
+            if use_index:
+                positions = index.get(key, ())
+            else:
+                positions = _scan_positions(relation, rule, raw)
+            matches.append(
+                {
+                    "positions": list(positions),
+                    "values": list(_distinct_in_position_order(relation, source_col, positions)),
+                }
+            )
         self._probes.inc(len(matches))
         return 200, {"matches": matches}
-
-    def match_from_json(self, obj: dict) -> MasterMatch:
-        """Decode one wire match (shared with the client for symmetry)."""
-        return MasterMatch(positions=tuple(obj["positions"]), values=tuple(obj["values"]))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -774,7 +795,7 @@ def run_from_args(args) -> int:
     print(
         f"cerfix shard-server: shard {app.shard_id}/{app.shards} "
         f"listening on {server.url} "
-        f"({len(app.store)} tuples, digest {app.digest[:12]}…)",
+        f"({len(app.relation)} tuples, digest {app.digest[:12]}…)",
         flush=True,
     )
     server.serve_forever()

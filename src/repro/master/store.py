@@ -11,17 +11,6 @@ that seam down as an interface with three backends:
     :class:`~repro.relational.index.HashIndex` es. Right for master data
     that fits comfortably in one process.
 
-``sharded``  :class:`ShardedMasterStore`
-    The master relation's probe structures hash-partitioned by match
-    key across N shards. Because every probe keys on one rule's match
-    columns, the normalised key routes the probe to exactly one shard;
-    all master rows carrying that key live in the same shard, so a
-    routed lookup returns exactly what a global index would — same
-    global positions, same order. Partitions build lazily per index
-    spec and per shard, so pickled copies (process-pool workers) carry
-    only the raw tuples and rebuild just the shards their probes route
-    to.
-
 ``sqlite``  :class:`SqliteMasterStore`
     An in-memory store whose content is snapshotted into a SQLite file.
     Batch runs survive process restarts with the master data itself,
@@ -30,11 +19,14 @@ that seam down as an interface with three backends:
     computed against.
 
 ``remote``  :class:`~repro.master.remote.RemoteMasterStore`
-    The sharded store's routing pointed at N shard-server *processes*
-    (possibly on other hosts) speaking HTTP/JSON — see
+    Probes hash-routed by match key (:func:`shard_of`) to N shard-server
+    *processes* (possibly on other hosts) speaking HTTP/JSON — see
     :mod:`repro.master.remote` and :mod:`repro.master.shardserver`.
-    Probes cross the network; coalescing/batching through
-    :meth:`MasterStore.probe_many` amortises real round trips.
+    Because every probe keys on one rule's match columns, all master
+    rows carrying that key live on the same shard, so a routed lookup
+    returns exactly what a global index would. Probes cross the
+    network; coalescing/batching through :meth:`MasterStore.probe_many`
+    amortises real round trips.
 
 The contract every backend obeys (the differential parity suite in
 ``tests/test_store_parity.py`` enforces it): given the same master
@@ -49,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -63,7 +54,7 @@ from repro.relational.schema import Schema, schema_from_json, schema_to_json
 
 #: Backend names accepted wherever a store is selected by string
 #: (CerFix, BatchCleaner, ``cerfix clean --store``, instance documents).
-STORE_BACKENDS = ("single", "sharded", "sqlite", "remote")
+STORE_BACKENDS = ("single", "sqlite", "remote")
 
 
 @dataclass(frozen=True)
@@ -247,19 +238,11 @@ class MasterStore:
 
         Required before multi-threaded probing (lazy builds are not
         synchronised across stores' internals beyond their own locks);
-        optional otherwise.
+        optional otherwise. A freshly unpickled process worker calls it
+        too, so the indexes pickling stripped are rebuilt before its
+        first fix.
         """
         raise NotImplementedError
-
-    def prepare_worker(self, ruleset: RuleSet) -> None:
-        """Backend hook for a freshly unpickled process-pool worker.
-
-        Default: same as :meth:`prebuild` (a worker probes from one
-        thread, but the single store's indexes were stripped by pickling
-        and eager rebuild moves the cost out of the first fix). Stores
-        that can rebuild selectively override this to stay lazy.
-        """
-        self.prebuild(ruleset)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -396,237 +379,15 @@ def shard_of(key: tuple, n_shards: int) -> int:
     """Deterministic shard routing for one normalised match key.
 
     Uses a content hash (not Python's randomised ``hash()``) so routing
-    agrees across processes and interpreter runs — process-pool workers
-    and journal resumes must route a key to the same shard the parent
-    would.
+    agrees across processes and interpreter runs: the remote client
+    (:meth:`~repro.master.remote.RemoteMasterStore.route`) and every
+    shard server (:class:`~repro.master.shardserver.ShardServerApp`)
+    must route a key to the same shard.
     """
     if n_shards == 1:
         return 0
     h = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(h, "big") % n_shards
-
-
-class _SpecPartition:
-    """One index spec's rows, hash-partitioned by normalised key.
-
-    The partitioning pass is one O(|master|) sweep that deals each row's
-    normalised key into its shard bucket; per-shard lookup dicts then
-    build lazily on first probe of that shard, so a process-pool worker
-    whose probes route to two shards never pays for the other N-2.
-    Within a bucket, rows keep global position order — that is what
-    makes a routed lookup byte-identical to a global index lookup.
-    """
-
-    __slots__ = ("attrs", "ops", "n_shards", "_normalizer", "_buckets", "_indexes")
-
-    def __init__(self, relation: Relation, attrs: tuple[str, ...], ops: tuple[str, ...], n_shards: int):
-        self.attrs = attrs
-        self.ops = ops
-        self.n_shards = n_shards
-        self._normalizer = HashIndex(attrs, ops)  # key normalisation only
-        #: per shard: list of (normalised key, global position), in order
-        self._buckets: list[list[tuple[tuple, int]]] = [[] for _ in range(n_shards)]
-        #: per shard: key -> [global positions], built lazily from the bucket
-        self._indexes: list[dict[tuple, list[int]] | None] = [None] * n_shards
-        cols = [relation.schema.position(a) for a in attrs]
-        for pos, t in enumerate(relation.raw_tuples()):
-            key = self._normalizer.key_of(tuple(t[c] for c in cols))
-            self._buckets[shard_of(key, n_shards)].append((key, pos))
-
-    def key_of(self, raw: Sequence[Any]) -> tuple:
-        return self._normalizer.key_of(raw)
-
-    def index_for(self, shard_id: int) -> dict[tuple, list[int]]:
-        index = self._indexes[shard_id]
-        if index is None:
-            index = {}
-            for key, pos in self._buckets[shard_id]:
-                index.setdefault(key, []).append(pos)
-            self._indexes[shard_id] = index
-        return index
-
-    def build_all(self) -> None:
-        for shard_id in range(self.n_shards):
-            self.index_for(shard_id)
-
-    def built_shards(self) -> int:
-        return sum(1 for i in self._indexes if i is not None)
-
-    def rows_by_shard(self) -> list[int]:
-        return [len(b) for b in self._buckets]
-
-    def duplicate_keys(self) -> dict[tuple, list[int]]:
-        out: dict[tuple, list[int]] = {}
-        for shard_id in range(self.n_shards):
-            for key, positions in self.index_for(shard_id).items():
-                if len(positions) > 1:
-                    out[key] = positions
-        return out
-
-
-class ShardedMasterStore(MasterStore):
-    """Master probe structures hash-partitioned by match key.
-
-    ``shards`` fixes the partition count. Each rule's index spec
-    ``(match attrs, match ops)`` gets its own partition of the relation:
-    the same row generally lands in different shards under different
-    specs, because each spec routes by *its* match key — exactly the
-    property that lets a probe touch one shard and still see every row
-    carrying its key.
-
-    Probing is bit-identical to :class:`SingleRelationStore` (the parity
-    suite pins this): positions come back in global order because shard
-    buckets preserve it, and a key's rows can never straddle shards.
-
-    Pickling ships only ``(schema, tuples, shards)`` — partitions and
-    per-shard lookup dicts are derived caches that rebuild lazily, so a
-    process-pool worker materialises only the shards its probes route
-    to.
-    """
-
-    backend = "sharded"
-
-    def __init__(self, relation: Relation, shards: int = 4):
-        if shards < 1:
-            raise MasterDataError(f"shard count must be >= 1, got {shards}")
-        self.relation = relation
-        self.shards = shards
-        self._partitions: dict[tuple, _SpecPartition] = {}
-        self._probes_by_shard = [0] * shards
-        self._lock = threading.Lock()
-
-    def __reduce__(self):
-        return (_rebuild_sharded, (self.schema, self.relation.tuples(), self.shards))
-
-    def _partition(self, attrs: tuple[str, ...], ops: tuple[str, ...]) -> _SpecPartition:
-        spec = (attrs, ops)
-        part = self._partitions.get(spec)
-        if part is None:
-            with self._lock:
-                part = self._partitions.get(spec)
-                if part is None:
-                    part = _SpecPartition(self.relation, attrs, ops, self.shards)
-                    self._partitions[spec] = part
-        return part
-
-    def probe(
-        self,
-        rule: EditingRule,
-        values: Mapping[str, Any],
-        *,
-        use_index: bool = True,
-    ) -> MasterMatch:
-        if not use_index:
-            return self._scan_probe(rule, tuple(values[a] for a in rule.lhs_attrs))
-        match = self.probe_routed(rule, values)[1]
-        assert match is not None  # no expect_shard -> always probed
-        return match
-
-    def route(self, rule: EditingRule, values: Mapping[str, Any]) -> int:
-        """The shard id ``rule``'s probe against ``values`` routes to.
-
-        The client side of the remote store and the shard server both
-        compute routing through this method (or :meth:`probe_routed`),
-        so a request can never be *served* by a shard the client would
-        not have *sent* it to — disagreement surfaces as a loud
-        misroute, never a wrong answer.
-        """
-        part = self._partition(rule.m_attrs, rule.ops)
-        key = tuple(values[a] for a in rule.lhs_attrs)
-        return shard_of(part.key_of(key), self.shards)
-
-    def probe_routed(
-        self,
-        rule: EditingRule,
-        values: Mapping[str, Any],
-        *,
-        use_index: bool = True,
-        expect_shard: int | None = None,
-    ) -> tuple[int, MasterMatch | None]:
-        """Route and probe with one key normalisation: ``(shard, match)``.
-
-        The shard server's hot path — it must both verify the routing
-        and answer the probe, and normalising the key twice (once in
-        :meth:`route`, again in :meth:`probe`) would double the
-        per-probe normaliser work. With ``expect_shard`` set, a key
-        routing elsewhere returns ``(shard, None)`` *without* probing:
-        a misrouted request must not lazily build (and retain) another
-        shard's index on this server, nor touch index structures from
-        handler threads that are only ever supposed to read them.
-        """
-        key = tuple(values[a] for a in rule.lhs_attrs)
-        if not use_index:
-            # The scan ablation must not build the spec partition (an
-            # O(|master|) sweep whose buckets it would never read) just
-            # to learn the shard id — a throwaway normaliser is enough.
-            normalised = HashIndex(rule.m_attrs, rule.ops).key_of(key)
-            shard_id = shard_of(normalised, self.shards)
-            if expect_shard is not None and shard_id != expect_shard:
-                return shard_id, None
-            return shard_id, self._scan_probe(rule, key)
-        part = self._partition(rule.m_attrs, rule.ops)
-        normalised = part.key_of(key)
-        shard_id = shard_of(normalised, self.shards)
-        if expect_shard is not None and shard_id != expect_shard:
-            return shard_id, None
-        # Unlocked bump: the counter is a diagnostic, and a GIL-atomic
-        # list-element increment is accurate enough — taking the store
-        # lock here would serialise every probe of every service thread.
-        self._probes_by_shard[shard_id] += 1
-        return shard_id, self._match_at(
-            rule, tuple(part.index_for(shard_id).get(normalised, ()))
-        )
-
-    def prebuild(self, ruleset: RuleSet) -> None:
-        """Partition and build every shard of every spec — required
-        before multi-threaded probing (the thread executor backend)."""
-        for attrs, ops in ruleset.index_specs():
-            self._partition(attrs, ops).build_all()
-
-    def build_shard(self, ruleset: RuleSet, shard_id: int) -> int:
-        """Partition every spec but build only ``shard_id``'s lookup
-        dicts (what a shard server warms at startup: it will only ever
-        be asked for keys routing to its own shard). Returns the number
-        of per-spec shard indexes built."""
-        if not 0 <= shard_id < self.shards:
-            raise MasterDataError(
-                f"shard id {shard_id} out of range for {self.shards} shards"
-            )
-        built = 0
-        for attrs, ops in ruleset.index_specs():
-            self._partition(attrs, ops).index_for(shard_id)
-            built += 1
-        return built
-
-    def prepare_worker(self, ruleset: RuleSet) -> None:
-        """Stay lazy: a worker probes single-threaded, and building
-        nothing up front is what keeps unrouted shards unbuilt."""
-
-    def ambiguous_keys(self, rule: EditingRule) -> dict[tuple, tuple[Any, ...]]:
-        part = self._partition(rule.m_attrs, rule.ops)
-        return self._ambiguities(rule, part.duplicate_keys())
-
-    def apply_update(self, add=(), remove=()) -> tuple[int, int]:
-        counts = super().apply_update(add, remove)
-        self._partitions.clear()  # derived caches: rebuild against new content
-        return counts
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "tuples": len(self),
-            "shards": self.shards,
-            "specs_partitioned": len(self._partitions),
-            "shard_indexes_built": sum(p.built_shards() for p in self._partitions.values()),
-            "probes_by_shard": list(self._probes_by_shard),
-        }
-
-    def __repr__(self) -> str:
-        return f"ShardedMasterStore({self.relation!r}, shards={self.shards})"
-
-
-def _rebuild_sharded(schema: Schema, tuples: list[tuple], shards: int) -> "ShardedMasterStore":
-    return ShardedMasterStore(_rebuild_relation(schema, tuples), shards)
 
 
 # -- sqlite snapshots ---------------------------------------------------------
@@ -813,7 +574,6 @@ def make_store(
     relation: Relation | None,
     backend: str = "single",
     *,
-    shards: int = 4,
     path: str | Path | None = None,
     urls: Sequence[Any] | None = None,
 ) -> MasterStore:
@@ -857,8 +617,6 @@ def make_store(
         raise MasterDataError(f"master store backend {backend!r} needs a master relation")
     if backend == "single":
         store = SingleRelationStore(relation)
-    elif backend == "sharded":
-        store = ShardedMasterStore(relation, shards=shards)
     elif backend == "sqlite":
         if path is None:
             raise MasterDataError("the sqlite master store needs a snapshot path")
@@ -877,7 +635,6 @@ def resolve_master(
     master: Any,
     store: str | None,
     *,
-    shards: int = 4,
     path: str | Path | None = None,
     urls: Sequence[str] | None = None,
 ) -> Any:
@@ -897,4 +654,4 @@ def resolve_master(
             "store= selects a backend for a bare master relation; "
             "got an already-wrapped master"
         )
-    return make_store(master, store, shards=shards, path=path, urls=urls)
+    return make_store(master, store, path=path, urls=urls)

@@ -77,6 +77,10 @@ class HashIndex:
         """All distinct (normalised) keys present."""
         return self._buckets.keys()
 
+    def items(self) -> Iterable[tuple[tuple, list[int]]]:
+        """Every (normalised key, row positions) bucket."""
+        return self._buckets.items()
+
     def duplicate_keys(self) -> dict[tuple, list[int]]:
         """Keys carried by more than one row — ambiguity diagnostics."""
         return {k: v for k, v in self._buckets.items() if len(v) > 1}

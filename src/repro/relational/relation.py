@@ -298,17 +298,26 @@ class Relation:
         key = (attrs, ops)
         index = self._indexes.get(key)
         if index is None:
-            index = HashIndex(attrs, ops)
-            if attrs:
-                ncols = []
-                for a, op in zip(attrs, ops):
-                    pos = self.schema.position(a)
-                    norm = self._dicts[pos].normalized(op)
-                    ncols.append([norm[i] for i in self._cols[pos]])
-                index.build_prenormalized(zip(*ncols))
-            else:
-                index.build_prenormalized(() for _ in range(self._nrows))
-            self._indexes[key] = index
+            index = self._indexes[key] = self.build_index(attrs, ops)
+        return index
+
+    def build_index(self, attrs: Sequence[str], ops: Sequence[str] | None = None) -> HashIndex:
+        """A fresh hash index on ``attrs`` / ``ops``, not kept by the
+        relation (:meth:`index_on` is the cached form). A caller that
+        keeps only part of the index — a shard server keeps its own
+        shard's keys — lets the rest be freed."""
+        attrs = self.schema.require(attrs)
+        ops = tuple(ops) if ops is not None else ("exact",) * len(attrs)
+        index = HashIndex(attrs, ops)
+        if attrs:
+            ncols = []
+            for a, op in zip(attrs, ops):
+                pos = self.schema.position(a)
+                norm = self._dicts[pos].normalized(op)
+                ncols.append([norm[i] for i in self._cols[pos]])
+            index.build_prenormalized(zip(*ncols))
+        else:
+            index.build_prenormalized(() for _ in range(self._nrows))
         return index
 
     def lookup(
@@ -343,9 +352,9 @@ class Relation:
     def __reduce__(self):
         """Pickle as (schema, column dictionaries, id columns): indexes
         and the materialisation cache are derived, rebuilt lazily on
-        first use, and shipping them (e.g. to batch worker processes or
-        sharded sub-relations) would dwarf the data itself. Repeated
-        values ship once — the dictionary — instead of once per row."""
+        first use, and shipping them (e.g. to batch worker processes)
+        would dwarf the data itself. Repeated values ship once — the
+        dictionary — instead of once per row."""
         return (
             _rebuild_columnar,
             (self.schema, [d.values for d in self._dicts], self._cols, self._nrows),
@@ -392,7 +401,7 @@ def _rebuild_columnar(
 
 def _rebuild_relation(schema: Schema, tuples: Sequence[tuple]) -> Relation:
     """Row-tuple rebuild target, kept for callers that ship raw tuples
-    (sharded / sqlite store reconstruction): re-interns each tuple but
+    (sqlite store reconstruction): re-interns each tuple but
     skips per-row coercion — the tuples are known-good."""
     relation = Relation.__new__(Relation)
     relation.schema = schema

@@ -26,11 +26,8 @@ import pytest
 from repro import CerFix
 from repro.batch import BatchCleaner, LRUMemo, build_plan
 from repro.batch.cache import CachingMasterDataManager
-from repro.batch.executor import BatchContext
 from repro.errors import CerFixError
 from repro.master.conformance import DifferentialCase, case_cluster
-from repro.master.manager import MasterDataManager
-from repro.master.store import ShardedMasterStore
 from repro.monitor.suggest import SuggestionStrategy
 from repro.relational.relation import Relation
 from repro.scenarios import hospital, uk_customers as uk
@@ -309,38 +306,6 @@ def test_relation_pickle_roundtrip_preserves_mutability(paper_master):
     assert pos == len(paper_master)  # the original is untouched
     clone.update_cell(0, clone.schema.names[0], "patched")
     assert clone.tuples()[0][0] == "patched"
-
-
-def test_sharded_sub_relations_rebuild_lazily_on_workers(paper_ruleset, paper_master):
-    """The batch context of a sharded-store run ships raw tuples only:
-    unpickling (what every process-pool worker does) must carry zero
-    prebuilt shard indexes, and the first probe materialises exactly
-    the routed shard."""
-    store = ShardedMasterStore(
-        Relation(paper_master.schema, paper_master.tuples()), shards=4
-    )
-    manager = MasterDataManager(store)
-    manager.prebuild(paper_ruleset)  # parent side: fully built
-    ctx = BatchContext(ruleset=paper_ruleset, master=manager)
-    shipped = pickle.loads(pickle.dumps(ctx))
-    worker_store = shipped.master.store
-    assert worker_store.stats()["specs_partitioned"] == 0
-    assert worker_store.stats()["shard_indexes_built"] == 0
-    rule = next(r for r in paper_ruleset if not r.is_constant)
-    match = worker_store.probe(rule, uk.fig3_truth())
-    assert match == store.probe(rule, uk.fig3_truth())
-    assert shipped.master.store.stats()["shard_indexes_built"] == 1
-
-
-def test_process_backend_with_sharded_store_identical(uk_batch):
-    master, wl = uk_batch
-    store = ShardedMasterStore(Relation(master.schema, master.tuples()), shards=3)
-    serial = _clean(master, wl, uk.paper_ruleset(), workers=1, shards=6)
-    sharded = CerFix(uk.paper_ruleset(), store).clean_relation(
-        wl.dirty, wl.clean, workers=2, shards=6
-    )
-    assert sharded.relation.tuples() == serial.relation.tuples()
-    assert sharded.report.completed == serial.report.completed
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class TestServeParser:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--store", "sharded"], ["--store-shards", "16"], ["--store-path", "m.db"]],
+        [["--store", "sqlite"], ["--shard-urls", "127.0.0.1:1"], ["--store-path", "m.db"]],
     )
     def test_store_flags_conflict_with_instance(self, tmp_path, capsys, flags):
         """--instance configures the backend in the document; any explicit
@@ -64,3 +64,13 @@ class TestServeParser:
         rc = main(["serve", "--instance", str(tmp_path), *flags])
         assert rc == 2
         assert "--store flags conflict with --instance" in capsys.readouterr().err
+
+    def test_removed_sharded_store_exits_2(self, capsys):
+        """The in-process sharded backend is gone: argparse refuses it
+        before any file is read."""
+        with pytest.raises(SystemExit) as exc:
+            main(["clean", "--input", "dirty.csv", "--store", "sharded"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sharded'" in err
+        assert "single, sqlite, remote" in err or "'single', 'sqlite', 'remote'" in err

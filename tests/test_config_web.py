@@ -60,7 +60,7 @@ class TestInstanceConfig:
     @pytest.mark.parametrize(
         "store,backend",
         [
-            ({"backend": "sharded", "shards": 3}, "sharded"),
+            ({"backend": "single"}, "single"),
             ({"backend": "sqlite", "path": "master.db"}, "sqlite"),
             ({}, "single"),
         ],
@@ -114,15 +114,27 @@ class TestInstanceConfig:
 
     @pytest.mark.parametrize("shards", ["eight", None, 0, -3])
     def test_bad_store_shards_rejected(self, shards):
-        """A malformed 'shards' value must fail document validation with
-        the prettified error, not escape as a bare ValueError later."""
-        with pytest.raises(ValidationError, match="shards"):
+        """The store section no longer takes 'shards' (the in-process
+        sharded backend is gone): any value left in a document must fail
+        validation with the prettified error, not be silently ignored."""
+        with pytest.raises(ValidationError, match="unknown store key.*'shards'"):
             InstanceConfig.from_json(
                 {
                     "name": "x",
                     "input_schema": {"name": "i", "attributes": [{"name": "a"}]},
                     "master_schema": {"name": "m", "attributes": [{"name": "b"}]},
-                    "store": {"backend": "sharded", "shards": shards},
+                    "store": {"backend": "single", "shards": shards},
+                }
+            )
+
+    def test_removed_sharded_backend_rejected(self):
+        with pytest.raises(ValidationError, match="unknown master store backend 'sharded'"):
+            InstanceConfig.from_json(
+                {
+                    "name": "x",
+                    "input_schema": {"name": "i", "attributes": [{"name": "a"}]},
+                    "master_schema": {"name": "m", "attributes": [{"name": "b"}]},
+                    "store": {"backend": "sharded"},
                 }
             )
 

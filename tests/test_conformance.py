@@ -1,10 +1,10 @@
-"""The store-conformance kit, run over all four backends.
+"""The store-conformance kit, run over all three backends.
 
-This is the registration point the ROADMAP follow-up asked for: the
-``single``, ``sharded``, ``sqlite`` and ``remote`` backends all run
-through :func:`repro.master.conformance.run_conformance` — monitor
-path, batch path, async-service path and the interleaving fuzz — and
-must stay bit-identical to the ``single`` reference.
+This is the registration point for every backend: the ``single``,
+``sqlite`` and ``remote`` backends all run through
+:func:`repro.master.conformance.run_conformance` — monitor path, batch
+path, async-service path and the interleaving fuzz — and must stay
+bit-identical to the ``single`` reference.
 
 The remote backend runs against an in-process thread cluster by
 default (fast); the CI ``remote-store`` leg sets
@@ -34,7 +34,7 @@ from repro.master.conformance import (
 REMOTE_PROCESSES = os.environ.get("CERFIX_REMOTE_PROCESSES", "") == "1"
 REMOTE_REPLICAS = max(1, int(os.environ.get("CERFIX_REMOTE_REPLICAS", "1") or "1"))
 SHARDS = 3
-ALL_BACKENDS = {"single", "sharded", "sqlite", "remote"}
+ALL_BACKENDS = {"single", "sqlite", "remote"}
 
 
 @pytest.mark.parametrize(
@@ -51,9 +51,7 @@ def test_all_backends_conform(seed, scenario, n, paths, tmp_path):
     with case_cluster(
         case, tmp_path, shards=SHARDS, replicas=REMOTE_REPLICAS, processes=REMOTE_PROCESSES
     ) as cluster:
-        factories = store_factories(
-            case, tmp_path, shards=SHARDS, remote_urls=cluster.urls
-        )
+        factories = store_factories(case, tmp_path, remote_urls=cluster.urls)
         results = run_conformance(case, factories, paths=paths)
     for path in paths:
         assert set(results[path]) >= ALL_BACKENDS, path
@@ -70,9 +68,7 @@ def test_all_backends_interleaving_fuzz(tmp_path):
     with case_cluster(
         case, tmp_path, shards=SHARDS, replicas=REMOTE_REPLICAS, processes=REMOTE_PROCESSES
     ) as cluster:
-        factories = store_factories(
-            case, tmp_path, shards=SHARDS, remote_urls=cluster.urls
-        )
+        factories = store_factories(case, tmp_path, remote_urls=cluster.urls)
         results = run_conformance(case, factories, paths=("interleaved",))
     outcomes = results["interleaved"]
     assert {name.split("/")[0] for name in outcomes} == ALL_BACKENDS

@@ -1,6 +1,6 @@
 """One probe cache, only where a probe is expensive.
 
-An in-process store (single, sharded, sqlite) answers repeats from its
+An in-process store (single, sqlite) answers repeats from its
 own memo or index, so batch and service probe it directly; only an
 ``io_bound`` (remote) store gets the
 :class:`~repro.batch.cache.CachingMasterDataManager` over the one
@@ -41,7 +41,7 @@ from repro.master.manager import MasterMatch
 from repro.scenarios import uk_customers as uk
 
 REMOTE_PROCESSES = os.environ.get("CERFIX_REMOTE_PROCESSES", "") == "1"
-IN_PROCESS = ("single", "sharded", "sqlite")
+IN_PROCESS = ("single", "sqlite")
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,8 @@ from repro.master.remote import (
     fetch_health,
 )
 from repro.master.shardserver import ShardCluster, ShardServerApp
-from repro.master.store import SingleRelationStore, make_store
+from repro.master.store import SingleRelationStore, make_store, shard_of
+from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.scenarios import uk_customers as uk
 
@@ -145,7 +146,8 @@ def test_server_rejects_misrouted_probe(world):
     for row in workload.clean.rows():
         values = row.to_dict()
         rule = rules[0]
-        if app.store.route(rule, values) != 0:
+        key = HashIndex(rule.m_attrs, rule.ops).key_of(tuple(values[a] for a in rule.lhs_attrs))
+        if shard_of(key, SHARDS) != 0:
             break
     status, payload = app.handle(
         "POST",
@@ -289,6 +291,32 @@ def test_probe_many_amortises_round_trips(world, cluster):
     finally:
         naive.close()
         batched.close()
+
+
+def test_serial_clean_sends_only_probe_many(world):
+    """Servers index their own shard when they start, so nothing warms
+    them: building the engine costs one ``/healthz`` handshake per
+    shard, and a serial clean sends ``/probe_many`` and nothing else."""
+    master, ruleset, workload = world
+    seen: list[tuple[str, str]] = []
+    with ShardCluster.in_process(ruleset, master, 2) as two:
+        for member in two._members:
+            app = member["server"].app
+
+            def recording(method, path, body, real=app.handle):
+                seen.append((method, path))
+                return real(method, path, body)
+
+            app.handle = recording
+        engine = CerFix(ruleset, master, store="remote", store_urls=two.urls)
+        try:
+            assert seen == [("GET", "/healthz")] * 2
+            seen.clear()
+            result = engine.clean_relation(workload.dirty, workers=1, validated=("zip",))
+        finally:
+            engine.master.store.close()
+    assert result.report.cache.misses > 0
+    assert seen and set(seen) == {("POST", "/probe_many")}
 
 
 def test_relation_fetch_is_lazy_and_digest_checked(world, cluster):

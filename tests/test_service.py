@@ -153,7 +153,7 @@ def test_concurrent_sessions_match_serial_monitor(uk_workload):
     assert normalize_audit([e.to_json() for e in engine.audit]) == serial_audit
 
 
-@pytest.mark.parametrize("backend", ["single", "sharded", "sqlite"])
+@pytest.mark.parametrize("backend", ["single", "sqlite"])
 def test_service_parity_across_backends(backend, tmp_path):
     """The ISSUE 4 differential guarantee, per store backend: concurrent
     service output is bit-identical to the serial monitor path."""

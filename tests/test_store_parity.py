@@ -1,9 +1,9 @@
 """Differential parity suite: every master-store backend, every path.
 
-The acceptance gate for the store refactor (ISSUE 3): the single,
-sharded and sqlite backends must produce **bit-identical** fixes,
-certain regions and audit events through the monitor/stream path and
-the batch pipeline (serial and multi-process executors).
+The acceptance gate for the store refactor: the single and sqlite
+backends must produce **bit-identical** fixes, certain regions and
+audit events through the monitor/stream path and the batch pipeline
+(serial and multi-process executors).
 The harness lives in :mod:`repro.master.conformance` (lifted out of
 ``tests/`` so any backend — including the remote shard cluster — runs
 the same suite; ``tests/test_conformance.py`` drives the full kit).
@@ -11,31 +11,34 @@ This module pins:
 
 - randomized differential cases (datagen-backed) agree across backends
   on both paths, with and without ground truth;
-- Hypothesis property: a sharded probe equals a single-relation probe
-  for arbitrary relations, rules, keys and shard counts — including
-  ``N == 1`` and ``N`` far above the number of distinct keys;
+- Hypothesis property: the owning shard server's probe equals a
+  single-relation probe for arbitrary relations, rules, keys and shard
+  counts — including ``N == 1`` and ``N`` far above the number of
+  distinct keys; the servers' own-shard indexes partition the global
+  index, and a misrouted probe is refused before any index is read;
 - a sqlite-backed batch run killed mid-shard resumes from its journal
   (and its master snapshot) to the same ``BatchReport`` as an
   uninterrupted run;
 - store construction/selection errors are loud, and snapshots reload.
 
 CI runs this file in its own matrix leg with ``-p no:cacheprovider``
-and 4 process workers (``CERFIX_PARITY_WORKERS``) to catch
-cross-process nondeterminism.
+and 4 process workers (``CERFIX_PARITY_WORKERS``), so each worker
+probes its own unpickled copy of the store: cross-process
+nondeterminism in the batch path shows up as a parity failure.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import urllib.request
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.batch.executor as executor_mod
-from conftest import probe_cases
+import repro.master.shardserver as shardserver
+from conftest import PROBE_MASTER_SCHEMA, probe_cases
 from repro.master.conformance import (
     assert_parity,
     generate_case,
@@ -46,15 +49,19 @@ from repro.master.conformance import (
     store_factories,
 )
 from repro import CerFix
+from repro.core.ruleset import RuleSet
 from repro.errors import MasterDataError
+from repro.master.shardserver import ShardServerApp
 from repro.master.store import (
-    ShardedMasterStore,
+    MasterMatch,
     SingleRelationStore,
     SqliteMasterStore,
     make_store,
     shard_of,
 )
+from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.scenarios import uk_customers as uk
 
 #: The CI matrix leg sets 4 to force multi-process probing; local runs
@@ -63,7 +70,7 @@ PARITY_WORKERS = int(os.environ.get("CERFIX_PARITY_WORKERS", "4"))
 
 
 # ---------------------------------------------------------------------------
-# Differential cases: monitor and batch paths across all three backends
+# Differential cases: monitor and batch paths across the in-process backends
 # ---------------------------------------------------------------------------
 
 
@@ -148,67 +155,94 @@ def test_batch_rule_only_parity(tmp_path):
     assert_parity(outcomes)
 
 
-def test_parallel_equals_serial_on_sharded_store(tmp_path):
-    """Cross-check within one backend: the sharded store's serial and
-    multi-process batch outputs are identical (scheduling independence
-    survives the partitioned probe path)."""
-    case = generate_case(707, scenario="uk")
-    factory = store_factories(case, tmp_path, shards=5)["sharded"]
-    # pin the plan shard count: it defaults to workers*4, and a different
-    # sharding legitimately reorders the (per-tuple identical) audit replay
-    serial = run_batch_path(case, factory(), workers=1, shards=8)
-    parallel = run_batch_path(
-        case, factory(), workers=PARITY_WORKERS, shards=8
+# ---------------------------------------------------------------------------
+# Property-based probe parity over shard servers (Hypothesis; generators
+# in conftest.py)
+# ---------------------------------------------------------------------------
+
+#: Input schema for the probe rules (``a0``/``a1`` read, ``b`` fixed).
+PROBE_INPUT_SCHEMA = Schema("pi", ["a0", "a1", "b"])
+
+
+def _route(rule, values, shards: int) -> int:
+    key = HashIndex(rule.m_attrs, rule.ops).key_of(tuple(values[a] for a in rule.lhs_attrs))
+    return shard_of(key, shards)
+
+
+def _shard_server(master, ruleset, shard_id: int, shards: int) -> ShardServerApp:
+    return ShardServerApp(ruleset, Relation(master.schema, master.tuples()), shard_id, shards)
+
+
+def _served(app, rule, values, *, use_index=True) -> tuple[int, dict]:
+    return app.handle(
+        "POST",
+        "/probe_many",
+        {"probes": [{"rule_id": rule.rule_id, "values": values}], "use_index": use_index},
     )
-    assert parallel.fixed_rows == serial.fixed_rows
-    assert parallel.audit_events == serial.audit_events
-
-
-# ---------------------------------------------------------------------------
-# Property-based probe parity (Hypothesis; generators in conftest.py)
-# ---------------------------------------------------------------------------
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=probe_cases(), shards=st.sampled_from((1, 2, 3, 7, 64)))
 def test_sharded_probe_equals_single_probe(case, shards):
     """For arbitrary master content, rules, keys and shard counts —
-    including N=1 and N far above the distinct-key count — a routed
-    sharded probe returns exactly what the global index returns."""
+    including N=1 and N far above the distinct-key count — the shard
+    server the key routes to answers ``/probe_many`` with exactly what
+    the global index returns, indexed and scanned."""
     master, rule, values = case
+    ruleset = RuleSet((rule,), PROBE_INPUT_SCHEMA, PROBE_MASTER_SCHEMA)
+    owner = _shard_server(master, ruleset, _route(rule, values, shards), shards)
     single = SingleRelationStore(Relation(master.schema, master.tuples()))
-    sharded = ShardedMasterStore(Relation(master.schema, master.tuples()), shards=shards)
-    expected = single.probe(rule, values)
-    got = sharded.probe(rule, values)
-    assert got == expected
-    # the scan path is backend-shared, but pin it anyway
-    assert sharded.probe(rule, values, use_index=False) == single.probe(
-        rule, values, use_index=False
+    for use_index in (True, False):
+        status, body = _served(owner, rule, values, use_index=use_index)
+        assert status == 200, body
+        (got,) = body["matches"]
+        assert MasterMatch(tuple(got["positions"]), tuple(got["values"])) == single.probe(
+            rule, values, use_index=use_index
+        )
+
+
+@pytest.mark.parametrize("shards", [1, 3, 7])
+def test_own_shard_indexes_partition_the_global_index(paper_ruleset, shards):
+    """Across N servers the own-shard key sets are disjoint, each key
+    sits on the server it routes to, and their union — positions
+    included — is the global index."""
+    master = uk.generate_master(60, seed=9)
+    apps = [_shard_server(master, paper_ruleset, i, shards) for i in range(shards)]
+    for attrs, ops in paper_ruleset.index_specs():
+        owned = [app.indexes[(attrs, ops)] for app in apps]
+        for shard_id, index in enumerate(owned):
+            assert all(shard_of(key, shards) == shard_id for key in index)
+        assert sum(map(len, owned)) == len(set().union(*owned))  # disjoint
+        union = {key: positions for index in owned for key, positions in index.items()}
+        assert union == dict(master.build_index(attrs, ops).items())
+        if shards > 1:
+            assert sum(1 for index in owned if index) > 1, "routing never spread"
+
+
+def test_misroute_is_409_and_builds_nothing(paper_ruleset, monkeypatch):
+    """A key routing to another shard is refused before the server
+    reads, scans or builds any index, on both probe paths."""
+    master = uk.generate_master(30, seed=4)
+    app = _shard_server(master, paper_ruleset, 0, 3)
+    before = {spec: dict(index) for spec, index in app.indexes.items()}
+    rule = next(r for r in paper_ruleset if not r.is_constant)
+    values = next(
+        v for v in (row.to_dict() for row in master.rows()) if _route(rule, v, 3) != 0
     )
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a misrouted probe touched the master")
 
-@settings(max_examples=60, deadline=None)
-@given(case=probe_cases(), shards=st.sampled_from((1, 2, 5)))
-def test_sharded_ambiguous_keys_equal_single(case, shards):
-    master, rule, _ = case
-    single = SingleRelationStore(Relation(master.schema, master.tuples()))
-    sharded = ShardedMasterStore(Relation(master.schema, master.tuples()), shards=shards)
-    assert sharded.ambiguous_keys(rule) == single.ambiguous_keys(rule)
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=probe_cases(), shards=st.sampled_from((1, 3, 64)))
-def test_sharded_probe_survives_pickling(case, shards):
-    """A pickled sharded store (what process-pool workers receive)
-    probes identically to the original, rebuilding shards lazily."""
-    master, rule, values = case
-    sharded = ShardedMasterStore(Relation(master.schema, master.tuples()), shards=shards)
-    before = sharded.probe(rule, values)
-    clone = pickle.loads(pickle.dumps(sharded))
-    assert clone.stats()["shard_indexes_built"] == 0  # nothing shipped
-    assert clone.probe(rule, values) == before
-    built = clone.stats()["shard_indexes_built"]
-    assert built <= 1  # only the routed shard materialised
+    monkeypatch.setattr(Relation, "build_index", forbidden)
+    monkeypatch.setattr(Relation, "index_on", forbidden)
+    monkeypatch.setattr(shardserver, "_scan_positions", forbidden)
+    for use_index in (True, False):
+        status, body = _served(app, rule, values, use_index=use_index)
+        assert status == 409
+        assert body["expected_shard"] == _route(rule, values, 3)
+    assert app.indexes == before
+    assert app.metrics.counter_value("cerfix.shard.misroutes") == 2
+    assert app.metrics.counter_value("cerfix.shard.probes") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +396,15 @@ def test_sqlite_tampered_snapshot_fails_digest_check(tmp_path, paper_master):
 
 def test_make_store_selection(tmp_path, paper_master):
     assert make_store(paper_master, "single").backend == "single"
-    sharded = make_store(paper_master, "sharded", shards=7)
-    assert sharded.backend == "sharded" and sharded.shards == 7
     sqlite = make_store(paper_master, "sqlite", path=tmp_path / "m.db")
     assert sqlite.backend == "sqlite"
     with pytest.raises(MasterDataError):
         make_store(paper_master, "sqlite")  # no path
     with pytest.raises(MasterDataError):
         make_store(paper_master, "mongodb")
-    with pytest.raises(MasterDataError):
-        ShardedMasterStore(paper_master, shards=0)
+    # the removed in-process sharded backend fails loudly
+    with pytest.raises(MasterDataError, match=r"\('single', 'sqlite', 'remote'\)"):
+        make_store(paper_master, "sharded")
 
 
 def test_shard_routing_is_deterministic_and_total():
@@ -384,34 +417,16 @@ def test_shard_routing_is_deterministic_and_total():
     assert all(shard_of(k, 1) == 0 for k in keys)
 
 
-def test_sharded_stats_track_probes(paper_ruleset, paper_master):
-    store = ShardedMasterStore(
-        Relation(paper_master.schema, paper_master.tuples()), shards=3
-    )
-    store.prebuild(paper_ruleset)
-    values = uk.fig3_truth()
-    n_probes = 0
-    for rule in paper_ruleset:
-        if not rule.is_constant:
-            store.probe(rule, values)
-            n_probes += 1
-    stats = store.stats()
-    assert stats["backend"] == "sharded"
-    assert stats["shards"] == 3
-    assert sum(stats["probes_by_shard"]) == n_probes
-    assert stats["specs_partitioned"] == len(paper_ruleset.index_specs())
-
-
 def test_engine_store_selection_and_instance_surface(tmp_path):
     engine = CerFix(
-        uk.paper_ruleset(), uk.paper_master(), store="sharded", store_shards=2
+        uk.paper_ruleset(), uk.paper_master(), store="sqlite", store_path=tmp_path / "m.db"
     )
-    assert engine.master.store.backend == "sharded"
+    assert engine.master.store.backend == "sqlite"
     with engine.serve_async(port=0) as server:
         with urllib.request.urlopen(f"{server.url}/api/instance", timeout=60) as resp:
             status, payload = resp.status, json.loads(resp.read())
     assert status == 200
-    assert payload["store"]["backend"] == "sharded"
-    assert payload["store"]["shards"] == 2
+    assert payload["store"]["backend"] == "sqlite"
+    assert payload["store"]["path"] == str(tmp_path / "m.db")
     with pytest.raises(Exception):
-        CerFix(uk.paper_ruleset(), engine.master, store="sharded")  # already wrapped
+        CerFix(uk.paper_ruleset(), engine.master, store="single")  # already wrapped
