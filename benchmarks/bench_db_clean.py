@@ -1,29 +1,18 @@
-"""B7 — DB-native cleaning: paged sqlite path vs the in-memory path.
+"""B7 — DB-native cleaning: the paged sqlite path's archive overhead.
 
-The paged dirty-relation backend (:mod:`repro.dirty`) trades peak
-memory for per-page transactions and a reversible change archive: the
-table streams through the batch pipeline in fixed-size pages, and every
-cell fix lands in ``cerfix_clean_changes`` alongside the data. This
-bench sweeps relation size over the same rule-only workload through
-
-* the **memory** path (``clean_relation`` — whole relation resident),
-* the **paged** path (``clean_table`` — sqlite table, fixed pages,
-  archive + run record committed per page), and
-* the paged **dry-run** (read-only connection, report only),
-
-and records rows/s plus the changed-cell and archive-row counts, so
-the archive's write overhead is visible as the paged-vs-memory gap.
-Output is asserted bit-identical between the paths on every size — the
-point of the subsystem is that page geometry never changes fixes.
-
+The paged backend (:mod:`repro.dirty`) streams a sqlite table through
+the batch pipeline in fixed-size pages and commits every cell fix with
+a reversible archive row in ``cerfix_clean_changes``. This bench cleans
+one rule-only workload through the in-memory path (``clean_relation``)
+and the paged path (``clean_table``) and records both times in one row:
+the cost of durability is their ratio. Output is asserted bit-identical
+between the paths, with one archive row per changed cell. Paged
+throughput, dry run and undo are perfbench's ``db-paged`` workload.
 Results land in ``benchmarks/out/b7_db_clean.txt`` and
-``BENCH_dbclean.json`` at the repo root; the CI bench-smoke leg runs
-the quick sweep (``CERFIX_BENCH_QUICK=1``) and schema-checks the dump.
+``BENCH_dbclean.json``.
 """
 
 import os
-
-import pytest
 
 from repro import CerFix
 from repro.bench.harness import BenchResult, save_json, save_table, time_call
@@ -32,10 +21,7 @@ from repro.scenarios import uk_customers as uk
 
 QUICK = os.environ.get("CERFIX_BENCH_QUICK", "") == "1"
 
-# The full sweep keeps the quick sweep's 200-row point so the committed
-# dump always shares exact (rows, mode, workers) configurations with
-# CI's quick run (the same convention as B1).
-SIZES = (200,) if QUICK else (200, 1_000, 5_000)
+ROWS = 200 if QUICK else 5_000
 PAGE_ROWS = 64 if QUICK else 512
 MASTER_SIZE = 40
 RATE = 0.15
@@ -43,64 +29,18 @@ VALIDATED = ("zip",)  # rule-only repairs from one trusted column
 WORKERS = 2
 
 
-@pytest.fixture(scope="module")
-def table():
-    result = BenchResult(
-        "B7 — DB-native cleaning: paged sqlite path vs in-memory path",
-        ("rows", "mode", "workers", "seconds", "tuples/s",
-         "changed cells", "archive rows"),
-    )
-    yield result
-    result.note(
-        f"paged path: page_rows={PAGE_ROWS}, one transaction per page "
-        f"(cell fixes + archive rows + progress); dry-run is read-only"
-    )
-    result.note(
-        "archive rows = reversible per-cell change records written to "
-        "cerfix_clean_changes; the paged-vs-memory gap is the archive + "
-        "paging overhead"
-    )
-    result.note("output asserted bit-identical between memory and paged paths")
-    save_table(result, "b7_db_clean.txt")
-    save_json(result, "BENCH_dbclean.json")
-
-
-@pytest.fixture(scope="module")
-def workloads():
+def test_db_clean_archive_overhead(tmp_path):
     master = uk.generate_master(MASTER_SIZE, seed=17)
-    return master, {
-        n: uk.generate_workload(master, n, rate=RATE, seed=18) for n in SIZES
-    }
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_db_clean_throughput(table, workloads, size, tmp_path):
-    master, by_size = workloads
-    wl = by_size[size]
+    wl = uk.generate_workload(master, ROWS, rate=RATE, seed=18)
 
     def memory_once():
         engine = CerFix(uk.paper_ruleset(), master)
-        return engine.clean_relation(
-            wl.dirty, validated=VALIDATED, workers=WORKERS
-        )
+        return engine.clean_relation(wl.dirty, validated=VALIDATED, workers=WORKERS)
 
     t_memory, memory = time_call(memory_once, repeat=1)
-    table.add(size, "memory", WORKERS, f"{t_memory:.2f}",
-              f"{size / t_memory:.0f}", memory.report.changed_cells, 0)
 
-    db = tmp_path / f"dirty_{size}.db"
+    db = tmp_path / "dirty.db"
     DirtyTable.create(db, wl.dirty)
-
-    def dry_once():
-        engine = CerFix(uk.paper_ruleset(), master)
-        return engine.clean_table(
-            db, page_rows=PAGE_ROWS, validated=VALIDATED,
-            workers=WORKERS, dry_run=True,
-        )
-
-    t_dry, dry = time_call(dry_once, repeat=1)
-    table.add(size, "paged/dry-run", WORKERS, f"{t_dry:.2f}",
-              f"{size / t_dry:.0f}", dry.changed_cells, 0)
 
     def paged_once():
         engine = CerFix(uk.paper_ruleset(), master)
@@ -116,11 +56,21 @@ def test_db_clean_throughput(table, workloads, size, tmp_path):
         archive_rows = len(ChangeArchive(dirty_table).changes(conn, paged.run_id))
     finally:
         conn.close()
-    table.add(size, "paged", WORKERS, f"{t_paged:.2f}",
-              f"{size / t_paged:.0f}", paged.changed_cells, archive_rows)
+
+    result = BenchResult(
+        "B7 — DB-native cleaning: paged sqlite path vs in-memory path",
+        ("rows", "workers", "page rows", "memory s", "paged s",
+         "paged/memory", "changed cells", "archive rows"),
+        key=("rows", "workers", "page rows"),
+    )
+    result.add(ROWS, WORKERS, PAGE_ROWS, round(t_memory, 3), round(t_paged, 3),
+               round(t_paged / t_memory, 2), paged.changed_cells, archive_rows)
+    result.note("paged: one transaction per page (cell fixes, archive rows, progress)")
+    save_table(result, "b7_db_clean.txt")
+    save_json(result, "BENCH_dbclean.json")
 
     assert fixed.raw_tuples() == memory.relation.raw_tuples(), (
         "paged output diverged from the in-memory path"
     )
-    assert dry.changed_cells == paged.changed_cells == memory.report.changed_cells
+    assert paged.changed_cells == memory.report.changed_cells
     assert archive_rows == paged.changed_cells

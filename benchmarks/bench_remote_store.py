@@ -3,37 +3,36 @@
 The remote backend's whole performance story is *fewer, fatter round
 trips*: a naive client pays one HTTP round trip per probe, while
 ``probe_many`` routes a batch by shard and crosses the network once
-per (shard, chunk) — the seam the entry service's micro-batcher and
-the batch pipeline's cache feed. This bench boots a 3-shard cluster
-(real TCP on loopback), replays an identical probe workload through
-the naive per-probe path and through batched ``probe_many`` at several
-chunk sizes, and records wall-clock, probes/s and the *measured*
-round-trip counts from the client's per-shard stats. Two final points
-run the whole batch pipeline against the cluster for an end-to-end
-tuples/s number: oracle-driven (probes go out one per cache miss) and
-rule-only from a trusted ``zip`` (first-round probes are prefetched
-with one ``probe_many`` per window).
+per (shard, chunk). This bench boots a 3-shard cluster (real TCP on
+loopback), replays one probe workload through the naive per-probe path
+and through ``probe_many`` at several chunk sizes, and records
+wall-clock, probes/s and the round trips counted by the client's
+per-shard stats. A last point runs the rule-only batch pipeline from a
+trusted ``zip``, whose first-round probes go out as one ``probe_many``
+per window. (The oracle-driven pipeline end to end is perfbench's
+``batch-remote`` workload.)
 
-Acceptance (asserted): at 3 shards, batched probing crosses the
-network at least 5x fewer times than naive probing, and is faster.
-A replicated point (2 replicas per shard, client-side failover) must
-add zero probe round trips and at most 5% steady-state wall-clock
-overhead (full mode; best-of-3 — quick mode's tiny workload makes the
-ratio pure noise, so there only the round-trip identity is asserted),
-and killing a replica under load must cost at most one jittered
-retry-storm per shard before the circuit parks it — bit-identical
-answers throughout. The rule-only pipeline point must cross the network
-at most once per 32 probes.
+Acceptance (asserted): batched probing crosses the network at least 5x
+fewer times than naive probing, and is faster. A replicated cluster (2
+replicas per shard, client-side failover) adds zero probe round trips
+and, in full mode, at most 5% steady-state wall-clock: the median ratio
+over ~90 short calls of each client, paired and alternated so a slow
+spell of the box hits both alike (quick mode's workload is too small to
+time). Killing a replica under load costs at most one jittered
+retry-storm per shard before the circuit parks it, answers
+bit-identical. The rule-only pipeline crosses the network at most once
+per 32 probes.
 
-Quick mode (the CI ``bench-smoke`` leg): ``CERFIX_BENCH_QUICK=1``
-shrinks the workload so the leg finishes in seconds while still
-validating the JSON dump's shape.
-
-Results land in ``benchmarks/out/b5_remote_store.txt`` and
-``BENCH_remote.json`` at the repo root.
+``CERFIX_BENCH_QUICK=1`` shrinks the workload for CI. The dump names
+``probes/s`` as its floor, anchored on the naive rows, for
+``check_bench_json.py --baseline``. Results land in
+``benchmarks/out/b5_remote_store.txt`` and ``BENCH_remote.json``.
 """
 
+import gc
 import os
+import statistics
+import time
 
 import pytest
 
@@ -48,10 +47,7 @@ QUICK = os.environ.get("CERFIX_BENCH_QUICK", "") == "1"
 SHARDS = 3
 REPLICAS = 2
 # The quick geometry doubles as the full sweep's anchor point: a full
-# run replays it verbatim (test_remote_quick_anchor_rows) so the
-# committed dump always shares (mode, probes) rows with CI's quick
-# run — the intersection ``check_bench_json.py --remote-baseline``
-# guards against probe-throughput regressions.
+# run replays it verbatim (test_remote_probe_round_trips).
 ANCHOR_MASTER = 300
 ANCHOR_INPUTS = 80
 ANCHOR_ROUNDS = 1
@@ -64,6 +60,10 @@ CHUNK_SIZES = (64, 512)
 MIN_TRIP_REDUCTION = 5.0
 #: replicated steady state may cost at most this much over unreplicated
 MAX_REPLICATION_OVERHEAD = 0.05
+#: the steady-state comparison times calls of this many probes, one
+#: flat and one replicated call per pair, over this many passes
+STEADY_STATE_SLICE = 1_000
+STEADY_STATE_PASSES = 5
 #: the prefetching rule-only pipeline must batch at least this many
 #: probes per round trip
 MIN_PIPELINE_PROBES_PER_TRIP = 32
@@ -74,36 +74,21 @@ def table():
     result = BenchResult(
         f"B5 — remote master store: naive vs batched probing over "
         f"{SHARDS} shard servers",
-        ("mode", "probes", "round trips", "trips saved", "seconds", "probes/s"),
+        ("mode", "probes", "round trips", "seconds", "probes/s"),
+        key=("mode", "probes"),
+        floor="probes/s",
+        anchor={"mode": "naive per-probe"},
     )
     yield result
     result.note(
         f"{SHARDS} in-process shard servers over loopback TCP (HTTP/1.1 "
-        f"keep-alive); master {MASTER_SIZE} rows"
-    )
-    result.note(
-        "round trips are measured client-side (per-shard stats), handshake "
-        "excluded; 'trips saved' is vs the naive per-probe client"
-    )
-    result.note(
-        f"acceptance: batched probe_many >= {MIN_TRIP_REDUCTION:.0f}x fewer "
-        f"round trips than naive at {SHARDS} shards"
-    )
-    result.note(
-        f"acceptance: the rule-only batch pipeline makes <= 1 round trip per "
-        f"{MIN_PIPELINE_PROBES_PER_TRIP} probes (first-round prefetch)"
-    )
-    result.note(
-        f"acceptance: {REPLICAS}-replica client adds zero probe round trips "
-        f"and <= {MAX_REPLICATION_OVERHEAD:.0%} steady-state overhead "
-        f"(best of 3); a killed replica costs <= 1 jittered retry-storm per "
-        f"failed request before its circuit parks it, answers bit-identical"
+        f"keep-alive); master {MASTER_SIZE} rows; round trips measured "
+        f"client-side (per-shard stats), handshake excluded"
     )
     if not QUICK:
         result.note(
-            f"the trailing naive/probe_many rows at {ANCHOR_INPUTS} inputs x "
-            f"{ANCHOR_ROUNDS} round replay the quick (CI) geometry against a "
-            f"{ANCHOR_MASTER}-row master — the --remote-baseline anchor points"
+            f"the second naive/probe_many rows replay the quick (CI) geometry "
+            f"against a {ANCHOR_MASTER}-row master — the --baseline anchor points"
         )
     save_table(result, "b5_remote_store.txt")
     save_json(result, "BENCH_remote.json")
@@ -120,19 +105,22 @@ def world():
     cluster.close()
 
 
-def _round_trips(store: RemoteMasterStore, baseline: int = 1) -> int:
-    """Total probe round trips, ``baseline`` handshake GETs per shard off."""
-    return sum(s["round_trips"] - baseline for s in store.stats()["per_shard"])
+def _round_trips(store: RemoteMasterStore) -> int:
+    """Total round trips, less one handshake GET per shard (differences
+    between two readings need no correction)."""
+    return sum(s["round_trips"] - 1 for s in store.stats()["per_shard"])
 
 
-def test_remote_probe_round_trips(table, world):
-    master, ruleset, inputs, _, cluster = world
+def _requests(ruleset, inputs, rounds: int) -> list:
+    """Every master-sourced rule against every input, ``rounds`` times."""
     rules = [r for r in ruleset if not r.is_constant]
     rows = [r.to_dict() for r in inputs.rows()]
-    requests = [
-        (rule, values) for _ in range(PROBE_ROUNDS) for values in rows for rule in rules
-    ]
+    return [(rule, values) for _ in range(rounds) for values in rows for rule in rules]
 
+
+def _probe_sweep(table, cluster, requests) -> None:
+    """Time the naive client and ``probe_many`` per chunk size on one
+    workload, add a row each, and assert the round-trip savings."""
     # naive: one round trip per probe (what a store without probe_many
     # batching — or a client ignoring it — pays)
     naive = RemoteMasterStore(cluster.urls)
@@ -146,29 +134,22 @@ def test_remote_probe_round_trips(table, world):
     naive_trips = _round_trips(naive)
     naive.close()
     assert naive_trips == len(requests)
-    table.add("naive per-probe", n, naive_trips, "1.0x", f"{t_naive:.2f}", f"{n / t_naive:.0f}")
+    table.add("naive per-probe", n, naive_trips, round(t_naive, 3), round(n / t_naive))
 
     reference = None
     for chunk in CHUNK_SIZES:
         batched = RemoteMasterStore(cluster.urls, max_batch=chunk)
-
-        def probe_batched():
-            return batched.probe_many(requests)
-
-        t_batched, matches = time_call(probe_batched, repeat=1)
-        if reference is None:
-            reference = matches
-        else:
-            assert matches == reference, "chunk size changed probe results"
+        t_batched, matches = time_call(lambda: batched.probe_many(requests), repeat=1)
+        reference = matches if reference is None else reference
+        assert matches == reference, "chunk size changed probe results"
         trips = _round_trips(batched)
         batched.close()
         table.add(
             f"probe_many (chunk {chunk})",
             len(requests),
             trips,
-            f"{naive_trips / trips:.1f}x",
-            f"{t_batched:.2f}",
-            f"{len(requests) / t_batched:.0f}",
+            round(t_batched, 3),
+            round(len(requests) / t_batched),
         )
         assert trips <= -(-len(requests) // chunk) + SHARDS
         assert naive_trips / trips >= MIN_TRIP_REDUCTION, (
@@ -177,41 +158,70 @@ def test_remote_probe_round_trips(table, world):
         assert t_batched < t_naive, "batched probing slower than naive"
 
 
+def test_remote_probe_round_trips(table, world):
+    _, ruleset, inputs, _, cluster = world
+    _probe_sweep(table, cluster, _requests(ruleset, inputs, PROBE_ROUNDS))
+    if QUICK:
+        return
+    # A full sweep also replays the quick geometry (same seeds and sizes,
+    # own cluster), so the committed dump shares (mode, probes) rows with
+    # CI's quick run: the rows ``check_bench_json.py --baseline`` compares.
+    master = uk.generate_master(ANCHOR_MASTER, seed=31)
+    inputs = uk.generate_workload(master, ANCHOR_INPUTS, rate=0.0, seed=32).clean
+    cluster = ShardCluster.in_process(ruleset, master, SHARDS)
+    try:
+        _probe_sweep(table, cluster, _requests(ruleset, inputs, ANCHOR_ROUNDS))
+    finally:
+        cluster.close()
+
+
 def test_remote_replicated_steady_state_and_failover(table, world):
     """The replicated client vs the flat one on the identical workload:
     zero extra probe round trips, bounded steady-state overhead — and a
     replica killed under load costs at most one jittered retry-storm
     per shard before its circuit parks it, answers bit-identical."""
     master, ruleset, inputs, _, cluster = world
-    rules = [r for r in ruleset if not r.is_constant]
-    rows = [r.to_dict() for r in inputs.rows()]
-    requests = [
-        (rule, values) for _ in range(PROBE_ROUNDS) for values in rows for rule in rules
-    ]
-
-    flat = RemoteMasterStore(cluster.urls)
-    t_flat, expected = time_call(lambda: flat.probe_many(requests), repeat=3)
-    flat_trips = _round_trips(flat) // 3
-    flat.close()
-
+    requests = _requests(ruleset, inputs, PROBE_ROUNDS)
     rcluster = ShardCluster.in_process(ruleset, master, SHARDS, replicas=REPLICAS)
     try:
+        flat = RemoteMasterStore(cluster.urls)
         repl = RemoteMasterStore(rcluster.urls)
-        t_repl, got = time_call(lambda: repl.probe_many(requests), repeat=3)
-        assert got == expected, "replication changed probe answers"
-        # handshake GETs: one per replica per shard
-        repl_trips = _round_trips(repl, baseline=REPLICAS) // 3
+        expected = flat.probe_many(requests)  # warms both clients
+        assert repl.probe_many(requests) == expected, "replication changed probe answers"
+        flat_warm, repl_warm = _round_trips(flat), _round_trips(repl)
+        # Many short calls, the two clients paired and swapping order
+        # each pair, so a slow spell of the box hits both sides alike;
+        # the overhead is the median of the per-pair ratios.
+        step = STEADY_STATE_SLICE
+        slices = [requests[i : i + step] for i in range(0, len(requests), step)]
+        ratios, t_repl = [], 0.0
+        gc.collect()
+        gc.disable()
+        try:
+            for n, chunk in enumerate(slices * STEADY_STATE_PASSES):
+                seconds = {}
+                for store in (flat, repl) if n % 2 == 0 else (repl, flat):
+                    started = time.perf_counter()
+                    store.probe_many(chunk)
+                    seconds[store] = time.perf_counter() - started
+                ratios.append(seconds[repl] / seconds[flat])
+                t_repl += seconds[repl]
+        finally:
+            gc.enable()
+        flat_trips = (_round_trips(flat) - flat_warm) // STEADY_STATE_PASSES
+        repl_trips = (_round_trips(repl) - repl_warm) // STEADY_STATE_PASSES
+        flat.close()
         repl.close()
         assert repl_trips == flat_trips, "replication added probe round trips"
-        overhead = t_repl / t_flat - 1
+        overhead = statistics.median(ratios) - 1
         table.add(
             f"replicated x{REPLICAS} steady state",
             len(requests),
             repl_trips,
-            f"{overhead:+.1%} vs flat",
-            f"{t_repl:.2f}",
-            f"{len(requests) / t_repl:.0f}",
+            round(t_repl / STEADY_STATE_PASSES, 3),
+            round(len(requests) * STEADY_STATE_PASSES / t_repl),
         )
+        table.note(f"replicated steady state: {overhead:+.1%} wall-clock vs flat")
         if not QUICK:  # quick workloads are too small to time a 5% bound
             assert overhead <= MAX_REPLICATION_OVERHEAD, (
                 f"replicated steady state cost {overhead:+.1%} over unreplicated"
@@ -226,6 +236,7 @@ def test_remote_replicated_steady_state_and_failover(table, world):
             circuit_reset=60.0,
         )
         assert store.probe_many(requests) == expected  # warm, all healthy
+        warm_trips = _round_trips(store)
         for shard in range(SHARDS):
             rcluster.stop(shard, 0)  # one replica of every shard dies
 
@@ -237,6 +248,7 @@ def test_remote_replicated_steady_state_and_failover(table, world):
         per_shard = store.stats()["per_shard"]
         failovers = sum(s["failovers"] for s in per_shard)
         dead_errors = sum(s["replicas"][0]["errors"] for s in per_shard)
+        trips = _round_trips(store) - warm_trips
         store.close()
         assert failovers >= 1, "the killed replicas were never routed around"
         # <= one retry-storm per failed request, <= circuit_threshold
@@ -248,91 +260,16 @@ def test_remote_replicated_steady_state_and_failover(table, world):
         table.add(
             f"replicated x{REPLICAS}, replica killed",
             2 * len(requests),
-            f"{failovers} failovers",
-            f"{dead_errors} dead-end trips",
-            f"{t_failover:.2f}",
-            f"{2 * len(requests) / t_failover:.0f}",
+            trips,
+            round(t_failover, 3),
+            round(2 * len(requests) / t_failover),
+        )
+        table.note(
+            f"replica killed: {failovers} failovers, {dead_errors} dead-end "
+            f"trips on the killed replicas"
         )
     finally:
         rcluster.close()
-
-
-def test_remote_quick_anchor_rows(table, world):
-    """Full sweeps replay the quick-geometry probe workload so the
-    committed dump always shares exact (mode, probes) rows with CI's
-    quick run — the intersection the ``--remote-baseline`` guard in
-    check_bench_json.py compares. Same seeds, same sizes, own cluster:
-    the rows are byte-for-byte the workload the bench-smoke leg times."""
-    if QUICK:
-        pytest.skip("quick-mode rows already use the anchor geometry")
-    master = uk.generate_master(ANCHOR_MASTER, seed=31)
-    ruleset = uk.paper_ruleset()
-    inputs = uk.generate_workload(master, ANCHOR_INPUTS, rate=0.0, seed=32).clean
-    rules = [r for r in ruleset if not r.is_constant]
-    rows = [r.to_dict() for r in inputs.rows()]
-    requests = [
-        (rule, values)
-        for _ in range(ANCHOR_ROUNDS)
-        for values in rows
-        for rule in rules
-    ]
-    cluster = ShardCluster.in_process(ruleset, master, SHARDS)
-    try:
-        naive = RemoteMasterStore(cluster.urls)
-
-        def probe_naive():
-            for rule, values in requests:
-                naive.probe(rule, values)
-            return len(requests)
-
-        t_naive, n = time_call(probe_naive, repeat=1)
-        naive_trips = _round_trips(naive)
-        naive.close()
-        table.add(
-            "naive per-probe", n, naive_trips, "1.0x",
-            f"{t_naive:.2f}", f"{n / t_naive:.0f}",
-        )
-        for chunk in CHUNK_SIZES:
-            batched = RemoteMasterStore(cluster.urls, max_batch=chunk)
-            t_batched, _ = time_call(lambda: batched.probe_many(requests), repeat=1)
-            trips = _round_trips(batched)
-            batched.close()
-            table.add(
-                f"probe_many (chunk {chunk})",
-                len(requests),
-                trips,
-                f"{naive_trips / trips:.1f}x",
-                f"{t_batched:.2f}",
-                f"{len(requests) / t_batched:.0f}",
-            )
-    finally:
-        cluster.close()
-
-
-def test_remote_batch_pipeline_end_to_end(table, world):
-    """The whole batch pipeline against the cluster: dedup + probe cache
-    + probe_many batching stacked on real round trips. Both pipeline
-    points run serially: round trips are read from this process's store
-    stats, which never see the trips a process worker makes."""
-    master, ruleset, _, batch_wl, cluster = world
-
-    def clean_once():
-        engine = CerFix(ruleset, master, store="remote", store_urls=list(cluster.urls))
-        result = engine.clean_relation(batch_wl.dirty, batch_wl.clean)
-        trips = _round_trips(engine.master.store)  # the handshake is the only non-probe trip
-        engine.master.store.close()
-        return result, trips
-
-    t_batch, (result, trips) = time_call(clean_once, repeat=1)
-    assert result.report.completed == BATCH_ROWS
-    table.add(
-        "batch pipeline (serial)",
-        result.report.cache.misses,
-        trips,
-        "-",
-        f"{t_batch:.2f}",
-        f"{BATCH_ROWS / t_batch:.0f} tuples",
-    )
 
 
 def test_remote_batch_pipeline_rule_only(table, world):
@@ -361,7 +298,10 @@ def test_remote_batch_pipeline_rule_only(table, world):
         "batch pipeline rule-only (serial)",
         probes,
         trips,
-        "-",
-        f"{t_batch:.2f}",
-        f"{BATCH_ROWS / t_batch:.0f} tuples",
+        round(t_batch, 3),
+        round(probes / t_batch),
+    )
+    table.note(
+        f"rule-only pipeline: {BATCH_ROWS} rows at "
+        f"{BATCH_ROWS / t_batch:.0f} tuples/s; its probes are cache misses"
     )

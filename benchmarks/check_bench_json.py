@@ -1,50 +1,24 @@
-"""Validate ``BENCH_*.json`` dumps against the harness schema.
+"""Validate ``BENCH_*.json`` dumps: one schema check, one baseline check.
 
-The bench-smoke CI leg runs every benchmark in quick mode and then
-checks each JSON snapshot it produced: a bench that silently wrote an
-empty table (fixture skipped, sweep filtered to nothing, exception
-swallowed by a plugin) must fail the leg, not land as a hollow
-"performance trail" commit.
+Schema: a dump names its ``key`` columns (the labels that identify a
+row); every other cell is a JSON number. It also needs an
+``experiment``, non-empty ``headers``, at least one row holding exactly
+those headers (a hollow dump means a skipped fixture or a swallowed
+error) and a ``machine`` stamp with python/platform/cpus.
 
-With ``--baseline`` the checker also guards against throughput
-regressions, over the (rows, mode, workers) configurations the fresh
-dump shares with the committed snapshot (the full B1 sweep keeps the
-quick sweep's 300-row point precisely so this intersection is never
-empty — batch throughput is size-dependent, so only same-size rows are
-comparable):
-
-* **stream** rows are compared absolutely — fresh tuples/s must stay
-  within ``--max-regression`` (default 30%) of the baseline;
-* **batch** rows are compared relative to the stream anchor at the
-  same relation size: the baseline expectation is scaled by
-  ``fresh_stream / base_stream`` (capped at 1.0) before applying the
-  tolerance, so a slower machine lowers the bar proportionally while
-  a batch-layer regression (disabled cache, broken planner dedup)
-  still fails — batch fell against the stream measured in the *same*
-  run, and no amount of machine noise explains that away.
-
-With ``--remote-baseline`` the same guard covers the B5 remote dump,
-keyed on (mode, probes) with ``naive per-probe`` as the anchor (the
-full B5 sweep replays the quick-geometry workload so the intersection
-with CI's quick run is never empty — see
-:func:`check_remote_regression`).
-
-The wide tolerance absorbs scheduling noise; a real perf bug blows
-straight through it.
+Baseline (``--baseline``): over the row keys the first file shares with
+a committed dump, the metric the dump names as its ``floor`` (higher is
+better) must keep ``1 - --max-regression`` of the committed value. A
+row outside the dump's ``anchor`` rows has its expectation scaled first
+by its anchor row's fresh/committed ratio, capped at 1.0: a slower
+machine lowers the bar in proportion, while a row that fell against its
+anchor in the same run still fails. Dumps that share no key fail.
 
 Usage::
 
-    python benchmarks/check_bench_json.py BENCH_batch.json BENCH_remote.json
     python benchmarks/check_bench_json.py --all   # every BENCH_*.json in cwd
-    python benchmarks/check_bench_json.py BENCH_batch.json \
-        --baseline committed_BENCH_batch.json --max-regression 0.30
-    python benchmarks/check_bench_json.py BENCH_remote.json \
-        --remote-baseline committed_BENCH_remote.json
-
-Checks per file: valid JSON; ``experiment``/``headers``/``rows``/
-``machine`` present; headers non-empty strings; at least one row; every
-row carries exactly the header keys with non-empty values; machine
-records python/platform/cpus.
+    python benchmarks/check_bench_json.py BENCH_remote.json \\
+        --baseline committed_BENCH_remote.json --max-regression 0.30
 """
 
 from __future__ import annotations
@@ -56,41 +30,45 @@ from pathlib import Path
 
 def check_file(path: Path) -> list[str]:
     """All schema violations found in one dump (empty = good)."""
-    problems: list[str] = []
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         return [f"unreadable: {exc}"]
     if not isinstance(obj, dict):
         return [f"top level is {type(obj).__name__}, expected object"]
-
-    experiment = obj.get("experiment")
-    if not isinstance(experiment, str) or not experiment.strip():
+    problems = []
+    if not isinstance(obj.get("experiment"), str) or not obj["experiment"].strip():
         problems.append("'experiment' missing or empty")
-
-    headers = obj.get("headers")
+    headers, key = obj.get("headers"), obj.get("key")
     if (
         not isinstance(headers, list)
         or not headers
         or not all(isinstance(h, str) and h.strip() for h in headers)
     ):
-        problems.append("'headers' must be a non-empty list of non-empty strings")
-        headers = None
-
+        return problems + ["'headers' must be a non-empty list of non-empty strings"]
+    if not isinstance(key, list) or not set(key) <= set(headers):
+        return problems + [f"'key' must list header columns, got {key!r}"]
     rows = obj.get("rows")
     if not isinstance(rows, list) or not rows:
         problems.append("'rows' missing or empty — a silently-empty bench dump")
-    elif headers is not None:
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"row {i} is {type(row).__name__}, expected object")
-                continue
-            if set(row) != set(headers):
-                problems.append(f"row {i} keys {sorted(row)} != headers {sorted(headers)}")
-            empty = [k for k, v in row.items() if v is None or v == ""]
-            if empty:
-                problems.append(f"row {i} has empty cells: {empty}")
-
+        rows = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or set(row) != set(headers):
+            problems.append(f"row {i} does not hold exactly the headers {headers}")
+            continue
+        for column, value in row.items():
+            if column in key:
+                if value is None or value == "":
+                    problems.append(f"row {i} has an empty key cell {column!r}")
+            elif not isinstance(value, (int, float)) or isinstance(value, bool):
+                problems.append(f"row {i} metric {column!r} is {value!r}, not a number")
+    floor = obj.get("floor")
+    if floor is not None and (
+        not isinstance(floor, dict)
+        or floor.get("metric") not in set(headers) - set(key)
+        or not set(floor.get("anchor", {})) <= set(key)
+    ):
+        problems.append(f"'floor' must name a metric column and key-column anchors, got {floor!r}")
     machine = obj.get("machine")
     if not isinstance(machine, dict) or not all(
         machine.get(k) for k in ("python", "platform", "cpus")
@@ -99,188 +77,45 @@ def check_file(path: Path) -> list[str]:
     return problems
 
 
-def _throughputs(obj: dict) -> dict[tuple[int, str, int], float]:
-    """tuples/s per (rows, mode, workers) configuration.
-
-    Tolerates rows the schema checker would flag (it runs first); rows
-    without a parseable throughput are skipped.
-    """
-    out: dict[tuple[int, str, int], float] = {}
-    for row in obj.get("rows", ()):
-        if not isinstance(row, dict):
-            continue
-        try:
-            key = (int(row["rows"]), str(row["mode"]), int(row["workers"]))
-            out[key] = float(str(row["tuples/s"]).replace(",", ""))
-        except (KeyError, TypeError, ValueError):
-            continue
-    return out
+def _floor_values(path: Path) -> tuple[tuple, dict[tuple, float]]:
+    """A dump's (key, floor) spec and its floor metric per row key."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    key, floor = obj["key"], obj["floor"]
+    return (key, floor), {tuple(row[k] for k in key): row[floor["metric"]] for row in obj["rows"]}
 
 
-def check_regression(
-    fresh_path: Path, baseline_path: Path, max_regression: float
-) -> list[str]:
-    """Throughput drops beyond tolerance, per configuration (empty = good)."""
+def check_baseline(fresh_path: Path, baseline_path: Path, max_regression: float) -> list[str]:
+    """Floor-metric drops beyond tolerance, per shared row key (empty = good)."""
     try:
-        fresh = _throughputs(json.loads(fresh_path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
-        return [f"fresh dump unreadable: {exc}"]
-    try:
-        base = _throughputs(json.loads(baseline_path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
-        return [f"baseline unreadable: {exc}"]
-
-    shared = sorted(set(fresh) & set(base))
+        (key, floor), fresh = _floor_values(fresh_path)
+        base_spec, base = _floor_values(baseline_path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return [f"no comparable floor in {fresh_path} or {baseline_path}: {exc!r}"]
+    if base_spec != (key, floor):
+        return [f"{fresh_path} and {baseline_path} name different keys or floors"]
+    anchor = floor.get("anchor", {})
+    shared = sorted(set(fresh) & set(base), key=repr)
     if not shared:
         return [
-            f"no comparable (rows, mode, workers) configurations between "
-            f"{fresh_path} and {baseline_path} — refresh the committed "
-            f"baseline with a sweep that includes the quick sizes"
+            f"no comparable {tuple(key)} rows between {fresh_path} and "
+            f"{baseline_path} — refresh the committed baseline with a sweep "
+            f"that includes the quick geometry"
         ]
-    # Per-size stream anchors: batch expectations scale with how fast
-    # *this* machine runs the stream path on the same relation size,
-    # measured in the same fresh dump (capped at 1.0 — a faster box
-    # only ever relaxes the bar, it is never required to be faster).
-    fresh_stream = {r: v for (r, m, _), v in fresh.items() if m == "stream"}
-    base_stream = {r: v for (r, m, _), v in base.items() if m == "stream"}
-
     problems = []
     floor_share = 1.0 - max_regression
-    for rows, mode, workers in shared:
-        got = fresh[(rows, mode, workers)]
-        if mode == "stream":
-            scale, anchor = 1.0, ""
-        else:
-            f_anchor, b_anchor = fresh_stream.get(rows), base_stream.get(rows)
-            scale = min(1.0, f_anchor / b_anchor) if f_anchor and b_anchor else 1.0
-            anchor = f" (stream-anchored x{scale:.2f})"
-        expected = base[(rows, mode, workers)] * scale
-        if got < expected * floor_share:
+    for row_key in shared:
+        anchor_key = tuple(anchor.get(k, v) for k, v in zip(key, row_key))
+        f_anchor, b_anchor = fresh.get(anchor_key), base.get(anchor_key)
+        scale = 1.0
+        if anchor_key != row_key and f_anchor and b_anchor:
+            scale = min(1.0, f_anchor / b_anchor)
+        expected = base[row_key] * scale
+        anchored = f" (anchored x{scale:.2f})" if scale != 1.0 else ""
+        if fresh[row_key] < expected * floor_share:
             problems.append(
-                f"{mode} @ {rows} rows, {workers} worker(s): {got:.0f} tuples/s "
-                f"is below {floor_share:.0%} of the baseline "
-                f"{expected:.0f} tuples/s{anchor}"
+                f"{dict(zip(key, row_key))}: {floor['metric']} {fresh[row_key]:g} is "
+                f"below {floor_share:.0%} of the baseline {expected:g}{anchored}"
             )
-    return problems
-
-
-def _remote_throughputs(obj: dict) -> dict[tuple[str, int], float]:
-    """probes/s per (mode, probes) configuration (B5 remote dumps).
-
-    Rows without a parseable probes/s cell (the end-to-end pipeline row
-    reports tuples, the failover row reports failover counts in other
-    columns) are skipped — they are trajectory records, not guard rows.
-    """
-    out: dict[tuple[str, int], float] = {}
-    for row in obj.get("rows", ()):
-        if not isinstance(row, dict):
-            continue
-        try:
-            key = (str(row["mode"]), int(row["probes"]))
-            out[key] = float(str(row["probes/s"]).replace(",", ""))
-        except (KeyError, TypeError, ValueError):
-            continue
-    return out
-
-
-def check_remote_regression(
-    fresh_path: Path, baseline_path: Path, max_regression: float
-) -> list[str]:
-    """Remote probe-throughput drops beyond tolerance (empty = good).
-
-    The B5 analogue of :func:`check_regression`: configurations are
-    keyed on (mode, probes) — probe throughput depends on workload
-    size, so only same-size rows compare — and the full sweep replays
-    the quick geometry precisely so this intersection is never empty.
-    ``naive per-probe`` rows are compared absolutely; batched/replicated
-    rows are anchored on the naive row at the same probes count from
-    the *same* fresh dump (capped at 1.0): a slower network stack or
-    machine lowers the bar proportionally, while a batching regression
-    (chunking disabled, router degraded to per-probe trips) still
-    fails — batched fell against naive measured in the same run.
-    """
-    try:
-        fresh = _remote_throughputs(json.loads(fresh_path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
-        return [f"fresh dump unreadable: {exc}"]
-    try:
-        base = _remote_throughputs(
-            json.loads(baseline_path.read_text(encoding="utf-8"))
-        )
-    except (OSError, ValueError) as exc:
-        return [f"baseline unreadable: {exc}"]
-
-    shared = sorted(set(fresh) & set(base))
-    if not shared:
-        return [
-            f"no comparable (mode, probes) configurations between "
-            f"{fresh_path} and {baseline_path} — refresh the committed "
-            f"baseline with a full sweep (it replays the quick geometry)"
-        ]
-    anchor_mode = "naive per-probe"
-    fresh_naive = {p: v for (m, p), v in fresh.items() if m == anchor_mode}
-    base_naive = {p: v for (m, p), v in base.items() if m == anchor_mode}
-
-    problems = []
-    floor_share = 1.0 - max_regression
-    for mode, probes in shared:
-        got = fresh[(mode, probes)]
-        if mode == anchor_mode:
-            scale, anchor = 1.0, ""
-        else:
-            f_anchor, b_anchor = fresh_naive.get(probes), base_naive.get(probes)
-            scale = min(1.0, f_anchor / b_anchor) if f_anchor and b_anchor else 1.0
-            anchor = f" (naive-anchored x{scale:.2f})"
-        expected = base[(mode, probes)] * scale
-        if got < expected * floor_share:
-            problems.append(
-                f"{mode} @ {probes} probes: {got:.0f} probes/s is below "
-                f"{floor_share:.0%} of the baseline {expected:.0f} "
-                f"probes/s{anchor}"
-            )
-    return problems
-
-
-def check_obs_overhead(path: Path, max_overhead: float) -> list[str]:
-    """Telemetry-off / being-scraped overhead beyond tolerance (empty = good).
-
-    Reads one ``BENCH_obs.json`` dump and compares, per (rows, workers)
-    configuration, the ``disabled`` mode (tracing off, registry live —
-    the shipped default) and the ``scraped`` mode (disabled plus a 1/s
-    Prometheus scraper) against the ``baseline`` mode (instrumentation
-    stubbed out). Each must keep at least ``1 - max_overhead`` of the
-    baseline throughput: the telemetry layer may not tax the hot path
-    when nobody is tracing, and being monitored must stay in the same
-    budget. The ``disabled`` rows are mandatory; ``scraped`` rows are
-    checked when present (older dumps predate the monitoring plane).
-    """
-    try:
-        modes = _throughputs(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
-        return [f"obs dump unreadable: {exc}"]
-    baseline = {(r, w): v for (r, m, w), v in modes.items() if m == "baseline"}
-    problems = []
-    floor_share = 1.0 - max_overhead
-    for mode, required in (("disabled", True), ("scraped", False)):
-        rows_for_mode = {(r, w): v for (r, m, w), v in modes.items() if m == mode}
-        shared = sorted(set(baseline) & set(rows_for_mode))
-        if not shared:
-            if required:
-                problems.append(
-                    "no comparable (rows, workers) configurations carrying "
-                    f"both a 'baseline' and a '{mode}' mode row — the "
-                    "overhead guard has nothing to compare"
-                )
-            continue
-        for rows, workers in shared:
-            got, base = rows_for_mode[(rows, workers)], baseline[(rows, workers)]
-            if got < base * floor_share:
-                problems.append(
-                    f"{mode} @ {rows} rows, {workers} worker(s): "
-                    f"{got:.0f} tuples/s is below {floor_share:.0%} of the "
-                    f"instrumented-out baseline {base:.0f} tuples/s "
-                    f"({(1 - got / base):.1%} overhead > {max_overhead:.0%} budget)"
-                )
     return problems
 
 
@@ -288,103 +123,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*", type=Path, help="BENCH_*.json dumps")
     parser.add_argument(
-        "--all",
-        action="store_true",
-        help="check every BENCH_*.json in the current directory",
+        "--all", action="store_true", help="check every BENCH_*.json in the current directory"
     )
+    parser.add_argument("--baseline", type=Path, help="committed dump to hold the first file to")
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="committed B1 dump to guard throughput against "
-        "(compared with the first file given)",
-    )
-    parser.add_argument(
-        "--remote-baseline",
-        type=Path,
-        dest="remote_baseline",
-        help="committed B5 remote dump to guard probe throughput against "
-        "(compared with the first file given, keyed on (mode, probes), "
-        "batched rows anchored on the fresh naive per-probe row)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="tolerated fractional tuples/s drop vs the baseline (default 0.30)",
-    )
-    parser.add_argument(
-        "--obs-overhead",
-        type=float,
-        default=None,
-        dest="obs_overhead",
-        help="treat the first file as a BENCH_obs.json dump and require "
-        "tracing-disabled throughput within this fraction of the "
-        "instrumented-out baseline (e.g. 0.02 for 2%%)",
+        "--max-regression", type=float, default=0.30, help="tolerated drop (default 0.30)"
     )
     args = parser.parse_args(argv)
     files = list(args.files)
     if args.all:
-        files.extend(sorted(Path.cwd().glob("BENCH_*.json")))
+        files.extend(sorted(Path().glob("BENCH_*.json")))
+    files = list(dict.fromkeys(files))  # --all may repeat a named file
     if not files:
         parser.error("no files given (pass dumps or --all)")
     if not 0.0 <= args.max_regression < 1.0:
         parser.error(f"--max-regression must be in [0, 1), got {args.max_regression}")
-    if args.obs_overhead is not None and not 0.0 < args.obs_overhead < 1.0:
-        parser.error(f"--obs-overhead must be in (0, 1), got {args.obs_overhead}")
 
-    failed = 0
-    for path in files:
-        problems = check_file(path)
-        if problems:
-            failed += 1
-            print(f"FAIL {path}")
-            for problem in problems:
-                print(f"  - {problem}")
-        else:
-            rows = len(json.loads(path.read_text(encoding='utf-8'))["rows"])
-            print(f"ok   {path} ({rows} rows)")
-
+    checks = [(path, check_file(path)) for path in files]
     if args.baseline is not None:
-        fresh = files[0]
-        problems = check_regression(fresh, args.baseline, args.max_regression)
-        if problems:
-            failed += 1
-            print(f"FAIL {fresh} vs baseline {args.baseline}")
-            for problem in problems:
-                print(f"  - {problem}")
-        else:
-            print(f"ok   {fresh} within {args.max_regression:.0%} of {args.baseline}")
-
-    if args.remote_baseline is not None:
-        fresh = files[0]
-        problems = check_remote_regression(
-            fresh, args.remote_baseline, args.max_regression
-        )
-        if problems:
-            failed += 1
-            print(f"FAIL {fresh} vs remote baseline {args.remote_baseline}")
-            for problem in problems:
-                print(f"  - {problem}")
-        else:
-            print(
-                f"ok   {fresh} within {args.max_regression:.0%} of "
-                f"{args.remote_baseline} (remote probe throughput)"
-            )
-
-    if args.obs_overhead is not None:
-        target = files[0]
-        problems = check_obs_overhead(target, args.obs_overhead)
-        if problems:
-            failed += 1
-            print(f"FAIL {target} telemetry overhead")
-            for problem in problems:
-                print(f"  - {problem}")
-        else:
-            print(
-                f"ok   {target} disabled/scraped telemetry within "
-                f"{args.obs_overhead:.0%} of baseline"
-            )
-
+        problems = check_baseline(files[0], args.baseline, args.max_regression)
+        checks.append((f"{files[0]} vs baseline {args.baseline}", problems))
+    failed = 0
+    for label, problems in checks:
+        print(f"{'FAIL' if problems else 'ok  '} {label}")
+        for problem in problems:
+            print(f"  - {problem}")
+        failed += bool(problems)
     if failed:
         print(f"{failed} bench check(s) failed")
     return 1 if failed else 0

@@ -1,21 +1,22 @@
 """Benchmark harness utilities.
 
 Each bench module under ``benchmarks/`` reproduces one paper artefact
-(DESIGN.md §3). pytest-benchmark handles the timing statistics; this
-module handles the *paper-shaped* outputs: result rows are printed and
-also written under ``benchmarks/out/`` so the tables survive pytest's
-output capture and can be pasted into EXPERIMENTS.md.
+or holds one fence. This module handles their outputs: result tables
+are printed and written under ``benchmarks/out/`` (so they survive
+pytest's output capture), and the dump-writing benches also save a
+``BENCH_*.json`` snapshot that ``benchmarks/check_bench_json.py`` checks.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from repro.explorer.render import format_table
 
@@ -28,10 +29,20 @@ OUT_DIR = REPO_ROOT / "benchmarks" / "out"
 
 @dataclass
 class BenchResult:
-    """A titled table of result rows for one experiment."""
+    """A titled table of result rows for one experiment.
+
+    ``key`` names the label columns that identify a row; every other
+    column is a metric and holds a number. ``floor`` names the metric
+    ``check_bench_json.py --baseline`` compares across runs (higher is
+    better), and ``anchor`` the ``{column: value}`` rows whose fresh
+    drop scales the other rows' expectations.
+    """
 
     experiment: str
     headers: tuple[str, ...]
+    key: tuple[str, ...] = ()
+    floor: str | None = None
+    anchor: dict[str, Any] = field(default_factory=dict)
     rows: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -49,8 +60,9 @@ class BenchResult:
 
     def to_json(self) -> dict:
         """A machine-readable snapshot (rows keyed by header name)."""
-        return {
+        out = {
             "experiment": self.experiment,
+            "key": list(self.key),
             "headers": list(self.headers),
             "rows": [dict(zip(self.headers, row)) for row in self.rows],
             "notes": list(self.notes),
@@ -60,6 +72,9 @@ class BenchResult:
                 "cpus": _cpu_count(),
             },
         }
+        if self.floor is not None:
+            out["floor"] = {"metric": self.floor, "anchor": dict(self.anchor)}
+        return out
 
 
 def save_table(result: BenchResult, filename: str) -> Path:
@@ -74,24 +89,20 @@ def save_table(result: BenchResult, filename: str) -> Path:
 
 
 def _cpu_count() -> int:
-    import os
-
-    return os.cpu_count() or 1
+    """The CPUs this process may run on (its affinity mask), not the
+    host's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def save_json(result: BenchResult, filename: str, out_dir: Path | None = None) -> Path:
-    """Persist the table as ``BENCH_*.json`` for the perf trajectory.
-
-    JSON snapshots default to the repo root (unlike the text tables
-    under ``benchmarks/out/``) so successive PRs leave a machine-
-    readable performance trail next to the code they measured.
-    """
-    out_dir = out_dir if out_dir is not None else REPO_ROOT
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / filename
-    path.write_text(
-        json.dumps(result.to_json(), indent=2, default=str) + "\n", encoding="utf-8"
-    )
+    """Persist the table as ``BENCH_*.json``, at the repo root unless
+    ``out_dir`` is given, beside the code it measured."""
+    path = (out_dir if out_dir is not None else REPO_ROOT) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
     return path
 
 
@@ -108,13 +119,3 @@ def time_call(fn: Callable[[], Any], repeat: int = 3) -> tuple[float, Any]:
         best = min(best, time.perf_counter() - start)
     return best, value
 
-
-def run_rows(
-    result: BenchResult,
-    params: Iterable[Any],
-    fn: Callable[[Any], Sequence[Any]],
-) -> BenchResult:
-    """Run ``fn`` per parameter, appending its row to ``result``."""
-    for p in params:
-        result.add(*fn(p))
-    return result

@@ -57,7 +57,7 @@ from repro.master.store import (
     _distinct_in_position_order,
     _relation_digest,
     _scan_positions,
-    require_scalar_cells,
+    require_scalar_relation,
     shard_of,
 )
 from repro.relational.index import HashIndex
@@ -95,9 +95,7 @@ class ShardServerApp:
     ):
         if not 0 <= shard_id < shards:
             raise MasterDataError(f"shard id {shard_id} out of range for {shards} shards")
-        require_scalar_cells(
-            (v for t in relation.raw_tuples() for v in t), "shard-server master data"
-        )
+        require_scalar_relation(relation, "shard-server master data")
         self.relation = relation
         self.shard_id = shard_id
         self.shards = shards

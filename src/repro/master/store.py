@@ -87,6 +87,9 @@ class MasterMatch:
         return self.values[0]
 
 
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
 def require_scalar_cells(values: Iterable[Any], context: str) -> None:
     """Reject cell values that do not round-trip JSON losslessly.
 
@@ -96,11 +99,21 @@ def require_scalar_cells(values: Iterable[Any], context: str) -> None:
     silently altered.
     """
     for v in values:
-        if v is not None and not isinstance(v, (str, int, float, bool)):
+        if not isinstance(v, _SCALAR_TYPES):
             raise MasterDataError(
                 f"cannot serialise cell value {v!r} ({context}): "
                 f"only JSON scalar values round-trip losslessly"
             )
+
+
+def require_scalar_relation(relation: Relation, context: str) -> None:
+    """:func:`require_scalar_cells` over every cell of ``relation``,
+    checking the types of each column's distinct values; only a column
+    whose dictionary holds a non-scalar has its cells scanned."""
+    for name in relation.schema.names:
+        types = set(map(type, relation.dictionary(name)))
+        if not all(issubclass(t, _SCALAR_TYPES) for t in types):
+            require_scalar_cells(relation.column(name), context)
 
 
 def _relation_digest(relation: Relation) -> str:

@@ -4,10 +4,9 @@ Design constraints, in order:
 
 1. **Off-cost when disabled.** ``span()`` is called on the chase hot
    path; with tracing off it is one module-flag check returning a
-   cached no-op singleton. The bench guard
-   (``benchmarks/bench_obs_overhead.py`` + ``check_bench_json.py
-   --obs-overhead``) holds disabled-tracing throughput within 2% of an
-   instrumented-out build.
+   cached no-op singleton. The fence in
+   ``benchmarks/bench_obs_overhead.py`` holds disabled-tracing
+   throughput within 2% of an instrumented-out build.
 2. **Ids must cross every execution boundary the system has.**
    Contextvars carry the current span within a task/thread; explicit
    :class:`TraceCarrier` snapshots cross thread pools and process

@@ -251,6 +251,11 @@ class Relation:
         verdicts = [bool(predicate(v)) for v in self._dicts[pos].values]
         return [verdicts[i] for i in self._cols[pos]]
 
+    def dictionary(self, name: str) -> list[Any]:
+        """Every value interned for one attribute, each once (read-only
+        borrow). It may hold values no row references any longer."""
+        return self._dicts[self.schema.position(name)].values
+
     def active_domain(self, name: str) -> set:
         """The set of distinct values of one attribute."""
         pos = self.schema.position(name)

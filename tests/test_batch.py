@@ -182,6 +182,20 @@ def test_oracle_batch_reaches_truth(uk_batch):
     assert result.relation.tuples() == wl.clean.tuples()
 
 
+@pytest.mark.parametrize("store", ["sqlite", "remote"])
+def test_oracle_batch_completes_every_row_on_other_stores(uk_batch, uk_cluster, store, tmp_path):
+    """The sqlite store (under process workers) and the remote store
+    reach the same certain fix for every row as the single store."""
+    master, wl = uk_batch
+    if store == "sqlite":
+        engine = CerFix(uk.paper_ruleset(), master, store="sqlite", store_path=tmp_path / "m.db")
+        result = engine.clean_relation(wl.dirty, wl.clean, workers=2)
+    else:
+        result = _remote_clean(uk_cluster, wl)
+    assert result.report.completed == result.report.tuples == len(wl.dirty)
+    assert result.relation.tuples() == wl.clean.tuples()
+
+
 def test_sharding_never_changes_output(uk_batch):
     master, wl = uk_batch
     rows = _clean(master, wl, uk.paper_ruleset(), workers=1, shards=1).relation.tuples()

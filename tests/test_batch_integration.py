@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import urllib.request
 
 import pytest
 
 from repro import CerFix
-from repro.bench.harness import BenchResult, save_json
+from repro.bench.harness import BenchResult, save_json, time_call
 from repro.explorer.cli import main as cli_main
 from repro.relational.csvio import read_csv, write_csv
 from repro.scenarios import uk_customers as uk
@@ -234,14 +235,45 @@ def test_web_api_clean_rejects_bad_body(workload):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_beats_the_stream_path_on_duplicate_heavy_rows(workers):
+    """Dedup and the probe memos must keep a whole-relation clean ahead
+    of one monitor session per tuple. Only where the process may run
+    ``workers`` CPUs: oversubscribed workers measure scheduling, not
+    the pipeline."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if workers > cpus:
+        pytest.skip(f"{workers} workers on {cpus} CPU(s)")
+    master = uk.generate_master(40, seed=7)
+    wl = uk.generate_workload(master, 1_000, rate=0.15, seed=8)
+    t_stream, _ = time_call(
+        lambda: CerFix(uk.paper_ruleset(), master).stream(wl.dirty, wl.clean), repeat=1
+    )
+    t_batch, result = time_call(
+        lambda: CerFix(uk.paper_ruleset(), master).clean_relation(
+            wl.dirty, wl.clean, workers=workers
+        ),
+        repeat=1,
+    )
+    assert result.report.completed == len(wl.dirty)
+    assert t_batch < t_stream, f"batch ({workers} workers) slower than the stream path"
+
+
 def test_bench_result_json_roundtrip(tmp_path):
-    result = BenchResult("X — demo", ("a", "b"))
-    result.add(1, "one")
-    result.add(2, "two")
+    result = BenchResult("X — demo", ("a", "b", "c"), key=("a",))
+    result.add("one", 1, 0.25)
+    result.add("two", 2, 1.5)
     result.note("a note")
     path = save_json(result, "BENCH_demo.json", out_dir=tmp_path)
     payload = json.loads(path.read_text())
     assert payload["experiment"] == "X — demo"
-    assert payload["rows"] == [{"a": 1, "b": "one"}, {"a": 2, "b": "two"}]
+    assert payload["key"] == ["a"]
+    assert payload["rows"] == [{"a": "one", "b": 1, "c": 0.25}, {"a": "two", "b": 2, "c": 1.5}]
+    # metric cells come back as numbers, not their printed text
+    assert all(
+        isinstance(row[col], (int, float)) for row in payload["rows"] for col in ("b", "c")
+    )
     assert payload["notes"] == ["a note"]
-    assert payload["machine"]["cpus"] >= 1
+    # the CPUs this process may run on, not the host's core count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert payload["machine"]["cpus"] == cpus

@@ -112,10 +112,20 @@ def test_construction_needs_urls(world):
 def test_shard_server_rejects_non_scalar_master(world):
     from repro.relational.schema import Schema
 
-    _, ruleset, _ = world
+    master, ruleset, _ = world
     bad = Relation(Schema("m", ["a", "b"]), [(("t", "uple"), "x")])
     with pytest.raises(MasterDataError, match="JSON scalar"):
         ShardServerApp(ruleset, bad, 0, 1)
+    # an unhashable cell in the last row of a later column fails alike
+    last = master.schema.names[-1]
+    bad = Relation(master.schema, master.tuples() + [master.tuples()[0][:-1] + (["x"],)])
+    with pytest.raises(MasterDataError, match="JSON scalar"):
+        ShardServerApp(ruleset, bad, 0, 1)
+    # a selection shares its parent's column dictionaries: a non-scalar
+    # no selected row holds is not a cell of the server's master
+    kept = bad.select(lambda r: isinstance(r[last], str))
+    assert len(kept) == len(master)
+    ShardServerApp(ruleset, kept, 0, 1)
 
 
 # ---------------------------------------------------------------------------
