@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.audit.events import ChangeEvent
 from repro.obs import trace as tracing
@@ -16,25 +16,31 @@ class _Group(NamedTuple):
 
     Member ``m``'s ``j``-th event has sequence number
     ``base + m * len(transcript) + j``: the order a member-by-member
-    replay of the transcript would have assigned."""
+    replay of the transcript would have assigned, and the ``old`` and
+    ``new`` it gives (see :meth:`AuditLog.record_group`)."""
 
     base: int
     transcript: Sequence[dict]
     tuple_ids: Sequence[str]
-    olds: Mapping[int, Sequence[Any]]  # event index → per-member ``old``
-    news: Mapping[int, Sequence[Any]]  # event index → per-member ``new``
+    steps: Sequence[tuple[int, Any, bool]]  # per event: (column, new, answered)
+    rows: Sequence[Sequence[Any]]  # per member: its input row
+    answers: Sequence[Sequence[Any]] | None  # per member: its truth row
     stamp: tuple  # (trace_id, span_id) for events the worker left unstamped
 
     def member_events(self, m: int) -> list[ChangeEvent]:
         tid = self.tuple_ids[m]
         seq = self.base + m * len(self.transcript)
+        row = list(self.rows[m])
+        answer = self.answers[m] if self.answers is not None else row
         out = []
-        for j, e in enumerate(self.transcript):
+        for j, (e, (col, new, answered)) in enumerate(zip(self.transcript, self.steps)):
             trace_id, span_id = e.get("trace_id"), e.get("span_id")
             if trace_id is None:
                 trace_id, span_id = self.stamp
-            old = self.olds[j][m] if j in self.olds else e["old"]
-            new = self.news[j][m] if j in self.news else e["new"]
+            old = row[col]
+            if answered:
+                new = answer[col]
+            row[col] = new
             out.append(ChangeEvent(
                 seq + j, tid, e["attr"], old, new, e["source"], e["rule_id"],
                 tuple(e["master_positions"]), e["round_no"], trace_id, span_id,
@@ -74,8 +80,18 @@ class AuditLog:
         self._by_tuple: dict[str, list] = {}  # events and (group, member) refs
         for event in self._entries:
             self._by_tuple.setdefault(event.tuple_id, []).append(event)
+        self._unindexed: list[_Group] = []  # groups not yet in _by_tuple
         self._seq = len(self._entries)
         self._lock = threading.Lock()
+
+    def _indexed(self) -> dict[str, list]:
+        """The per-tuple index, folding in groups recorded since the last
+        call (the caller holds the lock): unread groups cost no indexing."""
+        for group in self._unindexed:
+            for m, tid in enumerate(group.tuple_ids):
+                self._by_tuple.setdefault(tid, []).append((group, m))
+        self._unindexed.clear()
+        return self._by_tuple
 
     def __getstate__(self) -> dict:
         return {"events": list(self.events)}
@@ -110,33 +126,35 @@ class AuditLog:
             )
             self._seq += 1
             self._entries.append(event)
-            self._by_tuple.setdefault(tuple_id, []).append(event)
+            self._indexed().setdefault(tuple_id, []).append(event)
         return event
 
     def record_group(
         self,
         transcript: Sequence[dict],
         tuple_ids: Sequence[str],
-        olds: Mapping[int, Sequence[Any]],
-        news: Mapping[int, Sequence[Any]] | None = None,
+        steps: Sequence[tuple[int, Any, bool]],
+        rows: Sequence[Sequence[Any]],
+        answers: Sequence[Sequence[Any]] | None = None,
     ) -> None:
         """Append one batch group's transcript for every member tuple.
 
         ``transcript`` holds the worker's event dicts (kept by reference)
-        with :meth:`record`'s fields. ``olds`` and ``news`` map a
-        transcript index to per-member ``old`` and ``new`` values, for
-        events whose values differ member by member. Events the worker
-        left unstamped take the span active here, as :meth:`record` would
-        stamp them."""
+        with :meth:`record`'s fields; ``steps`` gives each event's
+        ``(column position, group's new, answered)``. Reads replay the
+        steps over member ``m``'s input row ``rows[m]``: each ``old`` is
+        its current cell, and an answered event's ``new`` is its answer
+        ``answers[m][column]`` (without answers, the current cell). Events
+        the worker left unstamped take the span active here, as
+        :meth:`record` would stamp them."""
         if not transcript:
             return
         stamp = tracing.current_ids()
         with self._lock:
-            group = _Group(self._seq, transcript, tuple_ids, olds, news or {}, stamp)
+            group = _Group(self._seq, transcript, tuple_ids, steps, rows, answers, stamp)
             self._seq += len(transcript) * len(tuple_ids)
             self._entries.append(group)
-            for m, tid in enumerate(tuple_ids):
-                self._by_tuple.setdefault(tid, []).append((group, m))
+            self._unindexed.append(group)
 
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
@@ -157,13 +175,14 @@ class AuditLog:
     def by_tuple(self, tuple_id: str) -> list[ChangeEvent]:
         """All events for one tuple, in order — the demo's per-tuple trace.
 
-        Served from a per-tuple index maintained on append, so the
-        monitoring stream's per-row trace stays O(events for that tuple)
-        instead of O(all events) — the difference between linear and
-        quadratic total stream cost. Only this tuple's share of a batch
-        group is expanded."""
+        Served from a per-tuple index maintained on append (batch groups
+        on the first read after them), so the monitoring stream's
+        per-row trace stays O(events for that tuple) instead of O(all
+        events) — the difference between linear and quadratic total
+        stream cost. Only this tuple's share of a batch group is
+        expanded."""
         with self._lock:
-            refs = list(self._by_tuple.get(tuple_id, ()))
+            refs = list(self._indexed().get(tuple_id, ()))
         out: list[ChangeEvent] = []
         for ref in refs:
             if isinstance(ref, ChangeEvent):
@@ -180,12 +199,12 @@ class AuditLog:
     def stats(self) -> dict:
         """Registry-source summary (see :mod:`repro.obs.metrics`)."""
         with self._lock:
-            return {"events": self._seq, "tuples": len(self._by_tuple)}
+            return {"events": self._seq, "tuples": len(self._indexed())}
 
     def tuple_ids(self) -> list[str]:
         """Distinct tuple ids, in first-seen order (the per-tuple index's)."""
         with self._lock:
-            return list(self._by_tuple)
+            return list(self._indexed())
 
     # -- persistence -------------------------------------------------------
 

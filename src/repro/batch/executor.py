@@ -247,7 +247,7 @@ def _resolve_group(
     ):
         audit = _TranscriptRecorder()
         if group.truth is None:
-            return _chase_group(group, ctx, manager, chase_memo, audit)
+            return _chase_group(group, ctx, manager, audit)
         session = MonitorSession(
             ctx.ruleset,
             manager,
@@ -285,22 +285,26 @@ def _resolve_group(
 
 def _chase_group(
     group: PlanGroup, ctx: BatchContext, manager: MasterDataManager,
-    chase_memo: LRUMemo | None, audit: _TranscriptRecorder,
+    audit: _TranscriptRecorder,
 ) -> GroupOutcome:
     """Rule-only repair, recording what a monitor session recorded:
-    round 0 is ``ctx.round0`` rebound onto the group; round 1, while a
-    seed attribute is unvalidated, assures the seed and chases once."""
+    round 0 is ``ctx.round0`` rebound onto the group (when it validated
+    anything); round 1, while a seed attribute is unvalidated, assures
+    the seed and chases once. No chase memo: the planner already groups
+    rule-only rows on the seed values a memo would key on."""
     names = ctx.ruleset.input_schema.names
-    result = rebind_chase(ctx.round0, group.values)
-    values, validated, conflicts = result.values, result.validated, len(result.conflicts)
-    record_steps(audit, None, result.steps, 0)
+    if ctx.round0.validated:
+        result = rebind_chase(ctx.round0, group.values)
+        values, validated, conflicts = result.values, result.validated, len(result.conflicts)
+        record_steps(audit, None, result.steps, 0)
+    else:  # nothing validated: no steps and no conflicts to rebind
+        values, validated, conflicts = {n: group.values[n] for n in names}, frozenset(), 0
     seed = [a for a in dict.fromkeys(ctx.validated) if a not in validated]
     if seed and len(validated) < len(names):
         for a in seed:
             audit.record(None, a, values[a], values[a], "user", round_no=1)
         result = timed_chase(
-            values, validated.union(seed), ctx.ruleset, manager,
-            memo=chase_memo, use_index=ctx.use_index,
+            values, validated.union(seed), ctx.ruleset, manager, use_index=ctx.use_index
         )
         values, validated = result.values, result.validated
         conflicts += len(result.conflicts)
@@ -474,8 +478,8 @@ class ShardExecutor:
         #: is used as-is.
         self.cache = cache if cache is not None else _probe_cache(ctx)
         #: ...and one suggestion memo (see :func:`_run_shard`) plus one
-        #: chase-transcript memo (see :func:`repro.core.chase.chase_memoized`
-        #: — identical validated states across groups chase once).
+        #: chase-transcript memo for oracle sessions (see
+        #: :func:`repro.core.chase.chase_memoized`).
         self.memo = LRUMemo(ctx.cache_size)
         self.chase_memo = LRUMemo(ctx.cache_size)
 

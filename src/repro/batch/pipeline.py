@@ -4,9 +4,11 @@
 :meth:`CerFix.clean_relation`: it fingerprints and deduplicates the
 dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
 shards (:mod:`repro.batch.journal`), runs the rest serially or in worker
-processes (:mod:`repro.batch.executor`), then assembles the repaired
-relation, records each group's provenance once in the engine's audit
-log, and aggregates a :class:`~repro.batch.report.BatchReport`.
+processes (:mod:`repro.batch.executor`), then rebinds each group onto
+its members: the repaired relation is the input with the changed cells
+patched in, each group's provenance is recorded once in the engine's
+audit log, and a :class:`~repro.batch.report.BatchReport` aggregates
+the run.
 
 Scheduling never influences output: groups are independent and probing
 is deterministic, so ``workers=4`` (four worker processes) produces the
@@ -19,6 +21,9 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Sequence
 
@@ -42,13 +47,29 @@ from repro.relational.relation import Relation
 
 @dataclass
 class BatchResult:
-    """A repaired relation plus the run's report."""
+    """A repaired relation, the run's report, and the patch that made the
+    relation from the input: one ``(column position, rows, olds, news,
+    provenance)`` run per group and column whose cells changed."""
 
     relation: Relation
     report: BatchReport
+    patch: Sequence[tuple] = ()
 
     def __len__(self) -> int:
         return len(self.relation)
+
+    @cached_property
+    def changes(self) -> list[tuple]:
+        """One ``(row, column, old, new, rule_id, source, trace_id,
+        span_id)`` per changed cell, in row then schema order; the last
+        four fields are those of the audit event that wrote ``new``."""
+        names = self.relation.schema.names
+        cells = {
+            row * len(names) + col: (row, names[col], old, new, *provenance)
+            for col, rows, olds, news, provenance in self.patch
+            for row, old, new in zip(rows, olds, news)
+        }
+        return [cells[k] for k in sorted(cells)]
 
 
 class BatchCleaner:
@@ -284,7 +305,7 @@ class BatchCleaner:
             list(done.values()) + list(fresh), key=lambda r: r.shard_id
         )
 
-        relation, changed_cells = self._rebind(
+        relation, changed_cells, patch = self._rebind(
             dirty, truth, results, tuple_ids, plan.signature_attrs
         )
         # This run's probe-cache lookups. The serial path shares the
@@ -316,7 +337,7 @@ class BatchCleaner:
             saved = save_probe_cache(executor.cache, cache_path, **cache_stamp)
             persistence += f"; saved {saved} entries"
         report.persistence = persistence
-        return BatchResult(relation=relation, report=report)
+        return BatchResult(relation=relation, report=report, patch=patch)
 
     # -- internals -----------------------------------------------------------
 
@@ -388,28 +409,37 @@ class BatchCleaner:
         results: Sequence[ShardResult],
         tuple_ids: Sequence[str] | None,
         shared: Sequence[str],
-    ) -> tuple[Relation, int]:
+    ) -> tuple[Relation, int, list[tuple]]:
         """Rebind every group's transcript onto its members: returns the
-        repaired relation and the exact changed-cell count.
+        repaired relation, the exact changed-cell count and the patch
+        (see :class:`BatchResult`).
 
-        One pass replays the transcript over each member's input row.
-        Each event's ``old`` is the member's current cell. A user event
-        on an attribute outside the signature (``shared``) takes the
-        member's own answer as ``new``: its truth value, or its input
-        value when the seed assures it. Every other event keeps the
-        group's ``new``. Each member gets its own audit trail (ids follow
-        the stream convention: ``t<row>`` unless ``tuple_ids``
-        overrides), recorded as one :meth:`AuditLog.record_group` per
-        group with the per-member values as overrides."""
-        schema = self.ruleset.input_schema
-        position = {n: i for i, n in enumerate(schema.names)}
+        Replayed over a member's input row, each event's ``old`` is the
+        member's current cell. A user event on an attribute outside the
+        signature (``shared``) takes the member's own answer as ``new``:
+        its truth value, or without truth its current value. The replay
+        runs a column at a time over a group's members, one layer of
+        values per write. Each member's audit trail (tuple ids ``t<row>``
+        unless ``tuple_ids`` overrides) is one
+        :meth:`AuditLog.record_group` per group."""
+        names = self.ruleset.input_schema.names
+        position = {n: i for i, n in enumerate(names)}
         shared = frozenset(shared)
         raw = dirty.raw_tuples()
         answers = truth.raw_tuples() if truth is not None else None
-        rows: list[tuple | None] = [None] * len(dirty)
+        inputs = list(zip(*raw))  # per column, the input values in row order
+        stamp = trace.current_ids()
+        assembled: set[int] = set()
+        patch: list[tuple] = []
         changed = 0
         for result in results:
             for outcome in result.outcomes:
+                members = outcome.members
+                assembled.update(members)
+                # The members' items of a row-ordered sequence, as a tuple.
+                pick = itemgetter(*members) if len(members) > 1 else lambda s: (s[members[0]],)
+                rows = pick(raw)
+                mine = pick(answers) if answers is not None else None
                 transcript = outcome.audit_events
                 steps = [
                     (
@@ -419,29 +449,43 @@ class BatchCleaner:
                     )
                     for e in transcript
                 ]
-                olds: dict[int, list] = {j: [] for j in range(len(steps))}
-                news: dict[int, list] = {j: [] for j, s in enumerate(steps) if s[2]}
-                for m in outcome.members:
-                    row = list(raw[m])
-                    answer = answers[m] if answers is not None else row
-                    for j, (col, new, answered) in enumerate(steps):
-                        old = row[col]
-                        if answered:
-                            new = answer[col]
-                            news[j].append(new)
-                        olds[j].append(old)
-                        changed += old != new
-                        row[col] = new
-                    rows[m] = tuple(row)
-                ids = [
-                    tuple_ids[m] if tuple_ids is not None else f"t{m}"
-                    for m in outcome.members
-                ]
-                self.audit.record_group(transcript, ids, olds, news)
-        missing = [i for i, r in enumerate(rows) if r is None]
-        if missing:
+                writes: dict[int, list] = {}  # column → its (new, answered, event)s
+                for e, (col, new, answered) in zip(transcript, steps):
+                    writes.setdefault(col, []).append((new, answered, e))
+                for col, chain in writes.items():
+                    # One layer per write: the column's values after it,
+                    # member by member; the first layer is the input.
+                    layers = [pick(inputs[col])]
+                    for value, answered, _ in chain:
+                        if not answered:
+                            layers.append([value] * len(members))
+                        elif mine is not None:
+                            layers.append([answer[col] for answer in mine])
+                        else:  # no truth: the member's answer is its current value
+                            layers.append(layers[-1])
+                    olds, news = layers[0], layers[-1]
+                    diff = list(map(ne, olds, news))
+                    differ = sum(diff)
+                    if len(layers) == 2:
+                        changed += differ
+                    else:
+                        changed += sum(sum(map(ne, a, b)) for a, b in zip(layers, layers[1:]))
+                    if not differ:
+                        continue
+                    e = chain[-1][2]  # the event whose new survived
+                    span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
+                    patch.append((
+                        col, list(compress(members, diff)), list(compress(olds, diff)),
+                        list(compress(news, diff)), (e["rule_id"], e["source"], *span),
+                    ))
+                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
+                self.audit.record_group(transcript, ids, steps, rows, mine)
+        if len(assembled) != len(dirty):
+            missing = sorted(set(range(len(dirty))) - assembled)
             raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
-        return Relation(schema, rows), changed
+        relation = dirty.patched((col, rows, news) for col, rows, _, news, _ in patch)
+        relation.schema = self.ruleset.input_schema  # as a relation rebuilt from rows had
+        return relation, changed, patch
 
 
 def _path(workers: int) -> str:

@@ -350,15 +350,14 @@ class DbCleaner:
         max_rounds: int | None,
         journal: CheckpointJournal | None,
     ) -> list[CellChange]:
-        """Run one page through the batch pipeline; diff input vs output.
+        """Run one page through the batch pipeline; one archive change
+        per cell the rebind changed.
 
-        The page's relation is read in input-schema column order, and
-        the batch assembler emits rows in that same order, so the diff
-        is positional. Change provenance (rule, source, span) comes from
-        the audit events the batch replay just recorded under this
-        page's row-key tuple ids.
+        The rebind reports the changed cells in row then column order,
+        each with the rule, source and span of the event that wrote it,
+        so a change's provenance is the audit event's without reading
+        the audit log back.
         """
-        names = page.relation.schema.names
         with trace.span("page", page=page.index, rows=len(page)):
             result = self.batch.clean(
                 page.relation,
@@ -372,44 +371,12 @@ class DbCleaner:
                 max_rounds=max_rounds,
                 root_span=False,
             )
-        before = page.relation.raw_tuples()
-        after = result.relation.raw_tuples()
-        changes: list[CellChange] = []
-        seq = seq_start
-        for key, old_row, new_row in zip(page.keys, before, after):
-            if old_row == new_row:
-                continue
-            provenance = self._provenance(f"r{key}")
-            for col, old, new in zip(names, old_row, new_row):
-                if old == new:
-                    continue
-                rule_id, source, trace_id, span_id = provenance.get(
-                    col, (None, None, None, None)
-                )
-                changes.append(
-                    CellChange(
-                        seq=seq,
-                        page=page.index,
-                        row_key=key,
-                        column=col,
-                        old=old,
-                        new=new,
-                        rule_id=rule_id,
-                        source=source,
-                        trace_id=trace_id,
-                        span_id=span_id,
-                    )
-                )
-                seq += 1
-        return changes
-
-    def _provenance(self, tuple_id: str) -> dict[str, tuple]:
-        """attr → (rule_id, source, trace_id, span_id) of the *final*
-        audit event — the one whose ``new`` survived into the output."""
-        out: dict[str, tuple] = {}
-        for e in self.batch.audit.by_tuple(tuple_id):
-            out[e.attr] = (e.rule_id, e.source, e.trace_id, e.span_id)
-        return out
+        # A change is (row, column, old, new, rule_id, source, trace_id,
+        # span_id): CellChange's fields from ``column`` on.
+        return [
+            CellChange(seq_start + i, page.index, page.keys[c[0]], *c[1:])
+            for i, c in enumerate(result.changes)
+        ]
 
     # -- run identity and resume -------------------------------------------
 

@@ -53,14 +53,14 @@ def read_csv(path: str | Path, schema: Schema | None = None, relation_name: str 
                 raise RelationError(f"{path}: header missing schema attributes {missing}")
             picks = [positions[n] for n in schema.names]
             dtypes = [schema.attribute(n).dtype for n in schema.names]
-        relation = Relation(schema)
+        rows = []
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
             if max(picks) >= len(record):
                 raise RelationError(f"{path}:{lineno}: row has {len(record)} fields, need {max(picks) + 1}")
-            relation.append(tuple(_parse_cell(record[p], dt) for p, dt in zip(picks, dtypes)))
-    return relation
+            rows.append(tuple(_parse_cell(record[p], dt) for p, dt in zip(picks, dtypes)))
+    return Relation(schema, rows)
 
 
 def write_csv(relation: Relation, path: str | Path) -> None:

@@ -67,6 +67,13 @@ class ColumnDict:
                 norm.append(normalize_value(value, op))
         return vid
 
+    def copy(self) -> "ColumnDict":
+        """An independent dictionary with the same ids."""
+        out = ColumnDict()
+        out.values, out._ids = list(self.values), dict(self._ids)
+        out._norms = {op: list(norm) for op, norm in self._norms.items()}
+        return out
+
     def normalized(self, op: str) -> list[Any]:
         """The id → normalised-value array for ``op`` (lazily computed)."""
         norm = self._norms.get(op)
@@ -169,7 +176,29 @@ class Relation:
         self._mat = None
         self._version += 1
 
+    def patched(self, runs: Iterable[tuple[int, Sequence[int], Sequence[Any]]]) -> "Relation":
+        """A copy in which each ``(column, positions, values)`` run sets
+        the cells at ``positions`` of column number ``column`` to
+        ``values``. Only the new values are interned; a column with one
+        gets its own copy of the dictionary, the rest are shared (as in
+        :meth:`project`), and this relation is left unchanged."""
+        out = _assemble(
+            self.schema, list(self._dicts), [list(c) for c in self._cols], self._nrows
+        )
+        for col, positions, values in runs:
+            if out._dicts[col] is self._dicts[col]:
+                out._dicts[col] = self._dicts[col].copy()
+            ids, intern = out._cols[col], out._dicts[col].intern
+            try:
+                for position, value in zip(positions, values):
+                    ids[position] = intern(value)
+            except IndexError:
+                raise RelationError(f"relation {self.schema.name!r} has no row {position}") from None
+        return out
+
     def _coerce(self, row: Sequence[Any] | Row | Mapping[str, Any]) -> tuple:
+        if row.__class__ is tuple and len(row) == len(self._cols):
+            return row  # the common case, before the costlier isinstance checks
         if isinstance(row, Row):
             if row.schema != self.schema:
                 raise RelationError(
@@ -266,17 +295,14 @@ class Relation:
         """A new relation with just ``names`` (duplicates kept)."""
         schema = self.schema.project(names, name)
         positions = [self.schema.position(n) for n in names]
-        out = Relation.__new__(Relation)
-        out.schema = schema
         # Dictionaries are shared: they are append-only (ids are stable),
         # so growth through either relation cannot corrupt the other.
-        out._dicts = [self._dicts[p] for p in positions]
-        out._cols = [list(self._cols[p]) for p in positions]
-        out._nrows = self._nrows
-        out._indexes = {}
-        out._mat = None
-        out._version = 0
-        return out
+        return _assemble(
+            schema,
+            [self._dicts[p] for p in positions],
+            [list(self._cols[p]) for p in positions],
+            self._nrows,
+        )
 
     def select(self, predicate: Callable[[Row], bool]) -> "Relation":
         """A new relation with the rows satisfying ``predicate``."""
@@ -284,15 +310,9 @@ class Relation:
         keep = [
             i for i, t in enumerate(self._materialized()) if predicate(Row(schema, t))
         ]
-        out = Relation.__new__(Relation)
-        out.schema = schema
-        out._dicts = self._dicts
-        out._cols = [[col[i] for i in keep] for col in self._cols]
-        out._nrows = len(keep)
-        out._indexes = {}
-        out._mat = None
-        out._version = 0
-        return out
+        return _assemble(
+            schema, self._dicts, [[col[i] for i in keep] for col in self._cols], len(keep)
+        )
 
     # -- indexing --------------------------------------------------------
 
@@ -380,8 +400,6 @@ def _rebuild_columnar(
 ) -> Relation:
     """Unpickle target: reattach known-good columns without re-interning
     row by row; indexes start empty and rebuild lazily on first probe."""
-    relation = Relation.__new__(Relation)
-    relation.schema = schema
     dicts = []
     for values in dict_values:
         d = ColumnDict.__new__(ColumnDict)
@@ -395,31 +413,19 @@ def _rebuild_columnar(
         d._ids = ids
         d._norms = {}
         dicts.append(d)
-    relation._dicts = dicts
-    relation._cols = [list(c) for c in cols]
-    relation._nrows = nrows
-    relation._indexes = {}
-    relation._mat = None
-    relation._version = 0
-    return relation
+    return _assemble(schema, dicts, [list(c) for c in cols], nrows)
 
 
-def _rebuild_relation(schema: Schema, tuples: Sequence[tuple]) -> Relation:
-    """Row-tuple rebuild target, kept for callers that ship raw tuples
-    (sqlite store reconstruction): re-interns each tuple but
-    skips per-row coercion — the tuples are known-good."""
+def _assemble(
+    schema: Schema, dicts: list[ColumnDict], cols: list[list[int]], nrows: int
+) -> Relation:
+    """A relation over ready dictionaries and id columns, taken as given;
+    indexes and the materialisation start empty."""
     relation = Relation.__new__(Relation)
     relation.schema = schema
-    tuples = list(tuples)
-    ncols = len(schema)
-    dicts = [ColumnDict() for _ in range(ncols)]
-    cols: list[list[int]] = []
-    for pos in range(ncols):
-        intern = dicts[pos].intern
-        cols.append([intern(t[pos]) for t in tuples])
     relation._dicts = dicts
     relation._cols = cols
-    relation._nrows = len(tuples)
+    relation._nrows = nrows
     relation._indexes = {}
     relation._mat = None
     relation._version = 0

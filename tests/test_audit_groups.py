@@ -8,7 +8,8 @@ transcript replayed over each member's own input row. The ``shadow``
 fixture runs it beside the real rebind on the same shard results,
 inside the same span, so the two logs must agree event for event — seq,
 tuple id, attr, old/new, source, rule, master positions, round and
-trace/span ids — and on the repaired rows and the changed-cell count.
+trace/span ids — and on the repaired rows, the changed-cell count and
+the changed cells with their provenance.
 
 CI runs this file in the ``store-parity`` leg with 4 process workers
 (``CERFIX_PARITY_WORKERS``).
@@ -26,7 +27,8 @@ import pytest
 
 from repro import CerFix
 from repro.audit.log import AuditLog
-from repro.batch.pipeline import BatchCleaner
+from repro.batch.executor import GroupOutcome, ShardResult
+from repro.batch.pipeline import BatchCleaner, BatchResult
 from repro.dirty import ChangeArchive, DirtyTable
 from repro.master.conformance import generate_case
 from repro.monitor.user import OracleUser
@@ -39,15 +41,20 @@ PARITY_WORKERS = int(os.environ.get("CERFIX_PARITY_WORKERS", "2"))
 def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
     """The reference: every (member, event) recorded one by one, each
     member's transcript replayed over its own input row. Returns the
-    repaired relation and the changed-cell count."""
+    repaired relation, the changed-cell count and the patch, as
+    :meth:`BatchCleaner._rebind` does: one single-cell run per cell of a
+    diff of each output row against its input row, with the rule, source
+    and span of the last event recorded on the cell."""
     names = schema.names
     rows = [None] * len(dirty)
+    last = [None] * len(dirty)
     changed = 0
     for result in results:
         for outcome in result.outcomes:
             for member in outcome.members:
                 tid = tuple_ids[member] if tuple_ids is not None else f"t{member}"
                 state = dirty.row(member).to_dict()
+                last[member] = {}
                 for e in outcome.audit_events:
                     old, new = state[e["attr"]], e["new"]
                     if e["source"] == "user" and e["attr"] not in shared:
@@ -55,7 +62,7 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
                     state[e["attr"]] = new
                     if old != new:
                         changed += 1
-                    audit.record(
+                    last[member][e["attr"]] = audit.record(
                         tid,
                         e["attr"],
                         old,
@@ -68,7 +75,19 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
                         span_id=e.get("span_id"),
                     )
                 rows[member] = tuple(state[n] for n in names)
-    return Relation(schema, rows), changed
+    patch = [
+        (col, [m], [old], [new], (ev.rule_id, ev.source, ev.trace_id, ev.span_id))
+        for m, (before, after) in enumerate(zip(dirty.raw_tuples(), rows))
+        for col, (n, old, new) in enumerate(zip(names, before, after))
+        if old != new
+        for ev in [last[m][n]]
+    ]
+    return Relation(schema, rows), changed, patch
+
+
+def changes(relation, patch):
+    """The changed cells a patch gives, as :class:`BatchResult` lists them."""
+    return BatchResult(relation, None, patch).changes
 
 
 @dataclasses.dataclass
@@ -85,12 +104,16 @@ def shadow(monkeypatch):
     grouped = BatchCleaner._rebind
 
     def both(self, dirty, truth, results, tuple_ids, shared):
-        got, changed = grouped(self, dirty, truth, results, tuple_ids, shared)
-        want, want_changed = eager_replay(
+        before = dirty.raw_tuples()[:]
+        got, changed, patch = grouped(self, dirty, truth, results, tuple_ids, shared)
+        want, want_changed, want_patch = eager_replay(
             ref.log, self.ruleset.input_schema, dirty, truth, results, tuple_ids, shared
         )
         assert got.raw_tuples() == want.raw_tuples()
+        assert got.schema == want.schema
+        assert dirty.raw_tuples() == before
         assert changed == want_changed
+        assert changes(got, patch) == changes(want, want_patch)
         ref.changed += want_changed
         ref.groups_with_overrides += sum(
             1
@@ -99,7 +122,7 @@ def shadow(monkeypatch):
             if len(o.members) > 1
             and any(e["attr"] not in shared for e in o.audit_events)
         )
-        return got, changed
+        return got, changed, patch
 
     monkeypatch.setattr(BatchCleaner, "_rebind", both)
     return ref
@@ -281,6 +304,7 @@ def test_concurrent_record_and_record_group_share_one_counter():
         {"attr": "LN", "old": "c", "new": "c", "source": "user", "rule_id": None,
          "master_positions": (), "round_no": 1},
     )
+    steps = ((0, "b", False), (1, "c", False))  # (column, new, answered) per event
 
     def single(k):
         for i in range(2000):
@@ -288,7 +312,9 @@ def test_concurrent_record_and_record_group_share_one_counter():
 
     def grouped(k):
         for i in range(1000):
-            log.record_group(transcript, [f"g{k}-{i % 5}", f"g{k}-{i % 3}x"], {})
+            log.record_group(
+                transcript, [f"g{k}-{i % 5}", f"g{k}-{i % 3}x"], steps, [("a", "c")] * 2
+            )
 
     threads = [threading.Thread(target=f, args=(k,)) for k in range(4) for f in (single, grouped)]
     interval = sys.getswitchinterval()
@@ -309,6 +335,81 @@ def test_concurrent_record_and_record_group_share_one_counter():
         assert seqs == sorted(seqs) and all(events[q].tuple_id == tid for q in seqs)
 
 
+# -- a handcrafted transcript --------------------------------------------------
+
+
+def _event(attr, new, source="rule", rule_id=None, span=None):
+    return {
+        "attr": attr, "old": "<representative's>", "new": new, "source": source,
+        "rule_id": rule_id, "master_positions": (3,) if rule_id else (),
+        "round_no": 1, "trace_id": "t1" if span else None, "span_id": span,
+    }
+
+
+#: The signature: user events on these keep the group's value.
+SIGNATURE = ("zip", "city", "LN")
+
+#: Rows 0, 2 and 3 form one group; row 1 is a group of its own. Their
+#: payload ``item`` differs member by member.
+ROWS = [
+    ("Ann", "Smith", "131", "1", "1", "5 Elm", "Edi", "EH8 4AH", "DVD"),
+    ("Bob", "Brown", "131", "2", "1", "6 Elm", "Ldn", "W1", "Book"),
+    ("Ann", "Smyth", "131", "1", "1", "5 Elm", "Edinburgh", "EH84AH", "CD"),
+    ("Ann", "Smith", "131", "1", "1", "5 Elm", "Edinbrgh", "EH8 4AH", "Webcam"),
+]
+TRUTH_ITEMS = ["Webcam", "Novel", "CD", "DVD"]
+
+GROUPS = {
+    (0, 2, 3): (
+        _event("city", "Edi", rule_id="r1", span="s1"),  # city: written twice
+        _event("zip", "EH8 4AH", source="user"),
+        _event("city", "Edinburgh", rule_id="r2", span="s2"),
+        _event("item", "CD", rule_id="r3", span="s3"),  # then answered by the user
+        _event("item", "Vinyl", source="user"),  # the representative's answer
+        _event("LN", "Smith", rule_id="r4"),
+    ),
+    (1,): (_event("item", "Comic", source="user"), _event("city", "London", rule_id="r5")),
+}
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "rule-only"])
+def test_handcrafted_transcript_matches_eager_replay(with_truth):
+    case = generate_case(5, scenario="uk", n=3)
+    schema = case.ruleset.input_schema
+    dirty = Relation(schema, ROWS)
+    truth = None
+    if with_truth:
+        truth = Relation(schema, [r[:-1] + (t,) for r, t in zip(ROWS, TRUTH_ITEMS)])
+    results = [
+        ShardResult(k, (GroupOutcome(members, {}, True, 1, 0, 0, 0, 0, events),))
+        for k, (members, events) in enumerate(GROUPS.items())
+    ]
+    cleaner = BatchCleaner(case.ruleset, case.master)
+    ref = AuditLog()
+    before = dirty.raw_tuples()[:]
+
+    got, changed, patch = cleaner._rebind(dirty, truth, results, None, SIGNATURE)
+    want, want_changed, want_patch = eager_replay(
+        ref, schema, dirty, truth, results, None, SIGNATURE
+    )
+
+    assert got.raw_tuples() == want.raw_tuples()
+    cells = changes(got, patch)
+    assert (changed, cells) == (want_changed, changes(want, want_patch))
+    assert_same_log(cleaner.audit, ref)
+    assert dirty.raw_tuples() == before
+    # The cases the transcript was built for do occur.
+    items = [(0, "Webcam"), (1, "Novel"), (3, "DVD")] if with_truth else [(0, "CD"), (3, "CD")]
+    assert [(c[0], c[3]) for c in cells if c[1] == "item"] == items
+    city = {c[0]: c[2:] for c in cells if c[1] == "city"}
+    assert city[0] == ("Edi", "Edinburgh", "r2", "rule", "t1", "s2")
+    assert 2 not in city  # written twice, back to its input value
+    assert [c[0] for c in cells if c[1] == "zip"] == [2]
+    assert [c[0] for c in cells if c[1] == "LN"] == [2]
+    order = [(c[0], schema.position(c[1])) for c in cells]
+    assert order == sorted(order)  # row, then schema column order
+
+
 # -- paged DB cleans: archive provenance --------------------------------------
 
 
@@ -321,9 +422,20 @@ def _archive(path, run_id):
         conn.close()
 
 
-@pytest.mark.parametrize("page_rows", [1, 64, 4096])
+@pytest.mark.parametrize(
+    "page_rows, workers",
+    [
+        pytest.param(1, 1, id="1"),
+        pytest.param(64, 1, id="64"),
+        pytest.param(4096, 1, id="4096"),
+        # Archive rows built from the changes of transcripts that came
+        # back from worker processes.
+        pytest.param(64, PARITY_WORKERS, id="64-processes"),
+        pytest.param(4096, PARITY_WORKERS, id="4096-processes"),
+    ],
+)
 def test_db_archive_matches_eager_provenance(
-    hospital_case, page_rows, shadow, tmp_path, monkeypatch
+    hospital_case, page_rows, workers, shadow, tmp_path, monkeypatch
 ):
     def run(path):
         DirtyTable.create(path, hospital_case.dirty)
@@ -331,7 +443,8 @@ def test_db_archive_matches_eager_provenance(
         trace.configure(tmp_path / f"{path.stem}.spans.jsonl")
         try:
             result = engine.clean_table(
-                path, page_rows=page_rows, validated=hospital_case.validated
+                path, page_rows=page_rows, validated=hospital_case.validated,
+                workers=workers,
             )
         finally:
             trace.disable()

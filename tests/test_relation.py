@@ -1,5 +1,7 @@
 """Unit tests for repro.relational.relation."""
 
+import pickle
+
 import pytest
 
 from repro.errors import RelationError
@@ -65,6 +67,57 @@ class TestMutation:
         assert len(rel.lookup(("b",), ("x",))) == 2
         rel.update_cell(0, "b", "y")
         assert len(rel.lookup(("b",), ("x",))) == 1
+
+
+class TestPatched:
+    """``patched`` equals a relation built from the patched rows, and
+    leaves its input as it was."""
+
+    @pytest.fixture()
+    def wide(self):
+        schema = Schema("w", ["a", "b", "c"])
+        rows = [(1, "EH8 4AH", "x"), (2, "eh8 4ah", "y"), (3, "G1 1AA", "x"), (4, "x", 1)]
+        return Relation(schema, rows)
+
+    # (column, positions, values) runs: a new value, an existing one, a
+    # type the column lacks (1.0 equals the 1 in column c but must decode
+    # as a float), and one cell twice.
+    RUNS = [(1, [0, 2], ["G1 1AA", "EH1 1AA"]), (2, [1], [1.0]), (0, [3, 3], [9, 7])]
+
+    def test_equals_the_rebuilt_relation(self, wide):
+        wide.index_on(("b",), ops=("alnum",))  # a normalised array the copy must extend
+        before = (wide.raw_tuples()[:], [list(d) for d in map(wide.dictionary, "abc")])
+        rows = [list(r) for r in wide.raw_tuples()]
+        for col, positions, values in self.RUNS:
+            for position, value in zip(positions, values):
+                rows[position][col] = value
+        want = Relation(wide.schema, [tuple(r) for r in rows])
+        got = wide.patched(self.RUNS)
+        for rel in (got, pickle.loads(pickle.dumps(got))):
+            assert rel.raw_tuples() == want.raw_tuples()
+            assert [type(v) for v in rel.column("c")] == [str, float, str, int]
+            for name in wide.schema.names:
+                assert rel.column(name) == want.column(name)
+                assert rel.active_domain(name) == want.active_domain(name)
+            for value in ("eh11aa", "g11aa", "eh84ah"):
+                assert rel.lookup(("b",), (value,), ops=("alnum",)) == want.lookup(
+                    ("b",), (value,), ops=("alnum",)
+                )
+            assert rel.lookup(("a", "c"), (7, "x")) == want.lookup(("a", "c"), (7, "x"))
+        # The input is as it was, dictionaries included.
+        assert wide.raw_tuples() == before[0]
+        assert [list(d) for d in map(wide.dictionary, "abc")] == before[1]
+        assert len(wide.lookup(("b",), ("g11aa",), ops=("alnum",))) == 1
+
+    def test_no_cells_is_a_copy(self, wide):
+        got = wide.patched([])
+        assert got is not wide and got.raw_tuples() == wide.raw_tuples()
+        got.update_cell(0, "a", 5)
+        assert wide.row(0)["a"] == 1
+
+    def test_bad_cell_rejected(self, wide):
+        with pytest.raises(RelationError, match="no row 9"):
+            wide.patched([(0, [9], [1])])
 
 
 class TestAccess:

@@ -7,7 +7,7 @@ attributes and no :class:`MonitorSession`
 below is the reference: the session path (``MonitorSession`` +
 ``assure``) that resolved such a group before. The ``shadow`` fixture
 runs it beside the real resolver on every group, inside the same span
-and on the same memos, and asserts field-for-field
+(neither uses a chase memo), and asserts field-for-field
 :class:`GroupOutcome` equality. Whole runs with the reference swapped in
 must also give the same fixed relation, audit log, report and DB
 archive.
@@ -41,7 +41,7 @@ PARITY_WORKERS = int(os.environ.get("CERFIX_PARITY_WORKERS", "2"))
 SHARDS = 8  # fixed, so serial and process runs share one plan
 
 
-def session_outcome(group, ctx, manager, chase_memo, audit) -> GroupOutcome:
+def session_outcome(group, ctx, manager, audit) -> GroupOutcome:
     """The reference: a monitor session opens on the group and assures
     the seed, as the executor did for every rule-only group up to 1.13."""
     session = MonitorSession(
@@ -56,7 +56,6 @@ def session_outcome(group, ctx, manager, chase_memo, audit) -> GroupOutcome:
         audit=audit,
         use_index=ctx.use_index,
         max_combos=ctx.max_combos,
-        chase_memo=chase_memo,
         trace=False,
     )
     seed = [a for a in ctx.validated if a not in session.validated]
@@ -85,9 +84,9 @@ def shadow(monkeypatch):
     real = executor_mod._chase_group
     compared: list[GroupOutcome] = []
 
-    def both(group, ctx, manager, chase_memo, audit):
-        want = session_outcome(group, ctx, manager, chase_memo, _TranscriptRecorder())
-        got = real(group, ctx, manager, chase_memo, audit)
+    def both(group, ctx, manager, audit):
+        want = session_outcome(group, ctx, manager, _TranscriptRecorder())
+        got = real(group, ctx, manager, audit)
         assert got == want, f"group {group.representative}"
         compared.append(got)
         return got
