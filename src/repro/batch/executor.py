@@ -288,17 +288,14 @@ def _chase_group(
     audit: _TranscriptRecorder,
 ) -> GroupOutcome:
     """Rule-only repair, recording what a monitor session recorded:
-    round 0 is ``ctx.round0`` rebound onto the group (when it validated
-    anything); round 1, while a seed attribute is unvalidated, assures
-    the seed and chases once. No chase memo: the planner already groups
-    rule-only rows on the seed values a memo would key on."""
+    round 0 is ``ctx.round0`` rebound onto the group; round 1, while a
+    seed attribute is unvalidated, assures the seed and chases once. No
+    chase memo: the planner already groups rule-only rows on the seed
+    values a memo would key on."""
     names = ctx.ruleset.input_schema.names
-    if ctx.round0.validated:
-        result = rebind_chase(ctx.round0, group.values)
-        values, validated, conflicts = result.values, result.validated, len(result.conflicts)
-        record_steps(audit, None, result.steps, 0)
-    else:  # nothing validated: no steps and no conflicts to rebind
-        values, validated, conflicts = {n: group.values[n] for n in names}, frozenset(), 0
+    result = rebind_chase(ctx.round0, group.values)
+    values, validated, conflicts = result.values, result.validated, len(result.conflicts)
+    record_steps(audit, None, result.steps, 0)
     seed = [a for a in dict.fromkeys(ctx.validated) if a not in validated]
     if seed and len(validated) < len(names):
         for a in seed:

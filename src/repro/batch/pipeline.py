@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter, ne
+from operator import is_not, itemgetter, ne, or_
 from pathlib import Path
 from typing import Sequence
 
@@ -61,13 +61,15 @@ class BatchResult:
     @cached_property
     def changes(self) -> list[tuple]:
         """One ``(row, column, old, new, rule_id, source, trace_id,
-        span_id)`` per changed cell, in row then schema order; the last
+        span_id)`` per cell with ``old != new``, in row then schema order
+        (the patch also rewrites an equal value of another type); the last
         four fields are those of the audit event that wrote ``new``."""
         names = self.relation.schema.names
         cells = {
             row * len(names) + col: (row, names[col], old, new, *provenance)
             for col, rows, olds, news, provenance in self.patch
             for row, old, new in zip(rows, olds, news)
+            if old != new
         }
         return [cells[k] for k in sorted(cells)]
 
@@ -428,6 +430,11 @@ class BatchCleaner:
         raw = dirty.raw_tuples()
         answers = truth.raw_tuples() if truth is not None else None
         inputs = list(zip(*raw))  # per column, the input values in row order
+        # Per column, the types of its inputs and answers: an equal value of another
+        # type (1.0 over 1) is written too, and only where the types mix can one occur.
+        kinds = [set(map(type, dirty.dictionary(n))) for n in dirty.schema.names]
+        for kind, n in zip(kinds, truth.schema.names if truth is not None else ()):
+            kind.update(map(type, truth.dictionary(n)))
         stamp = trace.current_ids()
         assembled: set[int] = set()
         patch: list[tuple] = []
@@ -470,7 +477,11 @@ class BatchCleaner:
                         changed += differ
                     else:
                         changed += sum(sum(map(ne, a, b)) for a, b in zip(layers, layers[1:]))
-                    if not differ:
+                    if differ < len(diff) and len(kinds[col].union(
+                        type(value) for value, answered, _ in chain if not answered
+                    )) > 1:
+                        diff = list(map(or_, diff, map(is_not, map(type, olds), map(type, news))))
+                    if not any(diff):
                         continue
                     e = chain[-1][2]  # the event whose new survived
                     span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
@@ -483,9 +494,8 @@ class BatchCleaner:
         if len(assembled) != len(dirty):
             missing = sorted(set(range(len(dirty))) - assembled)
             raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
-        relation = dirty.patched((col, rows, news) for col, rows, _, news, _ in patch)
-        relation.schema = self.ruleset.input_schema  # as a relation rebuilt from rows had
-        return relation, changed, patch
+        runs = [(col, rows, news) for col, rows, _, news, _ in patch]
+        return dirty.patched(runs, self.ruleset.input_schema), changed, patch
 
 
 def _path(workers: int) -> str:

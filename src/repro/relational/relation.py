@@ -176,14 +176,16 @@ class Relation:
         self._mat = None
         self._version += 1
 
-    def patched(self, runs: Iterable[tuple[int, Sequence[int], Sequence[Any]]]) -> "Relation":
+    def patched(self, runs: Iterable[tuple], schema: Schema | None = None) -> "Relation":
         """A copy in which each ``(column, positions, values)`` run sets
         the cells at ``positions`` of column number ``column`` to
         ``values``. Only the new values are interned; a column with one
         gets its own copy of the dictionary, the rest are shared (as in
-        :meth:`project`), and this relation is left unchanged."""
+        :meth:`project`), and this relation is left unchanged. The copy
+        carries ``schema`` (of this relation's width) if given."""
         out = _assemble(
-            self.schema, list(self._dicts), [list(c) for c in self._cols], self._nrows
+            schema if schema is not None else self.schema,
+            list(self._dicts), [list(c) for c in self._cols], self._nrows,
         )
         for col, positions, values in runs:
             if out._dicts[col] is self._dicts[col]:

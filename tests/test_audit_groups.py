@@ -85,6 +85,12 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
     return Relation(schema, rows), changed, patch
 
 
+def typed(relation):
+    """A relation's cells with their types: ``1 == 1.0``, but a repaired
+    cell must decode to the very value its events wrote."""
+    return [tuple((v.__class__, v) for v in row) for row in relation.raw_tuples()]
+
+
 def changes(relation, patch):
     """The changed cells a patch gives, as :class:`BatchResult` lists them."""
     return BatchResult(relation, None, patch).changes
@@ -109,7 +115,7 @@ def shadow(monkeypatch):
         want, want_changed, want_patch = eager_replay(
             ref.log, self.ruleset.input_schema, dirty, truth, results, tuple_ids, shared
         )
-        assert got.raw_tuples() == want.raw_tuples()
+        assert typed(got) == typed(want)
         assert got.schema == want.schema
         assert dirty.raw_tuples() == before
         assert changed == want_changed
@@ -393,7 +399,7 @@ def test_handcrafted_transcript_matches_eager_replay(with_truth):
         ref, schema, dirty, truth, results, None, SIGNATURE
     )
 
-    assert got.raw_tuples() == want.raw_tuples()
+    assert typed(got) == typed(want)
     cells = changes(got, patch)
     assert (changed, cells) == (want_changed, changes(want, want_patch))
     assert_same_log(cleaner.audit, ref)
@@ -408,6 +414,33 @@ def test_handcrafted_transcript_matches_eager_replay(with_truth):
     assert [c[0] for c in cells if c[1] == "LN"] == [2]
     order = [(c[0], schema.position(c[1])) for c in cells]
     assert order == sorted(order)  # row, then schema column order
+
+
+def test_equal_value_of_another_type_matches_eager_replay():
+    """A rule's value equal to a member's input but of another type
+    (``1.0`` over ``1``, ``True`` over ``1``) is written, as the rows
+    rebuilt one by one had it, yet it is no changed cell."""
+    case = generate_case(5, scenario="uk", n=3)
+    schema = case.ruleset.input_schema
+    rows = [("Ann", "Smith", 131, 1), ("Ann", "Smith", 131, 2), ("Ann", "Smith", 131.0, 1)]
+    dirty = Relation(schema, [r + ROWS[0][4:] for r in rows])
+    events = (_event("AC", 131.0, rule_id="r1", span="s1"), _event("phn", True, rule_id="r2"))
+    results = [ShardResult(0, (GroupOutcome((0, 1, 2), {}, True, 1, 0, 0, 0, 0, events),))]
+    cleaner = BatchCleaner(case.ruleset, case.master)
+    ref = AuditLog()
+
+    got, changed, patch = cleaner._rebind(dirty, None, results, None, SIGNATURE)
+    want, want_changed, want_patch = eager_replay(
+        ref, schema, dirty, None, results, None, SIGNATURE
+    )
+
+    assert typed(got) == typed(want)
+    assert [(r[2].__class__, r[3].__class__) for r in got.raw_tuples()] == [(float, bool)] * 3
+    assert [r[2:4] for r in dirty.raw_tuples()] == [(131, 1), (131, 2), (131.0, 1)]
+    cells = changes(got, patch)
+    assert (changed, cells) == (want_changed, changes(want, want_patch))
+    assert [c[:4] for c in cells] == [(1, "phn", 2, True)]
+    assert_same_log(cleaner.audit, ref)
 
 
 # -- paged DB cleans: archive provenance --------------------------------------
