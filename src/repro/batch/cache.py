@@ -268,6 +268,18 @@ class CachingMasterDataManager(MasterDataManager):
         self.cache.put(key, match)
         return match
 
+    def match_many(
+        self,
+        rule: EditingRule,
+        rows: Sequence[Mapping[str, Any]],
+        *,
+        use_index: bool = True,
+    ) -> list[MasterMatch]:
+        """:meth:`match` for each of ``rows``, the misses fetched first by
+        one :meth:`prefetch` (one round trip per shard, not per key)."""
+        self.prefetch([(rule, values) for values in rows], use_index=use_index)
+        return [self.match(rule, values, use_index=use_index) for values in rows]
+
     def prefetch(
         self,
         requests: Sequence[tuple[EditingRule, Mapping[str, Any]]],

@@ -1,11 +1,11 @@
 """The shard executor: run a repair plan serially or in worker processes.
 
 Each shard resolves its groups independently: a group with truth runs
-a monitor session with an oracle user, and a rule-only group (no truth,
-so no user and no session) chases once from the trusted ``validated``
-attributes. Neither mutates the master data, so groups are
-embarrassingly parallel and the result of a group depends only on the
-group and the engine configuration, never on scheduling. That is what
+a monitor session with an oracle user, and rule-only groups (no truth,
+so no user and no session) are chased together, set at a time, from
+the trusted ``validated`` attributes. Neither mutates the master data,
+so the result of a group depends only on the group and the engine
+configuration, never on scheduling or on its shard-mates. That is what
 makes the process path *bit-identical* to the serial path.
 
 Probes on an in-process store (single, sqlite) go straight
@@ -30,22 +30,24 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CerFixError
 from repro.batch.cache import CachingMasterDataManager, LRUMemo
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
-from repro.core.chase import ChaseResult, rebind_chase
+from repro.core.chase import ChaseResult, chase_many
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
-from repro.monitor.session import MonitorSession, record_steps, timed_chase
+from repro.monitor.session import MonitorSession
 from repro.monitor.suggest import SuggestionStrategy
 from repro.monitor.user import OracleUser
 from repro.obs import trace
+from repro.obs.metrics import get_registry
+
+_CHASE_SECONDS = get_registry().histogram("cerfix.chase.seconds")
 
 @dataclass(frozen=True)
 class BatchContext:
@@ -79,15 +81,6 @@ class BatchContext:
     #: their own exporter from its path/sample — so shard spans land in
     #: the same trace on either path.
     trace: Any = None
-
-    @cached_property
-    def round0(self) -> ChaseResult:
-        """The chase from nothing validated, once per run or worker
-        process. Only rules reading nothing (constants with an empty
-        pattern) fire there — none in the paper's rule set — so every
-        rule-only group shares it up to each step's ``old``."""
-        names = self.ruleset.input_schema.names
-        return timed_chase(dict.fromkeys(names), (), self.ruleset, self.master)
 
 
 @dataclass(frozen=True)
@@ -234,20 +227,14 @@ def _resolve_group(
     memo: LRUMemo | None = None,
     chase_memo: LRUMemo | None = None,
 ) -> GroupOutcome:
-    """Clean one group's representative tuple.
-
-    With truth, an :class:`OracleUser` drives the full monitor loop (the
-    same machinery as the point-of-entry stream). Without truth there is
-    no user and no session: :func:`_chase_group` chases once from the
-    trusted ``ctx.validated`` attributes — rule-only repair; unvalidated
-    cells keep their input values.
-    """
+    """Clean one group's representative tuple with truth: an
+    :class:`OracleUser` drives the full monitor loop (the same machinery
+    as the point-of-entry stream). Rule-only groups go through
+    :func:`_rule_pass` instead."""
     with trace.span(
         "group-chase", rep=group.representative, members=len(group.members)
     ):
         audit = _TranscriptRecorder()
-        if group.truth is None:
-            return _chase_group(group, ctx, manager, audit)
         session = MonitorSession(
             ctx.ruleset,
             manager,
@@ -283,43 +270,65 @@ def _resolve_group(
         )
 
 
-def _chase_group(
-    group: PlanGroup, ctx: BatchContext, manager: MasterDataManager,
-    audit: _TranscriptRecorder,
-) -> GroupOutcome:
-    """Rule-only repair, recording what a monitor session recorded:
-    round 0 is ``ctx.round0`` rebound onto the group; round 1, while a
-    seed attribute is unvalidated, assures the seed and chases once. No
+def _rule_pass(
+    groups: Sequence[PlanGroup], ctx: BatchContext, manager: MasterDataManager
+) -> tuple[list[GroupOutcome], int]:
+    """Rule-only repair of ``groups`` at once, recording what a monitor
+    session recorded; returns the outcomes and the sweeps run. Round 0
+    chases every group from nothing validated; round 1, for each group
+    with a seed attribute still unvalidated, assures the seed and chases
+    again. Each round is one :func:`~repro.core.chase.chase_many`. No
     chase memo: the planner already groups rule-only rows on the seed
     values a memo would key on."""
-    names = ctx.ruleset.input_schema.names
-    result = rebind_chase(ctx.round0, group.values)
-    values, validated, conflicts = result.values, result.validated, len(result.conflicts)
-    record_steps(audit, None, result.steps, 0)
-    seed = [a for a in dict.fromkeys(ctx.validated) if a not in validated]
-    if seed and len(validated) < len(names):
-        for a in seed:
-            audit.record(None, a, values[a], values[a], "user", round_no=1)
-        result = timed_chase(
-            values, validated.union(seed), ctx.ruleset, manager, use_index=ctx.use_index
-        )
-        values, validated = result.values, result.validated
-        conflicts += len(result.conflicts)
-        record_steps(audit, None, result.steps, 1)
-    else:
-        seed = []
-    events = tuple(audit.events)
-    return GroupOutcome(
-        members=group.members,
-        values=values,
-        complete=len(validated) == len(names),
-        rounds=1 if seed else 0,
-        user_cells=len(seed),
-        rule_cells=len(validated) - len(seed),
-        normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
-        conflicts=conflicts,
-        audit_events=events,
-    )
+    names, seed_attrs = ctx.ruleset.input_schema.names, tuple(dict.fromkeys(ctx.validated))
+    trace_id, span_id = trace.current_ids()  # the rule-pass span
+    stamp = {"trace_id": trace_id, "span_id": span_id} if trace_id is not None else {}
+
+    def chased(states):
+        return chase_many(states, ctx.ruleset, manager, use_index=ctx.use_index)
+
+    def events(steps, round_no):
+        return [
+            {"attr": s.attr, "old": s.old, "new": s.new,
+             "source": "normalize" if s.normalized else "rule", "rule_id": s.rule_id,
+             "master_positions": s.master_positions, "round_no": round_no, **stamp}
+            for s in steps
+        ]
+
+    if any(not rule.reads for rule in ctx.ruleset):
+        first = chased([(g.values, ()) for g in groups])
+    else:  # round 0 fires only rules that read nothing: here it leaves groups as they are
+        nothing, attrs = frozenset(), frozenset(names)
+        first = [ChaseResult(g.values, nothing, (), (), (), attrs, 1) for g in groups]
+    seeds = [
+        [a for a in seed_attrs if a not in r.validated] if len(r.validated) < len(names) else []
+        for r in first
+    ]
+    second = chased([(r.values, r.validated.union(s)) for r, s in zip(first, seeds) if s])
+    sweeps, second = max((r.sweeps for r in second or first), default=0), iter(second)
+    outcomes = []
+    for group, result, seed in zip(groups, first, seeds):
+        transcript, conflicts = events(result.steps, 0), len(result.conflicts)
+        if seed:
+            values, result = result.values, next(second)
+            transcript += [
+                {"attr": a, "old": values[a], "new": values[a], "source": "user",
+                 "rule_id": None, "master_positions": (), "round_no": 1, **stamp}
+                for a in seed
+            ] + events(result.steps, 1)
+            conflicts += len(result.conflicts)
+        outcomes.append(GroupOutcome(
+            members=group.members,
+            values=result.values,
+            complete=len(result.validated) == len(names),
+            rounds=1 if seed else 0,
+            user_cells=len(seed),
+            rule_cells=len(result.validated) - len(seed),
+            normalized_cells=sum(1 for e in transcript if e["source"] == "normalize"),
+            conflicts=conflicts,
+            audit_events=tuple(transcript),
+        ))
+    return outcomes, sweeps
 
 
 def _run_shard(
@@ -369,20 +378,46 @@ def _resolve_groups(
     memo: LRUMemo | None,
     chase_memo: LRUMemo | None,
 ) -> tuple[GroupOutcome, ...]:
-    """Resolve ``groups`` in order, prefetching first-round probes into
-    the probe cache (an io-bound store) when there is a trusted seed.
+    """Resolve ``groups`` in order: a plan's groups all have truth (one
+    session each) or none do, and then they go through :func:`_rule_pass`
+    under one ``rule-pass`` span."""
+    if not groups or groups[0].truth is not None:
+        return tuple(
+            _resolve_group(g, ctx, manager, memo, chase_memo)
+            for window in _windows(groups, ctx, manager)
+            for g in window
+        )
+    outcomes: list[GroupOutcome] = []
+    sweeps = 0
+    with trace.span("rule-pass", groups=len(groups)) as span:
+        for window in _windows(groups, ctx, manager):
+            started = time.perf_counter()
+            resolved, swept = _rule_pass(window, ctx, manager)
+            _CHASE_SECONDS.observe(time.perf_counter() - started)
+            outcomes.extend(resolved)
+            sweeps = max(sweeps, swept)
+        span.annotate(sweeps=sweeps)
+    return tuple(outcomes)
+
+
+def _windows(
+    groups: Sequence[PlanGroup], ctx: BatchContext, manager: MasterDataManager
+) -> Iterator[Sequence[PlanGroup]]:
+    """``groups`` in windows, each with its first-round probes
+    prefetched into the probe cache (an io-bound store) when there is a
+    trusted seed.
 
     A group's first chase starts from its seed — the ``ctx.validated``
     values taken from its truth when it has one, else from its input —
     so its first-round probes are every rule that reads only seeded
-    attributes and whose pattern the seed matches. The groups go in
-    windows, each warmed by one ``probe_many``; later chase rounds, and
-    keys the prediction missed, fall back to single probes. A window
-    inserts at most half the cache, leaving the other half to single
-    probes; an entry evicted anyway is just probed again. Every other
-    store (and the oracle loop with no seed, whose first probes depend
-    on the first suggestion) resolves the shard as one window with no
-    prefetch.
+    attributes and whose pattern the seed matches. Each window is warmed
+    by one ``probe_many``; later chase rounds, and keys the prediction
+    missed, fall back to the store (a rule pass fetches each (sweep,
+    rule)'s misses together). A window inserts at most half the cache,
+    leaving the other half to the rest; an entry evicted anyway is just
+    probed again. Every other store (and the oracle loop with no seed,
+    whose first probes depend on the first suggestion) resolves the
+    shard as one window with no prefetch.
     """
     first = []
     if ctx.validated and isinstance(manager, CachingMasterDataManager):
@@ -392,7 +427,6 @@ def _resolve_groups(
         if len(first) > budget:
             first = []  # too small a cache to hold even one group's probes
     per_window = budget // len(first) if first else max(len(groups), 1)
-    outcomes: list[GroupOutcome] = []
     for start in range(0, len(groups), per_window):
         window = groups[start : start + per_window]
         if first:
@@ -406,8 +440,7 @@ def _resolve_groups(
                 )
             with trace.span("prefetch") as span:
                 span.annotate(probes=manager.prefetch(requests, use_index=ctx.use_index))
-        outcomes.extend(_resolve_group(g, ctx, manager, memo, chase_memo) for g in window)
-    return tuple(outcomes)
+        yield window
 
 
 def _probe_cache(ctx: BatchContext) -> LRUMemo | None:
@@ -418,7 +451,8 @@ def _probe_cache(ctx: BatchContext) -> LRUMemo | None:
 
 # -- process-worker plumbing --------------------------------------------------
 # The context is shipped once per worker process via the pool initializer
-# and parked in a module global; shard tasks then only carry the shard.
+# and parked in a module global; shard tasks then only carry the shard
+# and the trace carrier of the run that submitted them.
 
 _PROCESS_CTX: BatchContext | None = None
 _PROCESS_CACHE: LRUMemo | None = None
@@ -429,10 +463,6 @@ _PROCESS_CHASE_MEMO: LRUMemo | None = None
 def _init_process(ctx: BatchContext) -> None:
     global _PROCESS_CTX, _PROCESS_CACHE, _PROCESS_MEMO, _PROCESS_CHASE_MEMO
     _PROCESS_CTX = ctx
-    # A spawned worker starts with tracing unconfigured; the carrier
-    # ships the exporter config so worker spans reach the same file.
-    if ctx.trace is not None and ctx.trace.path:
-        trace.configure(ctx.trace.path, ctx.trace.sample)
     _PROCESS_CACHE = _probe_cache(ctx)
     _PROCESS_MEMO = LRUMemo(ctx.cache_size)
     _PROCESS_CHASE_MEMO = LRUMemo(ctx.cache_size)
@@ -441,15 +471,29 @@ def _init_process(ctx: BatchContext) -> None:
     ctx.master.prebuild(ctx.ruleset)
 
 
-def _process_shard(shard: Shard) -> ShardResult:
+def _process_shard(shard: Shard, carrier: Any) -> ShardResult:
     assert _PROCESS_CTX is not None
+    # A spawned worker starts with tracing unconfigured; the carrier
+    # ships the exporter config so worker spans reach the same file.
+    if carrier is not None and carrier.path and trace.export_path() != carrier.path:
+        trace.configure(carrier.path, carrier.sample)
     return _run_shard(
         shard,
-        _PROCESS_CTX,
+        replace(_PROCESS_CTX, trace=carrier),
         _PROCESS_CTX.master,
         _PROCESS_CACHE,
         _PROCESS_MEMO,
         _PROCESS_CHASE_MEMO,
+    )
+
+
+def worker_pool(ctx: BatchContext, workers: int) -> ProcessPoolExecutor:
+    """Worker processes for ``ctx``: each receives the context (less its
+    trace carrier, which goes with each shard) and rebuilds the master
+    indexes once, when it starts, so one pool can serve every
+    :meth:`ShardExecutor.run` call of a run that shares the context."""
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_process, initargs=(replace(ctx, trace=None),)
     )
 
 
@@ -464,6 +508,7 @@ class ShardExecutor:
         *,
         workers: int = 1,
         cache: LRUMemo | None = None,
+        pool: ProcessPoolExecutor | None = None,
     ):
         if workers < 1:
             raise CerFixError(f"workers must be >= 1, got {workers}")
@@ -479,6 +524,9 @@ class ShardExecutor:
         #: :func:`repro.core.chase.chase_memoized`).
         self.memo = LRUMemo(ctx.cache_size)
         self.chase_memo = LRUMemo(ctx.cache_size)
+        #: A :func:`worker_pool` for ``ctx`` to run on (``workers > 1``);
+        #: without one, :meth:`run` starts its own and stops it when done.
+        self.pool = pool
 
     def run(
         self,
@@ -505,13 +553,10 @@ class ShardExecutor:
                     on_result(result)
                 results.append(result)
             return results
+        pool = self.pool if self.pool is not None else worker_pool(self.ctx, self.workers)
         results: dict[int, ShardResult] = {}
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_process,
-            initargs=(self.ctx,),
-        ) as pool:
-            pending = {pool.submit(_process_shard, shard) for shard in shards}
+        try:
+            pending = {pool.submit(_process_shard, s, self.ctx.trace) for s in shards}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -519,4 +564,7 @@ class ShardExecutor:
                     results[result.shard_id] = result
                     if on_result is not None:
                         on_result(result)
+        finally:
+            if pool is not self.pool:
+                pool.shutdown()
         return [results[s.shard_id] for s in shards]

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import is_not, itemgetter, ne, or_
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import CerFixError
 from repro.audit.log import AuditLog
 from repro.batch.cache import CacheStats, load_probe_cache, save_probe_cache
-from repro.batch.executor import BatchContext, ShardExecutor, ShardResult
+from repro.batch.executor import BatchContext, ShardExecutor, ShardResult, worker_pool
 from repro.batch.journal import CheckpointJournal
 from repro.batch.planner import build_plan, transcript_projection
 from repro.batch.report import BatchReport, build_report
@@ -124,6 +125,21 @@ class BatchCleaner:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.cache_size = cache_size
+        self._pools: list[tuple] | None = None  # ((workers, context), its worker pool)s
+
+    @contextmanager
+    def reusing_workers(self) -> Iterator[None]:
+        """Share worker processes among the :meth:`clean` calls made
+        inside that have the same context and worker count: the paged DB
+        cleaner cleans a table's pages under one, so workers start and
+        build their master indexes once per run, not once per page."""
+        self._pools = []
+        try:
+            yield
+        finally:
+            pools, self._pools = self._pools, None
+            for _, pool in pools:
+                pool.shutdown()
 
     def clean(
         self,
@@ -168,12 +184,9 @@ class BatchCleaner:
         whole run in its own ``clean-run`` and nests each call here
         under a ``page`` span instead.
         """
-        got, want = set(dirty.schema.names), set(self.ruleset.input_schema.names)
-        if got != want:
-            raise CerFixError(
-                f"dirty relation does not match the input schema: "
-                f"missing {sorted(want - got)}, unexpected {sorted(got - want)}"
-            )
+        dirty = self._in_schema_order(dirty, "dirty relation")
+        if truth is not None:
+            truth = self._in_schema_order(truth, "truth relation")
         if tuple_ids is not None and len(tuple_ids) != len(dirty):
             raise CerFixError(
                 f"got {len(tuple_ids)} tuple ids for {len(dirty)} rows"
@@ -300,7 +313,14 @@ class BatchCleaner:
                     cache_path, maxsize=self.cache_size, **cache_stamp
                 )
 
-        executor = ShardExecutor(ctx, workers=workers, cache=preloaded)
+        pool = None
+        if processes and self._pools is not None:
+            key = (workers, replace(ctx, trace=None))
+            pool = next((p for k, p in self._pools if k == key), None)
+            if pool is None:
+                pool = worker_pool(ctx, workers)
+                self._pools.append((key, pool))
+        executor = ShardExecutor(ctx, workers=workers, cache=preloaded, pool=pool)
         on_result = journal.record if journal is not None else None
         fresh = executor.run(pending, on_result=on_result)
         results = sorted(
@@ -342,6 +362,20 @@ class BatchCleaner:
         return BatchResult(relation=relation, report=report, patch=patch)
 
     # -- internals -----------------------------------------------------------
+
+    def _in_schema_order(self, relation: Relation, what: str) -> Relation:
+        """``relation`` with its columns in input-schema order, projected
+        by name: the pipeline reads cells by position."""
+        got, want = set(relation.schema.names), set(self.ruleset.input_schema.names)
+        if got != want:
+            raise CerFixError(
+                f"{what} does not match the input schema: "
+                f"missing {sorted(want - got)}, unexpected {sorted(got - want)}"
+            )
+        names = self.ruleset.input_schema.names
+        if relation.schema.names == names:
+            return relation
+        return relation.project(names, relation.schema.name)
 
     def _scenario(self) -> Scenario | None:
         """The scenario generator, only under SCENARIO mode — the one
@@ -421,8 +455,9 @@ class BatchCleaner:
         signature (``shared``) takes the member's own answer as ``new``:
         its truth value, or without truth its current value. The replay
         runs a column at a time over a group's members, one layer of
-        values per write. Each member's audit trail (tuple ids ``t<row>``
-        unless ``tuple_ids`` overrides) is one
+        values per write; a group of one row, the common case over a wide
+        key space, replays that row cell by cell. Each member's audit
+        trail (tuple ids ``t<row>`` unless ``tuple_ids`` overrides) is one
         :meth:`AuditLog.record_group` per group."""
         names = self.ruleset.input_schema.names
         position = {n: i for i, n in enumerate(names)}
@@ -436,6 +471,12 @@ class BatchCleaner:
         for kind, n in zip(kinds, truth.schema.names if truth is not None else ()):
             kind.update(map(type, truth.dictionary(n)))
         stamp = trace.current_ids()
+
+        def provenance(e: dict) -> tuple:
+            """The rule, source and span of the event whose new survived."""
+            span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
+            return (e["rule_id"], e["source"], *span)
+
         assembled: set[int] = set()
         patch: list[tuple] = []
         changed = 0
@@ -443,10 +484,6 @@ class BatchCleaner:
             for outcome in result.outcomes:
                 members = outcome.members
                 assembled.update(members)
-                # The members' items of a row-ordered sequence, as a tuple.
-                pick = itemgetter(*members) if len(members) > 1 else lambda s: (s[members[0]],)
-                rows = pick(raw)
-                mine = pick(answers) if answers is not None else None
                 transcript = outcome.audit_events
                 steps = [
                     (
@@ -456,6 +493,29 @@ class BatchCleaner:
                     )
                     for e in transcript
                 ]
+                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
+                if len(members) == 1:
+                    (m,) = members
+                    row, answer = raw[m], answers[m] if answers is not None else None
+                    last: dict[int, tuple] = {}  # column → (its value, the event)
+                    for e, (col, new, answered) in zip(transcript, steps):
+                        old = last[col][0] if col in last else row[col]
+                        if answered:
+                            new = answer[col] if answer is not None else old
+                        changed += old != new
+                        last[col] = (new, e)
+                    for col, (new, e) in last.items():
+                        old = row[col]
+                        if old != new or old.__class__ is not new.__class__:
+                            patch.append((col, [m], [old], [new], provenance(e)))
+                    self.audit.record_group(
+                        transcript, ids, steps, (row,), None if answer is None else (answer,)
+                    )
+                    continue
+                # The members' items of a row-ordered sequence, as a tuple.
+                pick = itemgetter(*members)
+                rows = pick(raw)
+                mine = pick(answers) if answers is not None else None
                 writes: dict[int, list] = {}  # column → its (new, answered, event)s
                 for e, (col, new, answered) in zip(transcript, steps):
                     writes.setdefault(col, []).append((new, answered, e))
@@ -483,13 +543,10 @@ class BatchCleaner:
                         diff = list(map(or_, diff, map(is_not, map(type, olds), map(type, news))))
                     if not any(diff):
                         continue
-                    e = chain[-1][2]  # the event whose new survived
-                    span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
                     patch.append((
                         col, list(compress(members, diff)), list(compress(olds, diff)),
-                        list(compress(news, diff)), (e["rule_id"], e["source"], *span),
+                        list(compress(news, diff)), provenance(chain[-1][2]),
                     ))
-                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
                 self.audit.record_group(transcript, ids, steps, rows, mine)
         if len(assembled) != len(dirty):
             missing = sorted(set(range(len(dirty))) - assembled)

@@ -226,6 +226,8 @@ def build_plan(
         signatures.append(sig)
         by_signature.setdefault(sig, []).append(i)
 
+    rows = dirty.raw_tuples()
+    answers = truth.raw_tuples() if truth is not None else None
     groups = []
     for members in by_signature.values():  # insertion (first-seen) order
         rep = members[0]
@@ -233,8 +235,8 @@ def build_plan(
             PlanGroup(
                 representative=rep,
                 members=tuple(members),
-                values=dirty.row(rep).to_dict(),
-                truth=truth.row(rep).to_dict() if truth is not None else None,
+                values=dict(zip(schema.names, rows[rep])),
+                truth=dict(zip(truth.schema.names, answers[rep])) if answers is not None else None,
             )
         )
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import ConflictError
+from repro.errors import ConflictError, SchemaError
 from repro.core.rule import EditingRule
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -200,8 +201,6 @@ def chase(
     valid: set[str] = set(validated)
     unknown = valid - set(schema.names)
     if unknown:
-        from repro.errors import SchemaError
-
         raise SchemaError(f"validated attributes {sorted(unknown)} not in schema {schema.name!r}")
 
     rules: list[EditingRule] = (
@@ -311,6 +310,121 @@ def chase(
         all_attrs=frozenset(schema.names),
         sweeps=sweeps,
     )
+
+
+def chase_many(
+    states: Sequence[tuple[Mapping[str, Any], Iterable[str]]],
+    ruleset: RuleSet,
+    master: MasterDataManager,
+    *,
+    use_index: bool = True,
+) -> list[ChaseResult]:
+    """:func:`chase` over many ``(values, validated)`` states, set at a time.
+
+    The chase's loop turned inside out: for each sweep and each rule in
+    canonical order, every state still live (changed in the last sweep)
+    is tested at once. States sharing a validated set and the
+    self-normalising rules they spent (a *cohort*) agree on readiness
+    and on the branch a rule takes, so those are decided per cohort;
+    only the pattern, the probe key and the conflict check read each
+    state. Each distinct key is probed once per call, a (sweep, rule)'s
+    new keys together through ``master.match_many``. Result ``i`` equals
+    ``chase(*states[i], ruleset, master, use_index=use_index)``.
+    """
+    names = ruleset.input_schema.names
+    all_attrs, rules = frozenset(names), list(ruleset)
+    vals = [dict(zip(names, map(values.__getitem__, names))) for values, _ in states]
+    # Per state, only for states that have any (most have few or none).
+    steps: dict[int, tuple[FixStep, ...]] = {}
+    conflicts: dict[int, tuple[ConflictWitness, ...]] = {}
+    ambiguities: dict[int, tuple[AmbiguityEvent, ...]] = {}
+    final: list[Any] = [None] * len(vals)  # per state: (validated, sweeps) once it stops
+    cohorts: dict[tuple[frozenset[str], frozenset[str]], list[int]] = {}
+    for i, (_, validated) in enumerate(states):
+        cohorts.setdefault((frozenset(validated), frozenset()), []).append(i)
+    unknown = set().union(*(valid for valid, _ in cohorts)) - all_attrs
+    if unknown:
+        schema = ruleset.input_schema.name
+        raise SchemaError(f"validated attributes {sorted(unknown)} not in schema {schema!r}")
+    found: dict[str, dict] = {rule.rule_id: {} for rule in rules}  # rule → key → match
+    bound, sweep = len(names) + len(rules) + 2, 0  # the bound as in chase
+    while cohorts and sweep < bound:
+        sweep += 1
+        changed: set[int] = set()
+        for rule in rules:
+            rid, target = rule.rule_id, rule.target
+            moves = []  # (cohort, states leaving it, the cohort they join)
+            for cohort, members in cohorts.items():
+                valid, spent = cohort
+                target_valid = target in valid
+                if not rule.reads <= valid or (target_valid and rid in spent):
+                    continue  # not ready, or a normalisation already spent
+                if rule.has_pattern:
+                    members = [i for i in members if rule.pattern.matches(vals[i])]
+                if rule.is_constant:
+                    tested = [(i, rule.source.value, ()) for i in members]
+                else:
+                    key_of = itemgetter(*rule.lhs_attrs)
+                    keys, known = [key_of(vals[i]) for i in members], found[rid]
+                    new = {k: vals[i] for i, k in zip(members, keys) if k not in known}
+                    if new:
+                        rows = list(new.values())
+                        known.update(zip(new, master.match_many(rule, rows, use_index=use_index)))
+                    # (state, value, positions), or (state, candidates, None) if ambiguous
+                    tested = [
+                        (i, m.values[0], m.positions) if len(m.values) == 1 else (i, m.values, None)
+                        for i, m in zip(members, map(known.__getitem__, keys))
+                        if m.positions
+                    ]
+                if target_valid and not rule.is_self_normalizing:
+                    for i, value, positions in tested:  # only a conflict to check
+                        existing = vals[i][target]
+                        if positions is not None and value != existing:
+                            witness = ConflictWitness(target, existing, value, rid, positions)
+                            if witness not in conflicts.get(i, ()):
+                                conflicts[i] = conflicts.get(i, ()) + (witness,)
+                    continue
+                moved = []
+                for i, value, positions in tested:
+                    if positions is None:
+                        event = AmbiguityEvent(target, rid, value)
+                        if event not in ambiguities.get(i, ()):
+                            ambiguities[i] = ambiguities.get(i, ()) + (event,)
+                        continue
+                    moved.append(i)
+                    state = vals[i]
+                    if not (target_valid and value == state[target]):
+                        step = FixStep(target, state[target], value, rid, positions, target_valid)
+                        steps[i] = steps.get(i, ()) + (step,)
+                        state[target] = value
+                        changed.add(i)
+                if moved:  # a fix validates the target; a normalisation spends the rule
+                    into = (valid, spent | {rid}) if target_valid else (valid | {target}, spent)
+                    moves.append((cohort, moved, into))
+            for cohort, moved, into in moves:
+                gone = set(moved)
+                cohorts[cohort] = [i for i in cohorts[cohort] if i not in gone]
+                cohorts.setdefault(into, []).extend(moved)
+        live: dict = {}
+        for cohort, members in cohorts.items():
+            for i in members:
+                if i in changed and sweep < bound:
+                    live.setdefault(cohort, []).append(i)
+                else:
+                    final[i] = (cohort[0], sweep)
+        cohorts = live
+    return [
+        ChaseResult(
+            values=state,
+            validated=final[i][0],
+            steps=steps.get(i, ()),
+            conflicts=conflicts.get(i, ()),
+            ambiguities=ambiguities.get(i, ()),
+            all_attrs=all_attrs,
+            sweeps=final[i][1],
+        )
+        for i, state in enumerate(vals)
+    ]
 
 
 # -- cross-tuple chase memoisation -------------------------------------------

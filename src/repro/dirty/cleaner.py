@@ -161,7 +161,7 @@ class DbCleaner:
                 pages=pages_total,
                 page_rows=self.page_rows,
                 dry_run=dry_run,
-            ):
+            ), self.batch.reusing_workers():
                 if dry_run:
                     return self._dry_run(
                         conn,

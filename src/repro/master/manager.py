@@ -14,7 +14,7 @@ handles the one case no store ever sees: constant-sourced rules, whose
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.rule import Constant, EditingRule
 from repro.core.ruleset import RuleSet
@@ -86,6 +86,18 @@ class MasterDataManager:
         if isinstance(rule.source, Constant):
             return MasterMatch(positions=(), values=(rule.source.value,))
         return self.store.probe(rule, values, use_index=use_index)
+
+    def match_many(
+        self,
+        rule: EditingRule,
+        rows: Sequence[Mapping[str, Any]],
+        *,
+        use_index: bool = True,
+    ) -> list[MasterMatch]:
+        """:meth:`match` for one master-sourced ``rule`` against each of
+        ``rows``, in order (the set-at-a-time chase's probe)."""
+        probe = self.store.probe
+        return [probe(rule, values, use_index=use_index) for values in rows]
 
     def row(self, position: int) -> Row:
         """The master tuple at ``position`` (for audit provenance)."""

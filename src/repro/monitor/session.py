@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.errors import MonitorError
 from repro.audit.log import AuditLog
 from repro.core.certainty import CertaintyMode, Scenario
-from repro.core.chase import ChaseResult, ConflictWitness, FixStep, chase, chase_memoized
+from repro.core.chase import ConflictWitness, FixStep, chase, chase_memoized
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -284,13 +284,28 @@ class MonitorSession:
         assignments: Mapping[str, Any],
     ) -> RoundRecord:
         before = self._validated
-        result = timed_chase(
-            self._state, self._validated, self.ruleset, self.master,
-            memo=self._chase_memo, strict=self.strict, use_index=self.use_index,
-        )
+        # Through this module's ``chase``/``chase_memoized``, so a wrapper
+        # installed there (a profiler, a traced bench) sees every chase.
+        started = time.perf_counter()
+        if self._chase_memo is not None:
+            result = chase_memoized(
+                self._state, self._validated, self.ruleset, self.master, self._chase_memo,
+                use_index=self.use_index,
+            )
+        else:
+            result = chase(
+                self._state, self._validated, self.ruleset, self.master,
+                strict=self.strict, use_index=self.use_index,
+            )
+        _CHASE_SECONDS.observe(time.perf_counter() - started)
         self._state = result.values
         self._validated = result.validated
-        record_steps(self.audit, self.tuple_id, result.steps, round_no)
+        for step in result.steps:
+            self.audit.record(
+                self.tuple_id, step.attr, step.old, step.new,
+                "normalize" if step.normalized else "rule",
+                rule_id=step.rule_id, master_positions=step.master_positions, round_no=round_no,
+            )
         for attr in result.validated - before - frozenset(assignments):
             self._provenance.setdefault(attr, "rule")
         record = RoundRecord(
@@ -306,34 +321,6 @@ class MonitorSession:
             if round_no > 0:
                 self._round_count += 1
         return record
-
-
-def timed_chase(
-    values: Mapping[str, Any], validated: Iterable[str], ruleset: RuleSet,
-    master: MasterDataManager, *, memo: Any = None, strict: bool = False,
-    use_index: bool = True,
-) -> ChaseResult:
-    """One chase — through ``memo`` (see :func:`chase_memoized`) when
-    given — observed in the ``cerfix.chase.seconds`` histogram. Calls go
-    through this module's ``chase``/``chase_memoized``, so a wrapper
-    installed there (a profiler, a traced bench) sees every chase."""
-    started = time.perf_counter()
-    if memo is not None:
-        result = chase_memoized(values, validated, ruleset, master, memo, use_index=use_index)
-    else:
-        result = chase(values, validated, ruleset, master, strict=strict, use_index=use_index)
-    _CHASE_SECONDS.observe(time.perf_counter() - started)
-    return result
-
-
-def record_steps(audit: Any, tuple_id: Any, steps: Iterable[FixStep], round_no: int) -> None:
-    """Record a chase's steps into ``audit`` as rule (or normalize) events."""
-    for step in steps:
-        audit.record(
-            tuple_id, step.attr, step.old, step.new,
-            "normalize" if step.normalized else "rule",
-            rule_id=step.rule_id, master_positions=step.master_positions, round_no=round_no,
-        )
 
 
 # Typing helper for session.run(); any object with .respond(suggestion,

@@ -4,10 +4,11 @@ With a trusted seed (``validated=...``) and an io-bound store, the
 shard executor predicts each group's first-round probes and warms the
 probe cache with one ``probe_many`` per window
 (:meth:`repro.batch.cache.CachingMasterDataManager.prefetch`); later
-chase rounds fall back to single probes. These tests pin that the path
+chase rounds fall back to the store, a rule pass with one
+``probe_many`` per (sweep, rule). These tests pin that the path
 runs, that it changes round trips and never output — bit-identical to
 the ``single`` backend across workers, tiny windows, wire chunks, the
-single-probe fallback and the paged DB path — and that local stores
+later-round fallback and the paged DB path — and that local stores
 never take it.
 
 The cluster is in-process threads by default; the CI ``remote-store``
@@ -124,22 +125,34 @@ def test_many_windows_and_tiny_wire_chunks_bit_identical(cluster, prefetches, wo
         assert max(prefetches) <= 16 // 2, "a window overran half the cache"
 
 
-def test_later_rounds_fall_back_to_single_probes(cluster, prefetches, monkeypatch):
+def test_later_rounds_fall_back_to_one_probe_many_per_rule(cluster, prefetches, monkeypatch):
     """ϕ10 fixes AC from the zip, which makes ϕ9 (reads AC) applicable
-    only after the first prefetch was sent: its probes go out singly."""
+    only after the first prefetch was sent: the rule pass sends its ϕ9
+    misses together, one ``probe_many`` of ϕ9 alone per sweep, and
+    nothing goes out as a single probe."""
     singles: list[str] = []
-    original = RemoteMasterStore.probe
+    batches: list[set[str]] = []
+    probe, probe_many = RemoteMasterStore.probe, RemoteMasterStore.probe_many
 
-    def spy(self, rule, values, **kwargs):
+    def spy_probe(self, rule, values, **kwargs):
         singles.append(rule.rule_id)
-        return original(self, rule, values, **kwargs)
+        return probe(self, rule, values, **kwargs)
 
-    monkeypatch.setattr(RemoteMasterStore, "probe", spy)
+    def spy_probe_many(self, requests, **kwargs):
+        batches.append({rule.rule_id for rule, _ in requests})
+        return probe_many(self, requests, **kwargs)
+
+    monkeypatch.setattr(RemoteMasterStore, "probe", spy_probe)
+    monkeypatch.setattr(RemoteMasterStore, "probe_many", spy_probe_many)
     case = _case(60, truth=False, extended=True)
     _assert_remote_matches_single(case, cluster, workers=1)
     assert sum(prefetches) > 0
-    assert "phi9" in singles
-    assert "phi10" not in singles, "a first-round probe missed the prefetch"
+    assert singles == []
+    assert {"phi9"} in batches
+    # ϕ10 reads only the seed: its probes all went out with the
+    # first-round prefetch of the other zip rules.
+    missed = [b for b in batches if "phi10" in b and len(b) == 1]
+    assert missed == [], "a first-round probe missed the prefetch"
 
 
 def test_paged_clean_table_over_remote_equals_in_memory(cluster, prefetches, tmp_path):

@@ -1,25 +1,32 @@
-"""Rule-only batch groups equal the monitor-session path they replaced.
+"""Rule-only batch groups equal the per-group paths they replaced.
 
 A batch group without truth has no user to answer a suggestion, so the
-executor resolves it with one chase from the trusted ``validated``
-attributes and no :class:`MonitorSession`
-(:func:`repro.batch.executor._chase_group`). :func:`session_outcome`
-below is the reference: the session path (``MonitorSession`` +
-``assure``) that resolved such a group before. The ``shadow`` fixture
-runs it beside the real resolver on every group, inside the same span
-(neither uses a chase memo), and asserts field-for-field
-:class:`GroupOutcome` equality. Whole runs with the reference swapped in
-must also give the same fixed relation, audit log, report and DB
-archive.
+executor resolves a shard's rule-only groups in one set-at-a-time pass
+(:func:`repro.batch.executor._rule_pass`, over
+:func:`repro.core.chase.chase_many`), with no :class:`MonitorSession`.
+Two references below resolve one group at a time:
+
+- :func:`chase_outcome`, a per-group chase from the trusted
+  ``validated`` attributes (what the executor ran up to 1.18);
+- :func:`session_outcome`, the session path (``MonitorSession`` +
+  ``assure``) that resolved such a group up to 1.13.
+
+The ``shadow`` fixture runs both beside the pass on every shard, inside
+the pass's span (none of them uses a chase memo), and asserts
+field-for-field :class:`GroupOutcome` equality. Whole runs with the
+session path swapped in must also give the same fixed relation, audit
+log, report and DB archive.
 
 CI runs this file in the ``store-parity`` leg with 4 process workers
-(``CERFIX_PARITY_WORKERS``).
+(``CERFIX_PARITY_WORKERS``), and in the ``db-clean`` leg with
+``CERFIX_PAGE_ROWS=64``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import os
 
 import pytest
@@ -28,6 +35,7 @@ import repro.batch.executor as executor_mod
 from repro import CerFix
 from repro.batch.executor import GroupOutcome, ShardExecutor, _TranscriptRecorder
 from repro.core.certainty import CertaintyMode
+from repro.core.chase import chase
 from repro.core.rule import Constant, EditingRule
 from repro.dirty import ChangeArchive, DirtyTable
 from repro.master.conformance import generate_case, normalize_report
@@ -41,9 +49,51 @@ PARITY_WORKERS = int(os.environ.get("CERFIX_PARITY_WORKERS", "2"))
 SHARDS = 8  # fixed, so serial and process runs share one plan
 
 
+def record_steps(audit, steps, round_no) -> None:
+    for s in steps:
+        source = "normalize" if s.normalized else "rule"
+        audit.record(None, s.attr, s.old, s.new, source, rule_id=s.rule_id,
+                     master_positions=s.master_positions, round_no=round_no)
+
+
+def chase_outcome(group, ctx, manager, audit) -> GroupOutcome:
+    """The per-group reference: round 0 chases the group from nothing
+    validated; round 1, while a seed attribute is unvalidated, assures
+    the seed and chases once more."""
+    names = ctx.ruleset.input_schema.names
+    result = chase(group.values, (), ctx.ruleset, manager, use_index=ctx.use_index)
+    values, validated, conflicts = result.values, result.validated, len(result.conflicts)
+    record_steps(audit, result.steps, 0)
+    seed = [a for a in dict.fromkeys(ctx.validated) if a not in validated]
+    if seed and len(validated) < len(names):
+        for a in seed:
+            audit.record(None, a, values[a], values[a], "user", round_no=1)
+        result = chase(
+            values, validated.union(seed), ctx.ruleset, manager, use_index=ctx.use_index
+        )
+        values, validated = result.values, result.validated
+        conflicts += len(result.conflicts)
+        record_steps(audit, result.steps, 1)
+    else:
+        seed = []
+    events = tuple(audit.events)
+    return GroupOutcome(
+        members=group.members,
+        values=values,
+        complete=len(validated) == len(names),
+        rounds=1 if seed else 0,
+        user_cells=len(seed),
+        rule_cells=len(validated) - len(seed),
+        normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
+        conflicts=conflicts,
+        audit_events=events,
+    )
+
+
 def session_outcome(group, ctx, manager, audit) -> GroupOutcome:
-    """The reference: a monitor session opens on the group and assures
-    the seed, as the executor did for every rule-only group up to 1.13."""
+    """The session reference: a monitor session opens on the group and
+    assures the seed, as the executor did for every rule-only group up
+    to 1.13."""
     session = MonitorSession(
         ctx.ruleset,
         manager,
@@ -76,30 +126,42 @@ def session_outcome(group, ctx, manager, audit) -> GroupOutcome:
     )
 
 
+def one_at_a_time(reference):
+    """A stand-in for the pass resolving each group with ``reference``."""
+
+    def resolve(groups, ctx, manager):
+        return [reference(g, ctx, manager, _TranscriptRecorder()) for g in groups], 0
+
+    return resolve
+
+
 @pytest.fixture()
 def shadow(monkeypatch):
-    """Every rule-only group resolved twice, reference first; asserts the
-    two outcomes equal. Yields the list of compared outcomes (filled on
-    the serial path; a process worker's assertion fails its shard)."""
-    real = executor_mod._chase_group
+    """Every shard's pass checked against both references, group by
+    group. Yields the list of compared outcomes (filled on the serial
+    path; a process worker's assertion fails its shard)."""
+    real = executor_mod._rule_pass
     compared: list[GroupOutcome] = []
 
-    def both(group, ctx, manager, audit):
-        want = session_outcome(group, ctx, manager, _TranscriptRecorder())
-        got = real(group, ctx, manager, audit)
-        assert got == want, f"group {group.representative}"
-        compared.append(got)
-        return got
+    def checked(groups, ctx, manager):
+        got, sweeps = real(groups, ctx, manager)
+        assert len(got) == len(groups)
+        for group, outcome in zip(groups, got):
+            for reference in (chase_outcome, session_outcome):
+                want = reference(group, ctx, manager, _TranscriptRecorder())
+                assert outcome == want, f"group {group.representative}: {reference.__name__}"
+        compared.extend(got)
+        return got, sweeps
 
-    monkeypatch.setattr(executor_mod, "_chase_group", both)
+    monkeypatch.setattr(executor_mod, "_rule_pass", checked)
     return compared
 
 
 @contextlib.contextmanager
 def session_path():
-    """The session path swapped in for the rule-only resolver."""
+    """The session path swapped in for the rule-only pass."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(executor_mod, "_chase_group", session_outcome)
+        m.setattr(executor_mod, "_rule_pass", one_at_a_time(session_outcome))
         yield
 
 
@@ -199,15 +261,37 @@ def test_every_strategy(strategy, shadow, monkeypatch):
     assert len(shadow) == len(run["outcomes"]) > 0
 
 
-def test_traced_groups_keep_their_span_stamps(shadow, monkeypatch, tmp_path):
+def _assert_stamps_name_the_pass(run, path):
+    """Every rule-only fix names the ``rule-pass`` span of its shard:
+    one per shard, with the shard's group and sweep counts, and no
+    per-group ``group-chase`` span."""
+    spans = [json.loads(line) for line in path.read_text().splitlines()]
+    passes = {s["span"]: s for s in spans if s["name"] == "rule-pass"}
+    assert len(passes) == SHARDS
+    assert sum(s["attrs"]["groups"] for s in passes.values()) == len(run["outcomes"])
+    assert all(s["attrs"]["sweeps"] >= 1 for s in passes.values())
+    assert not any(s["name"] == "group-chase" for s in spans)
+    assert run["audit"] and all(e["span_id"] in passes for e in run["audit"])
+
+
+def _traced_run(monkeypatch, path, **kwargs):
     case = _with_constants(generate_case(4, scenario="uk", with_truth=False))
-    trace.configure(tmp_path / "spans.jsonl")
+    trace.configure(path)
     try:
-        run = _run(case, monkeypatch)
+        return _run(case, monkeypatch, **kwargs)
     finally:
         trace.disable()
+
+
+def test_traced_groups_keep_their_span_stamps(shadow, monkeypatch, tmp_path):
+    run = _traced_run(monkeypatch, tmp_path / "spans.jsonl")
     assert len(shadow) == len(run["outcomes"])
-    assert all(e.get("span_id") is not None for e in run["audit"])
+    _assert_stamps_name_the_pass(run, tmp_path / "spans.jsonl")
+
+
+def test_traced_process_workers_stamp_their_pass(monkeypatch, tmp_path):
+    run = _traced_run(monkeypatch, tmp_path / "spans.jsonl", workers=PARITY_WORKERS)
+    _assert_stamps_name_the_pass(run, tmp_path / "spans.jsonl")
 
 
 def test_constant_rules_fire_in_round_zero(monkeypatch):
@@ -250,7 +334,7 @@ def test_session_path_journal_resumes(case, monkeypatch, tmp_path):
     with session_path():
         want = _run(case, monkeypatch, journal_path=journal)
     with monkeypatch.context() as m:
-        m.setattr(executor_mod, "_chase_group", None)  # nothing may re-run
+        m.setattr(executor_mod, "_rule_pass", None)  # nothing may re-run
         got = _run(case, monkeypatch, journal_path=journal)
     assert got["outcomes"] == []  # every shard came back from the journal
     for key in ("fixed", "audit", "report"):
@@ -276,23 +360,24 @@ def test_no_session_and_no_suggestion(monkeypatch):
 
 @pytest.mark.parametrize("name", ["uk-s3", "uk-constants", "hospital-s6"])
 def test_chase_histogram_counts_each_chase(name, monkeypatch):
-    """One sample per group that chases, plus one for the run's round 0."""
+    """One sample per rule pass, a shard's set-at-a-time chase, and
+    none per group: the pass runs no per-state chase."""
     case = CASES[name]()
     chases = {"n": 0}
-    real = session_mod.timed_chase
+    real = session_mod.chase
 
     def counting(*args, **kwargs):
         chases["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "timed_chase", counting)
+    monkeypatch.setattr(session_mod, "chase", counting)
     histogram = get_registry().histogram("cerfix.chase.seconds")
     before = histogram.totals()[0]
     run = _run(case, monkeypatch)
-    chased = sum(1 for o in run["outcomes"] if o.rounds == 1)
-    assert chased > 0
-    assert chases["n"] == chased + 1
-    assert histogram.totals()[0] - before == chased + 1
+    assert sum(1 for o in run["outcomes"] if o.rounds == 1) > 0
+    shards = min(SHARDS, len(run["outcomes"]))
+    assert histogram.totals()[0] - before == shards
+    assert chases["n"] == 0
 
 
 # -- paged DB cleans --------------------------------------------------------------
