@@ -80,17 +80,8 @@ class AuditLog:
         self._by_tuple: dict[str, list] = {}  # events and (group, member) refs
         for event in self._entries:
             self._by_tuple.setdefault(event.tuple_id, []).append(event)
-        self._unindexed: list[_Group] = []  # groups not yet in _by_tuple
         self._seq = len(self._entries)
         self._lock = threading.Lock()
-
-    def _index(self) -> None:
-        """Index the groups recorded since the last read (under the lock):
-        a batch clean records thousands of groups nobody may look up."""
-        for group in self._unindexed:
-            for m, tid in enumerate(group.tuple_ids):
-                self._by_tuple.setdefault(tid, []).append((group, m))
-        self._unindexed.clear()
 
     def __getstate__(self) -> dict:
         return {"events": list(self.events)}
@@ -125,8 +116,6 @@ class AuditLog:
             )
             self._seq += 1
             self._entries.append(event)
-            if self._unindexed:
-                self._index()
             self._by_tuple.setdefault(tuple_id, []).append(event)
         return event
 
@@ -155,7 +144,8 @@ class AuditLog:
             group = _Group(self._seq, transcript, tuple_ids, steps, rows, answers, stamp)
             self._seq += len(transcript) * len(tuple_ids)
             self._entries.append(group)
-            self._unindexed.append(group)
+            for m, tid in enumerate(tuple_ids):
+                self._by_tuple.setdefault(tid, []).append((group, m))
 
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
@@ -176,13 +166,12 @@ class AuditLog:
     def by_tuple(self, tuple_id: str) -> list[ChangeEvent]:
         """All events for one tuple, in order — the demo's per-tuple trace.
 
-        Served from a per-tuple index maintained on append (batch groups
-        on the next read), so the monitoring stream's per-row trace stays
-        O(events for that tuple) instead of O(all events) — the
-        difference between linear and quadratic total stream cost. Only
-        this tuple's share of a batch group is expanded."""
+        Served from a per-tuple index maintained on append, so the
+        monitoring stream's per-row trace stays O(events for that tuple)
+        instead of O(all events) — the difference between linear and
+        quadratic total stream cost. Only this tuple's share of a batch
+        group is expanded."""
         with self._lock:
-            self._index()
             refs = list(self._by_tuple.get(tuple_id, ()))
         out: list[ChangeEvent] = []
         for ref in refs:
@@ -200,13 +189,11 @@ class AuditLog:
     def stats(self) -> dict:
         """Registry-source summary (see :mod:`repro.obs.metrics`)."""
         with self._lock:
-            self._index()
             return {"events": self._seq, "tuples": len(self._by_tuple)}
 
     def tuple_ids(self) -> list[str]:
         """Distinct tuple ids, in first-seen order (the per-tuple index's)."""
         with self._lock:
-            self._index()
             return list(self._by_tuple)
 
     # -- persistence -------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.errors import CerFixError
 from repro.batch.cache import CachingMasterDataManager, LRUMemo
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
-from repro.core.chase import ChaseResult, chase_many
+from repro.core.chase import chase_many
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -295,11 +295,7 @@ def _rule_pass(
             for s in steps
         ]
 
-    if any(not rule.reads for rule in ctx.ruleset):
-        first = chased([(g.values, ()) for g in groups])
-    else:  # round 0 fires only rules that read nothing: here it leaves groups as they are
-        nothing, attrs = frozenset(), frozenset(names)
-        first = [ChaseResult(g.values, nothing, (), (), (), attrs, 1) for g in groups]
+    first = chased([(g.values, ()) for g in groups])
     seeds = [
         [a for a in seed_attrs if a not in r.validated] if len(r.validated) < len(names) else []
         for r in first

@@ -125,21 +125,23 @@ class BatchCleaner:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.cache_size = cache_size
-        self._pools: list[tuple] | None = None  # ((workers, context), its worker pool)s
+        self._reuse = False  # inside reusing_workers
+        self._pool: tuple | None = None  # ((workers, context), their worker pool)
 
     @contextmanager
     def reusing_workers(self) -> Iterator[None]:
-        """Share worker processes among the :meth:`clean` calls made
-        inside that have the same context and worker count: the paged DB
-        cleaner cleans a table's pages under one, so workers start and
+        """Share one worker pool among the :meth:`clean` calls made
+        inside with the first one's context and worker count: the paged
+        DB cleaner cleans a table's pages under one, so workers start and
         build their master indexes once per run, not once per page."""
-        self._pools = []
+        self._reuse = True
         try:
             yield
         finally:
-            pools, self._pools = self._pools, None
-            for _, pool in pools:
-                pool.shutdown()
+            self._reuse = False
+            if self._pool is not None:
+                self._pool[1].shutdown()
+                self._pool = None
 
     def clean(
         self,
@@ -314,12 +316,12 @@ class BatchCleaner:
                 )
 
         pool = None
-        if processes and self._pools is not None:
+        if processes and self._reuse:
             key = (workers, replace(ctx, trace=None))
-            pool = next((p for k, p in self._pools if k == key), None)
-            if pool is None:
-                pool = worker_pool(ctx, workers)
-                self._pools.append((key, pool))
+            if self._pool is None:
+                self._pool = (key, worker_pool(ctx, workers))
+            if self._pool[0] == key:  # its workers hold this context
+                pool = self._pool[1]
         executor = ShardExecutor(ctx, workers=workers, cache=preloaded, pool=pool)
         on_result = journal.record if journal is not None else None
         fresh = executor.run(pending, on_result=on_result)
@@ -455,9 +457,8 @@ class BatchCleaner:
         signature (``shared``) takes the member's own answer as ``new``:
         its truth value, or without truth its current value. The replay
         runs a column at a time over a group's members, one layer of
-        values per write; a group of one row, the common case over a wide
-        key space, replays that row cell by cell. Each member's audit
-        trail (tuple ids ``t<row>`` unless ``tuple_ids`` overrides) is one
+        values per write. Each member's audit trail (tuple ids ``t<row>``
+        unless ``tuple_ids`` overrides) is one
         :meth:`AuditLog.record_group` per group."""
         names = self.ruleset.input_schema.names
         position = {n: i for i, n in enumerate(names)}
@@ -471,12 +472,6 @@ class BatchCleaner:
         for kind, n in zip(kinds, truth.schema.names if truth is not None else ()):
             kind.update(map(type, truth.dictionary(n)))
         stamp = trace.current_ids()
-
-        def provenance(e: dict) -> tuple:
-            """The rule, source and span of the event whose new survived."""
-            span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
-            return (e["rule_id"], e["source"], *span)
-
         assembled: set[int] = set()
         patch: list[tuple] = []
         changed = 0
@@ -484,6 +479,10 @@ class BatchCleaner:
             for outcome in result.outcomes:
                 members = outcome.members
                 assembled.update(members)
+                # The members' items of a row-ordered sequence, as a tuple.
+                pick = itemgetter(*members) if len(members) > 1 else lambda s: (s[members[0]],)
+                rows = pick(raw)
+                mine = pick(answers) if answers is not None else None
                 transcript = outcome.audit_events
                 steps = [
                     (
@@ -493,29 +492,6 @@ class BatchCleaner:
                     )
                     for e in transcript
                 ]
-                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
-                if len(members) == 1:
-                    (m,) = members
-                    row, answer = raw[m], answers[m] if answers is not None else None
-                    last: dict[int, tuple] = {}  # column → (its value, the event)
-                    for e, (col, new, answered) in zip(transcript, steps):
-                        old = last[col][0] if col in last else row[col]
-                        if answered:
-                            new = answer[col] if answer is not None else old
-                        changed += old != new
-                        last[col] = (new, e)
-                    for col, (new, e) in last.items():
-                        old = row[col]
-                        if old != new or old.__class__ is not new.__class__:
-                            patch.append((col, [m], [old], [new], provenance(e)))
-                    self.audit.record_group(
-                        transcript, ids, steps, (row,), None if answer is None else (answer,)
-                    )
-                    continue
-                # The members' items of a row-ordered sequence, as a tuple.
-                pick = itemgetter(*members)
-                rows = pick(raw)
-                mine = pick(answers) if answers is not None else None
                 writes: dict[int, list] = {}  # column → its (new, answered, event)s
                 for e, (col, new, answered) in zip(transcript, steps):
                     writes.setdefault(col, []).append((new, answered, e))
@@ -543,10 +519,13 @@ class BatchCleaner:
                         diff = list(map(or_, diff, map(is_not, map(type, olds), map(type, news))))
                     if not any(diff):
                         continue
+                    e = chain[-1][2]  # the event whose new survived
+                    span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
                     patch.append((
                         col, list(compress(members, diff)), list(compress(olds, diff)),
-                        list(compress(news, diff)), provenance(chain[-1][2]),
+                        list(compress(news, diff)), (e["rule_id"], e["source"], *span),
                     ))
+                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
                 self.audit.record_group(transcript, ids, steps, rows, mine)
         if len(assembled) != len(dirty):
             missing = sorted(set(range(len(dirty))) - assembled)
