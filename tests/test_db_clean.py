@@ -183,6 +183,23 @@ def test_conformance_parity_across_page_sizes(seed, tmp_path):
         assert result.changed_cells == expected.report.changed_cells
 
 
+def test_paged_process_clean_starts_one_pool_per_run(case, db, monkeypatch):
+    pools = []
+
+    def counting_pool(ctx, workers):
+        pools.append(executor_mod.worker_pool(ctx, workers))
+        return pools[-1]
+
+    monkeypatch.setattr(pipeline_mod, "worker_pool", counting_pool)
+    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+    result = _engine(case).clean_table(db, page_rows=16, validated=case.validated, workers=2)
+    assert result.pages == 4
+    assert _table_rows(db) == expected.relation.raw_tuples()
+    assert len(pools) == 1
+    with pytest.raises(RuntimeError):  # shut down when the run ended
+        pools[0].submit(int)
+
+
 def test_larger_than_page_budget_cleans_end_to_end(tmp_path):
     # Many more rows than one page holds: the in-memory budget is the
     # page, and the table streams through it.
