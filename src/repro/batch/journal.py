@@ -13,13 +13,11 @@ configuration fingerprints differently and is discarded wholesale — a
 stale checkpoint can never leak rows into a fresh run. A torn final
 line (the classic mid-write crash) is dropped silently.
 
-Where the lines live is the journal's only variable part. Two line
-stores exist: :class:`FileLines`, an append-only JSONL file for
-``clean_relation(journal_path=...)``, and the paged DB cleaner's
-:class:`~repro.dirty.archive.PageCheckpoints`, rows of the
-``cerfix_clean_checkpoints`` table in the dirty database itself. A line
-store reads its lines, replaces them all atomically, and appends one
-line durably.
+The journal is an append-only JSONL file written by
+``clean_relation(journal_path=...)``; each shard's line is flushed and
+fsynced as the shard completes. The paged DB cleaner keeps no journal:
+it recovers at page granularity from its run record (see
+:mod:`repro.dirty.cleaner`).
 """
 
 from __future__ import annotations
@@ -27,70 +25,29 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Protocol
 
 from repro.batch.executor import ShardResult
 
 
-class LineStore(Protocol):
-    """Where a journal's lines live."""
-
-    def read(self) -> list[str]: ...
-
-    def reset(self, lines: list[str]) -> None: ...
-
-    def append(self, line: str) -> None: ...
-
-
-class FileLines:
-    """Journal lines in an append-only file, fsynced per write."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def read(self) -> list[str]:
-        if not self.path.exists():
-            return []
-        return self.path.read_text(encoding="utf-8").splitlines()
-
-    def reset(self, lines: list[str]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic rewrite: a crash mid-compaction must not destroy the
-        # checkpoints being compacted, so write aside and rename over.
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as f:
-            f.writelines(line + "\n" for line in lines)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.path)
-
-    def append(self, line: str) -> None:
-        with self.path.open("a", encoding="utf-8") as f:
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-
-
 class CheckpointJournal:
-    """Per-shard checkpointing for one batch run.
-
-    ``CheckpointJournal(path)`` journals to a file; any other
-    :class:`LineStore` may be passed instead.
+    """Per-shard checkpointing for one batch run, in a JSONL file.
 
     >>> journal = CheckpointJournal(path)
     >>> done = journal.open(plan.fingerprint)   # {} on a fresh/stale journal
     >>> journal.record(shard_result)            # append + flush one shard
     """
 
-    def __init__(self, lines: str | os.PathLike | LineStore):
-        self.lines = FileLines(lines) if isinstance(lines, (str, os.PathLike)) else lines
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
         self._fingerprint: str | None = None
 
     def load(self, fingerprint: str) -> dict[int, ShardResult]:
         """Completed shards recorded for ``fingerprint`` (stale → empty)."""
+        if not self.path.exists():
+            return {}
         done: dict[int, ShardResult] = {}
         header_ok = False
-        for line in self.lines.read():
+        for line in self.path.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -108,7 +65,7 @@ class CheckpointJournal:
         return done if header_ok else {}
 
     def open(self, fingerprint: str) -> dict[int, ShardResult]:
-        """Load resumable shards and (re)initialise the store for appends.
+        """Load resumable shards and (re)initialise the file for appends.
 
         A fresh or stale journal is rewritten with a new header; a
         matching one is compacted to header + valid shard lines (torn
@@ -116,17 +73,27 @@ class CheckpointJournal:
         """
         done = self.load(fingerprint)
         self._fingerprint = fingerprint
-        self.lines.reset(
-            [json.dumps({"kind": "header", "fingerprint": fingerprint})]
-            + [_shard_line(done[shard_id]) for shard_id in sorted(done)]
-        )
+        lines = [json.dumps({"kind": "header", "fingerprint": fingerprint})]
+        lines += [_shard_line(done[shard_id]) for shard_id in sorted(done)]
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Atomic rewrite: a crash mid-compaction must not destroy the
+        # checkpoints being compacted, so write aside and rename over.
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(line + "\n" for line in lines)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, self.path)
         return done
 
     def record(self, result: ShardResult) -> None:
         """Append one completed shard and flush it to disk."""
         if self._fingerprint is None:
             raise RuntimeError("journal.record() before journal.open()")
-        self.lines.append(_shard_line(result))
+        with self.path.open("a", encoding="utf-8") as f:
+            f.write(_shard_line(result) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
 
 
 def _shard_line(result: ShardResult) -> str:

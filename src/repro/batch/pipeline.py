@@ -7,8 +7,8 @@ shards (:mod:`repro.batch.journal`), runs the rest serially or in worker
 processes (:mod:`repro.batch.executor`), then rebinds each group onto
 its members: the repaired relation is the input with the changed cells
 patched in, each group's provenance is recorded once in the engine's
-audit log, and a :class:`~repro.batch.report.BatchReport` aggregates
-the run.
+audit log (when the cleaner has one), and a
+:class:`~repro.batch.report.BatchReport` aggregates the run.
 
 Scheduling never influences output: groups are independent and probing
 is deterministic, so ``workers=4`` (four worker processes) produces the
@@ -106,7 +106,10 @@ class BatchCleaner:
         ``"sqlite"``, ``"remote"``); ``store_path`` / ``store_urls``
         parameterise the sqlite and remote backends (``store_urls``
         entries may be replica-url lists — see
-        :class:`~repro.master.remote.RemoteMasterStore`)."""
+        :class:`~repro.master.remote.RemoteMasterStore`). Provenance is
+        recorded into ``audit``; with none, only the result's
+        :attr:`~BatchResult.changes` carry it (the paged DB cleaner
+        archives those)."""
         self.ruleset = ruleset
         master = resolve_master(master, store, path=store_path, urls=store_urls)
         if master is None:
@@ -119,7 +122,7 @@ class BatchCleaner:
         self.scenario = scenario
         self.strategy = strategy
         self.regions = tuple(regions)
-        self.audit = audit if audit is not None else AuditLog()
+        self.audit = audit
         self.use_index = use_index
         self.max_combos = max_combos
         if cache_size < 1:
@@ -153,7 +156,6 @@ class BatchCleaner:
         dedupe: bool = True,
         validated: Sequence[str] = (),
         journal_path: str | Path | None = None,
-        journal: CheckpointJournal | None = None,
         cache_path: str | Path | None = None,
         tuple_ids: Sequence[str] | None = None,
         max_rounds: int | None = None,
@@ -167,8 +169,6 @@ class BatchCleaner:
         repairs from the trusted ``validated`` columns. ``journal_path``
         enables checkpoint/resume; an interrupted run picks up where it
         stopped as long as inputs and configuration are unchanged.
-        ``journal`` passes a ready :class:`CheckpointJournal` instead —
-        the paged DB cleaner's keeps its lines in the database.
         ``cache_path`` persists the probe cache of a remote store across
         runs: the run starts warm from a snapshot stamped for this exact
         (master content, rule set) pair — anything else degrades to a
@@ -196,8 +196,7 @@ class BatchCleaner:
         unknown = [a for a in validated if a not in self.ruleset.input_schema]
         if unknown:
             raise CerFixError(f"validated attributes {unknown} not in the input schema")
-        if journal is None and journal_path is not None:
-            journal = CheckpointJournal(journal_path)
+        journal = CheckpointJournal(journal_path) if journal_path is not None else None
         notes: list[str] = []
         # The default shard count follows the requested worker count, so
         # a serial fallback keeps the plan (and any journal) of the request.
@@ -457,8 +456,8 @@ class BatchCleaner:
         signature (``shared``) takes the member's own answer as ``new``:
         its truth value, or without truth its current value. The replay
         runs a column at a time over a group's members, one layer of
-        values per write. Each member's audit trail (tuple ids ``t<row>``
-        unless ``tuple_ids`` overrides) is one
+        values per write. With an audit log, each member's audit trail
+        (tuple ids ``t<row>`` unless ``tuple_ids`` overrides) is one
         :meth:`AuditLog.record_group` per group."""
         names = self.ruleset.input_schema.names
         position = {n: i for i, n in enumerate(names)}
@@ -481,7 +480,6 @@ class BatchCleaner:
                 assembled.update(members)
                 # The members' items of a row-ordered sequence, as a tuple.
                 pick = itemgetter(*members) if len(members) > 1 else lambda s: (s[members[0]],)
-                rows = pick(raw)
                 mine = pick(answers) if answers is not None else None
                 transcript = outcome.audit_events
                 steps = [
@@ -525,8 +523,9 @@ class BatchCleaner:
                         col, list(compress(members, diff)), list(compress(olds, diff)),
                         list(compress(news, diff)), (e["rule_id"], e["source"], *span),
                     ))
-                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
-                self.audit.record_group(transcript, ids, steps, rows, mine)
+                if self.audit is not None:
+                    ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
+                    self.audit.record_group(transcript, ids, steps, pick(raw), mine)
         if len(assembled) != len(dirty):
             missing = sorted(set(range(len(dirty))) - assembled)
             raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")

@@ -1,6 +1,6 @@
 """Reversible change archive: every cell a clean run touches, on record.
 
-Three tables ride in the same database file as the dirty table itself:
+Two tables ride in the same database file as the dirty table itself:
 
 ``cerfix_clean_runs``
     One row per clean run — status (``running`` → ``committed`` →
@@ -12,17 +12,12 @@ Three tables ride in the same database file as the dirty table itself:
     One row per changed cell — run id, sequence number, page, row key,
     column, old and new value (JSON-encoded so ``int``/``float``/
     ``str``/``None`` survive verbatim), the rule that forced the fix
-    and the trace/span the change was made under.
+    and the trace/span the change was made under. This is a DB run's
+    whole provenance record.
 
-``cerfix_clean_checkpoints``
-    The in-flight page's checkpoint journal — one row per journal line
-    (the header, then one per completed shard), keyed by run, page and
-    line number. Each line is one autocommitted insert, durable as soon
-    as the shard finishes; the page's commit transaction deletes them,
-    so they vanish atomically with the page they checkpoint. Outside a
-    live run, rows exist only for a crashed run's in-flight page. The
-    deleted rows stay in the file as free pages that the next page and
-    the next run reuse: the table never frees disk blocks.
+Versions before 1.20 kept a third, ``cerfix_clean_checkpoints``, with
+the in-flight page's shard checkpoints. Its rows are never read: the
+next committing run drops the table.
 
 Undo replays a run's changes backwards inside one transaction and
 refuses to run at all if the table moved on since the run committed
@@ -46,6 +41,7 @@ from repro.errors import DirtyDataError
 
 RUNS_TABLE = "cerfix_clean_runs"
 CHANGES_TABLE = "cerfix_clean_changes"
+#: Shard checkpoints of versions before 1.20, dropped unread.
 CHECKPOINTS_TABLE = "cerfix_clean_checkpoints"
 
 #: Run lifecycle states. ``running`` additionally means "crashed" when
@@ -138,16 +134,7 @@ class ChangeArchive:
             "trace_id TEXT, span_id TEXT, "
             "PRIMARY KEY (run_id, seq))"
         )
-        conn.execute(
-            f"CREATE TABLE IF NOT EXISTS {q(CHECKPOINTS_TABLE)} ("
-            "run_id TEXT NOT NULL, page INTEGER NOT NULL, "
-            "line_no INTEGER NOT NULL, line TEXT NOT NULL, "
-            "PRIMARY KEY (run_id, page, line_no))"
-        )
-
-    def checkpoints(self, conn, run_id: str, page: int) -> "PageCheckpoints":
-        """The checkpoint-journal lines of one in-flight page."""
-        return PageCheckpoints(conn, self.backend.quote, run_id, page)
+        conn.execute(f"DROP TABLE IF EXISTS {q(CHECKPOINTS_TABLE)}")
 
     # -- run lifecycle -----------------------------------------------------
 
@@ -175,11 +162,9 @@ class ChangeArchive:
     def record_page(
         self, conn, run_id: str, changes: Iterable[CellChange], pages_done: int
     ) -> int:
-        """Archive one page's changes, drop its checkpoints and bump
-        progress; returns cells added. Only the in-flight page has
-        checkpoint rows, so the run's rows are exactly this page's."""
+        """Archive one page's changes and bump progress; returns cells
+        added."""
         q = self.backend.quote
-        self._drop_checkpoints(conn, run_id)
         rows = [
             (
                 run_id,
@@ -214,12 +199,6 @@ class ChangeArchive:
             f"UPDATE {q(RUNS_TABLE)} SET status = 'committed', "
             f"post_digest = ?, finished_at = ? WHERE run_id = ?",
             (post_digest, time.time(), run_id),
-        )
-
-    def _drop_checkpoints(self, conn, run_id: str) -> None:
-        conn.execute(
-            f"DELETE FROM {self.backend.quote(CHECKPOINTS_TABLE)} WHERE run_id = ?",
-            (run_id,),
         )
 
     # -- lookups -----------------------------------------------------------
@@ -331,58 +310,9 @@ class ChangeArchive:
                 f"WHERE run_id = ?",
                 (time.time(), run_id),
             )
-            self.ensure(conn)  # an archive from before the checkpoints table
-            self._drop_checkpoints(conn, run_id)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
             raise
         return replace(record, status="undone")
 
-
-class PageCheckpoints:
-    """One in-flight page's checkpoint-journal lines, as rows of
-    ``cerfix_clean_checkpoints`` — the line store the paged cleaner
-    hands :class:`~repro.batch.journal.CheckpointJournal`.
-
-    With the connection in autocommit, every :meth:`append` is its own
-    durable transaction, like a file append followed by ``fsync``.
-    """
-
-    def __init__(self, conn, quote, run_id: str, page: int):
-        self.conn = conn
-        self.table = quote(CHECKPOINTS_TABLE)
-        self.key = (run_id, page)
-        self._next = 0
-
-    def read(self) -> list[str]:
-        rows = self.conn.execute(
-            f"SELECT line FROM {self.table} WHERE run_id = ? AND page = ? "
-            f"ORDER BY line_no",
-            self.key,
-        ).fetchall()
-        return [r[0] for r in rows]
-
-    def reset(self, lines: list[str]) -> None:
-        self.conn.execute("BEGIN")
-        try:
-            self.conn.execute(
-                f"DELETE FROM {self.table} WHERE run_id = ? AND page = ?", self.key
-            )
-            executemany(
-                self.conn,
-                f"INSERT INTO {self.table} VALUES (?, ?, ?, ?)",
-                [(*self.key, n, line) for n, line in enumerate(lines)],
-            )
-            self.conn.execute("COMMIT")
-        except BaseException:
-            self.conn.execute("ROLLBACK")
-            raise
-        self._next = len(lines)
-
-    def append(self, line: str) -> None:
-        self.conn.execute(
-            f"INSERT INTO {self.table} VALUES (?, ?, ?, ?)",
-            (*self.key, self._next, line),
-        )
-        self._next += 1

@@ -3,41 +3,36 @@
 :class:`DbCleaner` streams the dirty table through the existing batch
 pipeline one fixed-size page at a time, so peak memory is bounded by
 ``page_rows`` regardless of table size. Each page runs through
-:meth:`~repro.batch.pipeline.BatchCleaner.clean` (dedup, sharding,
-probe caching and checkpointing all apply within the page), then the
-page's cell fixes, their reversible archive rows and the run's progress
-counter commit in **one** database transaction — the run record in
-``cerfix_clean_runs`` is therefore always consistent with the table:
-a crash at any instant leaves either a fully-committed page or none of
-it, and :func:`undo_run` can unwind exactly what was applied.
+:meth:`~repro.batch.pipeline.BatchCleaner.clean` (dedup, sharding and
+probe caching apply within the page), then the page's cell fixes, their
+reversible archive rows and the run's progress counter commit in
+**one** database transaction — the run record in ``cerfix_clean_runs``
+is therefore always consistent with the table: a crash at any instant
+leaves either a fully-committed page or none of it, and
+:func:`undo_run` can unwind exactly what was applied.
 
-Two recovery layers compose on resume (``resume=<run-id>``): whole
-pages already committed are skipped by the run record's ``pages_done``,
-and the in-flight page re-runs against its *checkpoint journal*, so
-shards that finished before the crash are replayed, not recomputed —
-mid-page resume, as the batch suite pins down. The journal's lines are
-rows of the ``cerfix_clean_checkpoints`` table in the same database
-(:class:`~repro.dirty.archive.PageCheckpoints`): each shard's line is
-one autocommitted insert, and the page's commit transaction deletes
-them, so checkpoints vanish atomically with the page they protect and
-mid-page resume works on every backend. Between runs, checkpoint rows
-exist only for a crashed run's in-flight page; undoing that run drops
-them. A crashed run written by a version that journaled to
-``<db>.clean-journal/`` files resumes too: it finds no checkpoint rows
-and re-runs its in-flight page from scratch, with the same output (the
-old directory is no longer read and can be deleted).
+Recovery works at page granularity. Resuming a crashed run
+(``resume=<run-id>``) skips the pages its run record's ``pages_done``
+counts as committed and re-runs the page that was in flight from
+scratch, so no resume redoes more than one page. The page commit is the
+only durable write of a run: nothing is checkpointed inside a page.
+Databases from versions that did keep shard checkpoints in a
+``cerfix_clean_checkpoints`` table resume the same way; those rows are
+never read, and the next committing run drops the table.
+
+A DB run's provenance is its archive: each ``cerfix_clean_changes`` row
+carries the rule, source and span of the event that wrote the cell, and
+the engine's in-memory audit log records nothing for it. Archive row
+keys are the table's ``rowid``s.
 
 Nothing on the committing path frees disk blocks: sqlite keeps its
-rollback journal (``PERSIST``, see :mod:`repro.dirty.backend`) and
-deleted checkpoint rows become free pages the next page reuses. On a
+rollback journal (``PERSIST``, see :mod:`repro.dirty.backend`). On a
 filesystem mounted with ``discard``, every unlink costs a synchronous
 TRIM.
 
 Because fixes are *certain* (scheduling-independent, as the batch
 pipeline guarantees), the paged path produces bit-identical output to
-the in-memory path; the conformance tests assert it. Per-tuple audit
-ids follow the row key (``r<rowid>``), so audit replay and the archive
-agree on which physical row every change touched.
+the in-memory path; the conformance tests assert it.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 from hashlib import sha256
 
-from repro.batch.journal import CheckpointJournal
 from repro.batch.pipeline import BatchCleaner
 from repro.dirty.archive import CellChange, ChangeArchive, RunRecord, new_run_id
 from repro.dirty.table import DEFAULT_PAGE_ROWS, DirtyTable, Page
@@ -112,7 +106,10 @@ class DbCleanResult:
 
 
 class DbCleaner:
-    """Paged cleaning of one :class:`~repro.dirty.table.DirtyTable`."""
+    """Paged cleaning of one :class:`~repro.dirty.table.DirtyTable`.
+
+    ``batch`` keeps no audit log: the archive is a DB run's provenance.
+    """
 
     def __init__(
         self,
@@ -121,6 +118,11 @@ class DbCleaner:
         *,
         page_rows: int | None = None,
     ):
+        if batch.audit is not None:
+            raise DirtyDataError(
+                "a paged clean records provenance in its archive; "
+                "build its BatchCleaner without an audit log"
+            )
         self.batch = batch
         self.table = table
         self.archive = ChangeArchive(table)
@@ -218,7 +220,6 @@ class DbCleaner:
                 dedupe=dedupe,
                 validated=validated,
                 max_rounds=max_rounds,
-                journal=None,
             )
             changes.extend(page_changes)
             pages_seen += 1
@@ -295,9 +296,6 @@ class DbCleaner:
                 dedupe=dedupe,
                 validated=validated,
                 max_rounds=max_rounds,
-                journal=CheckpointJournal(
-                    self.archive.checkpoints(conn, run_id, page.index)
-                ),
             )
             conn.execute("BEGIN")
             try:
@@ -348,15 +346,13 @@ class DbCleaner:
         dedupe: bool,
         validated: tuple[str, ...],
         max_rounds: int | None,
-        journal: CheckpointJournal | None,
     ) -> list[CellChange]:
         """Run one page through the batch pipeline; one archive change
         per cell the rebind changed.
 
         The rebind reports the changed cells in row then column order,
-        each with the rule, source and span of the event that wrote it,
-        so a change's provenance is the audit event's without reading
-        the audit log back.
+        each with the rule, source and span of the event that wrote it:
+        the archive row's provenance, with no audit log kept.
         """
         with trace.span("page", page=page.index, rows=len(page)):
             result = self.batch.clean(
@@ -366,8 +362,6 @@ class DbCleaner:
                 shards=shards,
                 dedupe=dedupe,
                 validated=validated,
-                journal=journal,
-                tuple_ids=[f"r{k}" for k in page.keys],
                 max_rounds=max_rounds,
                 root_span=False,
             )

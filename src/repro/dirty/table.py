@@ -176,6 +176,7 @@ class DirtyTable:
             if len(rows) < page_rows:
                 return
             last = rows[-1][0]
+            del rows  # fetch the next batch without holding this one
 
     def read_relation(self, conn, schema: Schema | None = None) -> Relation:
         """The whole table as one relation (tests and small tables only)."""
@@ -198,6 +199,7 @@ class DirtyTable:
         sha.update(repr(tuple(cols)).encode("utf-8"))
         for rows in self._keyset(conn, cols, _SCAN_ROWS):
             sha.update("".join(repr((r[0], r[1:])) for r in rows).encode("utf-8"))
+            del rows  # one scan batch in memory at a time, not two
         return sha.hexdigest()
 
     # -- writes ------------------------------------------------------------

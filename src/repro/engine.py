@@ -237,10 +237,11 @@ class CerFix:
         ``cache_size``-entry LRU probe cache, and ``cache_path``
         persists that cache across runs (warm-started only when master
         content and rule set are unchanged). ``journal_path``
-        checkpoints per-shard progress so an interrupted run resumes
-        without recleaning. Returns a :class:`BatchResult` carrying the
-        repaired relation and the :class:`BatchReport`; per-cell
-        provenance lands in :attr:`audit`.
+        checkpoints per-shard progress in a JSON-lines file so an
+        interrupted run resumes without recleaning its finished shards.
+        Returns a :class:`BatchResult` carrying the repaired relation
+        and the :class:`BatchReport`; per-cell provenance lands in
+        :attr:`audit`.
         """
         cleaner = BatchCleaner(
             self.ruleset,
@@ -292,11 +293,11 @@ class CerFix:
         the in-memory path. Every cell change is archived reversibly in
         the same file; ``dry_run=True`` reports without committing
         anything (the connection is read-only), ``resume=<run-id>``
-        continues an interrupted run — committed pages are skipped and
-        the in-flight page resumes from its shard checkpoints, which
-        live in the ``cerfix_clean_checkpoints`` table of the same
-        database and vanish with the page's commit. A committing run
-        frees no disk blocks (sqlite keeps its rollback journal, see
+        continues an interrupted run at page granularity: committed
+        pages are skipped and the page that was in flight re-runs from
+        scratch. The archive is the run's provenance record: nothing is
+        recorded into :attr:`audit`. A committing run frees no disk
+        blocks (sqlite keeps its rollback journal, see
         :mod:`repro.dirty.backend`). Undo a committed or crashed run
         with :meth:`undo`. Returns a
         :class:`~repro.dirty.cleaner.DbCleanResult`.
@@ -311,7 +312,6 @@ class CerFix:
             scenario=self.scenario,
             strategy=self.strategy,
             regions=self.regions,
-            audit=self.audit,
             use_index=self.use_index,
             max_combos=self.max_combos,
             cache_size=cache_size,

@@ -321,8 +321,13 @@ def _clean_db(args, engine: CerFix, db: str, table: str, page_rows) -> int:
         )
     if args.journal:
         raise CerFixError(
-            "--journal applies to --input; a --db run keeps its checkpoints "
-            "in the database"
+            "--journal applies to --input; a --db run resumes by page from "
+            "its run record (--resume RUN_ID)"
+        )
+    if args.log:
+        raise CerFixError(
+            "--log applies to --input; a --db run records each change's rule, "
+            "source and span in the database archive (table cerfix_clean_changes)"
         )
     validated = tuple(a for a in (args.validated or "").split(",") if a)
     result = engine.clean_table(
@@ -350,9 +355,6 @@ def _clean_db(args, engine: CerFix, db: str, table: str, page_rows) -> int:
     else:
         print(f"reversible archive recorded in {db}; "
               f"undo with `cerfix undo --db {db} {result.run_id}`")
-    if args.log:
-        engine.audit.to_jsonl(args.log)
-        print(f"audit log written to {args.log}")
     if getattr(args, "trace", None):
         print(f"trace spans written to {args.trace} (analyse with `cerfix trace {args.trace}`)")
     return 0
@@ -735,13 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable duplicate-signature collapsing")
     p.add_argument("--validated", help="comma-separated trusted columns (rule-only mode)")
     p.add_argument("--journal", help="--input: checkpoint journal path (enables crash-safe "
-                   "resume; a --db run checkpoints in the database)")
+                   "resume; a --db run resumes by page with --resume)")
     p.add_argument("--cache", help="probe-cache snapshot path for a remote store (warm-starts "
                    "repeat runs against unchanged master data and rules; in-process "
                    "stores have no probe cache)")
     p.add_argument("--out", help="write the repaired relation here")
     p.add_argument("--report", help="write the batch report (JSON) here")
-    p.add_argument("--log", help="write the audit log (JSON lines) here")
+    p.add_argument("--log", help="--input: write the audit log (JSON lines) here (a --db "
+                   "run's provenance is its database archive)")
     _add_trace_flags(p)
     p.set_defaults(func=cmd_clean)
 

@@ -390,7 +390,7 @@ def test_handcrafted_transcript_matches_eager_replay(with_truth):
         ShardResult(k, (GroupOutcome(members, {}, True, 1, 0, 0, 0, 0, events),))
         for k, (members, events) in enumerate(GROUPS.items())
     ]
-    cleaner = BatchCleaner(case.ruleset, case.master)
+    cleaner = BatchCleaner(case.ruleset, case.master, audit=AuditLog())
     ref = AuditLog()
     before = dirty.raw_tuples()[:]
 
@@ -426,7 +426,7 @@ def test_equal_value_of_another_type_matches_eager_replay():
     dirty = Relation(schema, [r + ROWS[0][4:] for r in rows])
     events = (_event("AC", 131.0, rule_id="r1", span="s1"), _event("phn", True, rule_id="r2"))
     results = [ShardResult(0, (GroupOutcome((0, 1, 2), {}, True, 1, 0, 0, 0, 0, events),))]
-    cleaner = BatchCleaner(case.ruleset, case.master)
+    cleaner = BatchCleaner(case.ruleset, case.master, audit=AuditLog())
     ref = AuditLog()
 
     got, changed, patch = cleaner._rebind(dirty, None, results, None, SIGNATURE)
@@ -468,45 +468,45 @@ def _archive(path, run_id):
     ],
 )
 def test_db_archive_matches_eager_provenance(
-    hospital_case, page_rows, workers, shadow, tmp_path, monkeypatch
+    hospital_case, page_rows, workers, shadow, tmp_path
 ):
-    def run(path):
-        DirtyTable.create(path, hospital_case.dirty)
-        engine = CerFix(hospital_case.ruleset, hospital_case.master)
-        trace.configure(tmp_path / f"{path.stem}.spans.jsonl")
+    """Each archive row of a paged clean is a changed cell of an
+    in-memory clean of the same rows, with the rule, source and span of
+    the last event the eager replay records on that cell. The paged run
+    records nothing into the engine's audit log."""
+    case = hospital_case
+
+    def traced(name, clean, *args, **kwargs):
+        trace.configure(tmp_path / f"{name}.spans.jsonl")
         try:
-            result = engine.clean_table(
-                path, page_rows=page_rows, validated=hospital_case.validated,
-                workers=workers,
-            )
+            return clean(*args, validated=case.validated, workers=workers, **kwargs)
         finally:
             trace.disable()
-        return engine, result, _archive(path, result.run_id)
 
-    # The eager replay alone, into the engine's own log.
-    with monkeypatch.context() as m:
-        m.setattr(
-            BatchCleaner,
-            "_rebind",
-            lambda self, dirty, truth, results, tuple_ids, shared: eager_replay(
-                self.audit, self.ruleset.input_schema, dirty, truth, results,
-                tuple_ids, shared,
-            ),
-        )
-        _, parent, parent_rows = run(tmp_path / "parent.db")
-    engine, result, rows = run(tmp_path / "change.db")  # group records, shadowed
-
-    assert_same_log(engine.audit, shadow.log)
-    assert result.changed_cells == parent.changed_cells == len(rows) > 0
+    # The reference: audit ids follow the table's row keys (rowids 1..n).
+    keys = [f"r{k}" for k in range(1, len(case.dirty) + 1)]
+    memory_engine = CerFix(case.ruleset, case.master)
+    memory = traced("memory", memory_engine.clean_relation, case.dirty, tuple_ids=keys)
+    assert_same_log(memory_engine.audit, shadow.log)
     last = {(e.tuple_id, e.attr): e for e in shadow.log}
-    for row, was in zip(rows, parent_rows):
-        e = last.get((f"r{row.row_key}", row.column))
-        want = (e.rule_id, e.source, e.span_id is not None) if e else (None, None, False)
-        assert (row.rule_id, row.source, row.span_id is not None) == want
-        assert (row.seq, row.row_key, row.column, row.old, row.new) == (
-            was.seq, was.row_key, was.column, was.old, was.new
-        )
+
+    path = tmp_path / "dirty.db"
+    DirtyTable.create(path, case.dirty)
+    engine = CerFix(case.ruleset, case.master)
+    result = traced("paged", engine.clean_table, path, page_rows=page_rows)
+    rows = _archive(path, result.run_id)
+
+    assert len(engine.audit) == 0
+    assert result.changed_cells == memory.report.changed_cells == len(rows) > 0
+    assert [row.seq for row in rows] == list(range(len(rows)))
+    for row, (member, column, old, new, rule_id, source, _, span_id) in zip(
+        rows, memory.changes
+    ):
+        assert (row.row_key, row.column, row.old, row.new) == (member + 1, column, old, new)
         assert (row.rule_id, row.source, row.span_id is not None) == (
-            was.rule_id, was.source, was.span_id is not None
+            rule_id, source, span_id is not None
         )
+        e = last[(f"r{row.row_key}", row.column)]
+        assert (row.rule_id, row.source) == (e.rule_id, e.source)
+        assert (row.span_id is not None) == (e.span_id is not None)
     assert any(row.span_id is not None for row in rows)

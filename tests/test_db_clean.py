@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import sqlite3
+import tracemalloc
 
 import pytest
 
@@ -20,6 +20,7 @@ from repro.dirty import (
 import repro.batch.executor as executor_mod
 import repro.batch.pipeline as pipeline_mod
 import repro.dirty.table as table_mod
+from repro.batch.journal import CheckpointJournal
 from repro.dirty.archive import CHECKPOINTS_TABLE
 from repro.dirty.backend import SqliteBackend
 from repro.errors import DirtyDataError
@@ -62,18 +63,38 @@ def _digest(path, table="dirty"):
         conn.close()
 
 
-def _checkpoint_rows(path, run_id):
-    """``(page, parsed line)`` of a run's rows in the checkpoints table."""
-    conn = sqlite3.connect(path)
+def _archive_rows(path, run_id):
+    """A run's archive rows, as ``(seq, row_key, column, old, new,
+    rule_id, source)``."""
+    t = DirtyTable(path)
+    conn = t.backend.connect(readonly=True)
     try:
-        rows = conn.execute(
-            f"SELECT page, line FROM {CHECKPOINTS_TABLE} WHERE run_id = ? "
-            f"ORDER BY page, line_no",
-            (run_id,),
-        ).fetchall()
+        changes = ChangeArchive(t).changes(conn, run_id)
     finally:
         conn.close()
-    return [(page, json.loads(line)) for page, line in rows]
+    return [
+        (c.seq, c.row_key, c.column, c.old, c.new, c.rule_id, c.source)
+        for c in changes
+    ]
+
+
+def _outcome(path, run_id):
+    """What a finished run leaves: the table, its archive rows and the
+    run record's ``(pages_done, changed_cells, status)``."""
+    (record,) = [r for r in list_runs(DirtyTable(path)) if r.run_id == run_id]
+    return (
+        _table_rows(path),
+        _archive_rows(path, run_id),
+        (record.pages_done, record.changed_cells, record.status),
+    )
+
+
+def _tables(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        conn.close()
 
 
 # -- the table itself --------------------------------------------------------
@@ -225,10 +246,34 @@ def test_env_page_size_drives_paging(case, db, monkeypatch):
 
 
 def test_audit_ids_follow_row_keys(case, db):
+    """Archive rows name the table's row keys, and each names the cell
+    its fix landed in. A DB run's provenance is its archive alone."""
     engine = _engine(case)
-    engine.clean_table(db, page_rows=16, validated=case.validated)
-    tids = {e.tuple_id for e in engine.audit}
-    assert tids and all(t.startswith("r") for t in tids)
+    result = engine.clean_table(db, page_rows=16, validated=case.validated)
+    assert len(engine.audit) == 0
+    conn = sqlite3.connect(db)
+    try:
+        cells = {
+            (row[0], name): value
+            for row in conn.execute("SELECT rowid, * FROM dirty")
+            for name, value in zip(case.dirty.schema.names, row[1:])
+        }
+    finally:
+        conn.close()
+    rows = _archive_rows(db, result.run_id)
+    assert len(rows) == result.changed_cells > 0
+    for _, row_key, column, _, new, _, _ in rows:
+        assert cells[(row_key, column)] == new
+
+
+def test_db_cleaner_refuses_an_audit_log(case, db):
+    from repro.audit.log import AuditLog
+    from repro.batch.pipeline import BatchCleaner
+    from repro.dirty import DbCleaner
+
+    batch = BatchCleaner(case.ruleset, case.master, audit=AuditLog())
+    with pytest.raises(DirtyDataError, match="archive"):
+        DbCleaner(batch, DirtyTable(db))
 
 
 def test_schema_mismatch_refused(case, tmp_path):
@@ -424,29 +469,37 @@ def test_committing_clean_frees_no_disk_blocks(case, db, monkeypatch):
 
 
 def test_clean_undo_cycles_reuse_free_pages(case, db):
-    """Deleted checkpoint rows become free pages that later pages and runs
-    reuse. The file still grows by the archive rows each run keeps (undo
-    marks a run undone, it does not erase its record), so what must not
-    grow is the free-page count."""
+    """Later runs reuse whatever pages earlier ones freed. The file still
+    grows by the archive rows each run keeps (undo marks a run undone, it
+    does not erase its record), so what must not grow is the free-page
+    count."""
     engine = _engine(case)
     free = []
     for _ in range(3):
         run = engine.clean_table(db, page_rows=30, validated=case.validated)
         engine.undo(db, run.run_id)
-        assert _checkpoint_rows(db, run.run_id) == []
         conn = sqlite3.connect(db)
         try:
             free.append(conn.execute("PRAGMA freelist_count").fetchone()[0])
         finally:
             conn.close()
-    assert free[0] > 0  # the checkpoints of the first run, freed
     # Free pages do not accumulate: the file grew by no more than the
     # in-use pages the two later archives added.
     assert free[2] <= free[0]
     assert _table_rows(db) == case.dirty.raw_tuples()
 
 
-# -- crash, resume, checkpoints ----------------------------------------------
+# -- crash and resume by page -----------------------------------------------
+# A crash at any point leaves whole pages committed or none of a page. A
+# resumed run re-runs the page that was in flight from scratch and must
+# end exactly as an uninterrupted run: table, archive rows and run record.
+
+
+def _uninterrupted(case, tmp_path, **kwargs):
+    path = tmp_path / "uninterrupted.db"
+    DirtyTable.create(path, case.dirty)
+    result = _engine(case).clean_table(path, validated=case.validated, **kwargs)
+    return _outcome(path, result.run_id)
 
 
 def _crash_after_pages(monkeypatch, n_pages):
@@ -463,8 +516,45 @@ def _crash_after_pages(monkeypatch, n_pages):
     return real
 
 
+def _crash_in_shard(monkeypatch, n_shards):
+    """Crash the shard run after ``n_shards`` shards have finished."""
+    real = executor_mod._run_shard
+    calls = {"n": 0}
+
+    def crashing(shard, ctx, base, cache, *memos):
+        if calls["n"] >= n_shards:
+            raise RuntimeError("simulated mid-page crash")
+        calls["n"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+    return real
+
+
+def _resume_counting_shards(case, db, run_id, monkeypatch, **kwargs):
+    """Resume ``run_id`` with the real shard run; returns the result and
+    how many shards ran. The resume opens no checkpoint journal."""
+    real = executor_mod._run_shard
+    executed = {"shards": 0}
+
+    def counting(shard, ctx, base, cache, *memos):
+        executed["shards"] += 1
+        return real(shard, ctx, base, cache, *memos)
+
+    def no_journal(self, fingerprint):
+        raise AssertionError("a paged clean opened a checkpoint journal")
+
+    monkeypatch.setattr(executor_mod, "_run_shard", counting)
+    monkeypatch.setattr(CheckpointJournal, "open", no_journal)
+    result = _engine(case).clean_table(
+        db, validated=case.validated, resume=run_id, **kwargs
+    )
+    monkeypatch.setattr(executor_mod, "_run_shard", real)
+    return result, executed["shards"]
+
+
 def test_interrupted_run_resumes_between_pages(case, db, tmp_path, monkeypatch):
-    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+    expected = _uninterrupted(case, tmp_path, page_rows=16)
     real = _crash_after_pages(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="simulated crash"):
         _engine(case).clean_table(db, page_rows=16, validated=case.validated)
@@ -479,26 +569,15 @@ def test_interrupted_run_resumes_between_pages(case, db, tmp_path, monkeypatch):
     )
     assert result.resumed_pages == 2
     assert result.run_id == run.run_id
-    assert _table_rows(db) == expected.relation.raw_tuples()
-    assert result.changed_cells == expected.report.changed_cells
-    (run,) = list_runs(DirtyTable(db))
-    assert run.status == "committed"
+    assert _outcome(db, run.run_id) == expected
+    assert result.changed_cells == expected[2][1]
 
 
-def test_mid_page_resume_replays_journaled_shards(case, db, monkeypatch):
-    """The in-flight page resumes from its shard checkpoint journal."""
-    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
-
-    real = executor_mod._run_shard
-    calls = {"n": 0}
-
-    def crashing(shard, ctx, base, cache, *memos):
-        if calls["n"] >= 2:
-            raise RuntimeError("simulated mid-page crash")
-        calls["n"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+def test_mid_page_crash_reruns_its_page(case, db, tmp_path, monkeypatch):
+    """A crash in a shard of page 1 loses that page's finished shards:
+    the resumed run re-runs page 1 whole, and nothing of page 0."""
+    expected = _uninterrupted(case, tmp_path, page_rows=30, shards=4)
+    real = _crash_in_shard(monkeypatch, 6)  # page 0's four, two of page 1's
     with pytest.raises(RuntimeError, match="simulated mid-page crash"):
         _engine(case).clean_table(
             db, page_rows=30, validated=case.validated, shards=4
@@ -506,37 +585,22 @@ def test_mid_page_resume_replays_journaled_shards(case, db, monkeypatch):
     monkeypatch.setattr(executor_mod, "_run_shard", real)
 
     (run,) = list_runs(DirtyTable(db))
-    assert run.status == "running" and run.pages_done == 0
-    # The crashed page left its header and two shard checkpoints behind.
-    rows = _checkpoint_rows(db, run.run_id)
-    assert [page for page, _ in rows] == [0, 0, 0]
-    assert [line["kind"] for _, line in rows] == ["header", "shard", "shard"]
-    assert not (db.parent / "dirty.db.clean-journal").exists()
-
-    executed = {"shards": 0}
-
-    def counting(shard, ctx, base, cache, *memos):
-        executed["shards"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", counting)
-    result = _engine(case).clean_table(
-        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    assert (run.status, run.pages_done) == ("running", 1)
+    result, shards = _resume_counting_shards(
+        case, db, run.run_id, monkeypatch, page_rows=30, shards=4
     )
-    monkeypatch.setattr(executor_mod, "_run_shard", real)
-    # Page 0 replays only its 2 unfinished shards; page 1 runs all 4.
-    assert executed["shards"] == 6
-    assert _table_rows(db) == expected.relation.raw_tuples()
-    assert result.changed_cells == expected.report.changed_cells
+    assert (result.resumed_pages, shards) == (1, 4)
+    assert _outcome(db, run.run_id) == expected
 
 
-def test_page_commit_rollback_keeps_checkpoints(case, db, monkeypatch):
-    """Checkpoints vanish with their page's commit, never before it."""
-    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+def test_page_commit_rollback_reruns_its_page(case, db, tmp_path, monkeypatch):
+    """A crash after the page's archive rows are written but before its
+    commit rolls the whole page back; the resumed run re-runs it."""
+    expected = _uninterrupted(case, tmp_path, page_rows=30, shards=4)
     real_record = ChangeArchive.record_page
 
     def failing(self, *args, **kwargs):
-        real_record(self, *args, **kwargs)  # drops the checkpoints, then...
+        real_record(self, *args, **kwargs)
         raise RuntimeError("simulated crash inside the page transaction")
 
     monkeypatch.setattr(ChangeArchive, "record_page", failing)
@@ -547,66 +611,49 @@ def test_page_commit_rollback_keeps_checkpoints(case, db, monkeypatch):
     monkeypatch.setattr(ChangeArchive, "record_page", real_record)
 
     (run,) = list_runs(DirtyTable(db))
-    assert run.pages_done == 0 and run.changed_cells == 0
+    assert (run.pages_done, run.changed_cells) == (0, 0)
     assert _table_rows(db) == case.dirty.raw_tuples()  # cell writes rolled back
-    rows = _checkpoint_rows(db, run.run_id)
-    assert [line["kind"] for _, line in rows] == ["header"] + ["shard"] * 4
-
-    real = executor_mod._run_shard
-    executed = {"shards": 0}
-
-    def counting(shard, ctx, base, cache, *memos):
-        executed["shards"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", counting)
-    result = _engine(case).clean_table(
-        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    assert _archive_rows(db, run.run_id) == []
+    result, shards = _resume_counting_shards(
+        case, db, run.run_id, monkeypatch, page_rows=30, shards=4
     )
-    # Page 0 re-executes none of its 4 checkpointed shards; page 1 runs 4.
-    assert executed["shards"] == 4
-    assert _table_rows(db) == expected.relation.raw_tuples()
-    assert result.changed_cells == expected.report.changed_cells
-    assert _checkpoint_rows(db, run.run_id) == []
+    # Page 0 re-runs its 4 shards, page 1 runs its 4 for the first time.
+    assert (result.resumed_pages, shards) == (0, 8)
+    assert _outcome(db, run.run_id) == expected
 
 
-def test_crashed_run_without_checkpoints_reruns_its_page(case, db, monkeypatch):
-    """A crashed run from a version that journaled to files has no
-    checkpoint rows: its in-flight page re-runs from scratch."""
-    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
-    real = executor_mod._run_shard
-    calls = {"n": 0}
-
-    def crashing(shard, ctx, base, cache, *memos):
-        if calls["n"] >= 2:
-            raise RuntimeError("simulated mid-page crash")
-        calls["n"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+def test_crashed_run_without_checkpoints_reruns_its_page(case, db, tmp_path, monkeypatch):
+    """A crashed run re-runs its in-flight page without checkpoints,
+    also where an older version left shard checkpoint rows for it: they
+    are never read, and the resumed run drops their table."""
+    expected = _uninterrupted(case, tmp_path, page_rows=30, shards=4)
+    real = _crash_in_shard(monkeypatch, 6)
     with pytest.raises(RuntimeError, match="simulated mid-page crash"):
         _engine(case).clean_table(
             db, page_rows=30, validated=case.validated, shards=4
         )
+    monkeypatch.setattr(executor_mod, "_run_shard", real)
     (run,) = list_runs(DirtyTable(db))
     conn = sqlite3.connect(db)
-    conn.execute(f"DROP TABLE {CHECKPOINTS_TABLE}")
+    conn.execute(
+        f"CREATE TABLE {CHECKPOINTS_TABLE} (run_id TEXT NOT NULL, "
+        "page INTEGER NOT NULL, line_no INTEGER NOT NULL, line TEXT NOT NULL, "
+        "PRIMARY KEY (run_id, page, line_no))"
+    )
+    conn.executemany(
+        f"INSERT INTO {CHECKPOINTS_TABLE} VALUES (?, 1, ?, ?)",
+        [(run.run_id, 0, '{"kind": "header", "fingerprint": "x"}'),
+         (run.run_id, 1, "not a journal line")],
+    )
     conn.commit()
     conn.close()
 
-    executed = {"shards": 0}
-
-    def counting(shard, ctx, base, cache, *memos):
-        executed["shards"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", counting)
-    result = _engine(case).clean_table(
-        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    result, shards = _resume_counting_shards(
+        case, db, run.run_id, monkeypatch, page_rows=30, shards=4
     )
-    assert executed["shards"] == 8
-    assert _table_rows(db) == expected.relation.raw_tuples()
-    assert result.changed_cells == expected.report.changed_cells
+    assert (result.resumed_pages, shards) == (1, 4)
+    assert _outcome(db, run.run_id) == expected
+    assert CHECKPOINTS_TABLE not in _tables(db)
 
 
 def test_resume_validates_run_and_configuration(case, db, monkeypatch):
@@ -644,34 +691,65 @@ def test_crashed_run_can_be_undone(case, db, monkeypatch):
     assert _table_rows(db) == case.dirty.raw_tuples()
 
 
-def test_undo_of_crashed_run_drops_its_checkpoints(case, db, monkeypatch):
-    real = executor_mod._run_shard
-    calls = {"n": 0}
-
-    def crashing(shard, ctx, base, cache, *memos):
-        if calls["n"] >= 5:  # page 0's four shards, then one of page 1's
-            raise RuntimeError("simulated mid-page crash")
-        calls["n"] += 1
-        return real(shard, ctx, base, cache, *memos)
-
-    monkeypatch.setattr(executor_mod, "_run_shard", crashing)
+def test_undo_of_mid_page_crash_restores_the_table(case, db, tmp_path, monkeypatch):
+    """Undo of a run that crashed inside page 1 unwinds page 0 only; a
+    fresh run afterwards ends as an uninterrupted one."""
+    expected = _uninterrupted(case, tmp_path, page_rows=30, shards=4)
+    real = _crash_in_shard(monkeypatch, 5)  # page 0's four, one of page 1's
     with pytest.raises(RuntimeError, match="simulated mid-page crash"):
         _engine(case).clean_table(
             db, page_rows=30, validated=case.validated, shards=4
         )
+    monkeypatch.setattr(executor_mod, "_run_shard", real)
     (run,) = list_runs(DirtyTable(db))
     assert run.pages_done == 1
-    assert [page for page, _ in _checkpoint_rows(db, run.run_id)] == [1, 1]
+    page_0 = _archive_rows(db, run.run_id)
+    assert page_0 == expected[1][: len(page_0)] and page_0
+
     undo_run(DirtyTable(db), run.run_id)
-    assert _checkpoint_rows(db, run.run_id) == []
     assert _table_rows(db) == case.dirty.raw_tuples()
+    result = _engine(case).clean_table(
+        db, page_rows=30, validated=case.validated, shards=4
+    )
+    assert _outcome(db, result.run_id) == expected
 
 
 def test_journals_removed_after_successful_run(case, db):
+    """A committing run writes only the table and the two archive
+    tables, and drops a checkpoints table an older version left."""
+    conn = sqlite3.connect(db)
+    conn.execute(f"CREATE TABLE {CHECKPOINTS_TABLE} (line TEXT)")
+    conn.commit()
+    conn.close()
     result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
     assert result.run_id and result.pages >= 2
-    assert _checkpoint_rows(db, result.run_id) == []
-    assert not (db.parent / "dirty.db.clean-journal").exists()
+    assert _tables(db) == {"dirty", "cerfix_clean_runs", "cerfix_clean_changes"}
+    assert sorted(p.name for p in db.parent.iterdir()) == ["dirty.db", "dirty.db-journal"]
+
+
+# -- bounded memory ----------------------------------------------------------
+
+
+def test_paged_clean_memory_does_not_grow_with_the_table(tmp_path):
+    """At a fixed page size, the traced peak of a rule-only clean over 4×
+    the rows stays within 1.2× of the peak over 1×. Both tables are at
+    least one digest scan batch long, so that fixed cost is in both."""
+    master = uk.generate_master(40, seed=8)
+    peaks = []
+    for rows in (2048, 4 * 2048):
+        wl = uk.generate_workload(master, rows, rate=0.3, seed=8)
+        path = tmp_path / f"rows{rows}.db"
+        DirtyTable.create(path, wl.dirty)
+        engine = CerFix(uk.paper_ruleset(), master)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = engine.clean_table(path, page_rows=512, validated=("zip",))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert result.pages == rows // 512 and result.changed_cells > 0
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -704,12 +782,6 @@ def test_cli_clean_db_dry_run_and_undo(case, db, tmp_path, capsys):
         "--page-rows", "16",
         "--validated", ",".join(case.validated),
     ]
-    assert main(common + ["--journal", str(tmp_path / "j.jsonl")]) == 2
-    err = capsys.readouterr().err
-    assert "--journal applies to --input" in err
-    assert "keeps its checkpoints in the database" in err
-    assert not (tmp_path / "j.jsonl").exists()
-
     assert main(common + ["--dry-run"]) == 0
     out = capsys.readouterr().out
     assert "dry run" in out and "nothing was committed" in out
@@ -726,6 +798,46 @@ def test_cli_clean_db_dry_run_and_undo(case, db, tmp_path, capsys):
     assert main(["undo", "--db", str(db), run_id]) == 0
     assert "digest-verified" in capsys.readouterr().out
     assert _table_rows(db) == case.dirty.raw_tuples()
+
+
+def _cli_db_clean(case, db, tmp_path):
+    from repro.relational.csvio import write_csv
+
+    master_csv = tmp_path / "master.csv"
+    write_csv(case.master, master_csv)
+    return [
+        "clean",
+        "--scenario", "uk",
+        "--master", str(master_csv),
+        "--mode", "anchored",
+        "--db", str(db),
+        "--page-rows", "16",
+        "--validated", ",".join(case.validated),
+    ]
+
+
+def test_cli_db_clean_refuses_journal(case, db, tmp_path, capsys):
+    from repro.explorer.cli import main
+
+    args = _cli_db_clean(case, db, tmp_path)
+    assert main(args + ["--journal", str(tmp_path / "j.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "--journal applies to --input" in err
+    assert "resumes by page" in err and "--resume" in err
+    assert not (tmp_path / "j.jsonl").exists()
+    assert list_runs(DirtyTable(db)) == []
+
+
+def test_cli_db_clean_refuses_log(case, db, tmp_path, capsys):
+    from repro.explorer.cli import main
+
+    args = _cli_db_clean(case, db, tmp_path)
+    assert main(args + ["--log", str(tmp_path / "audit.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "--log applies to --input" in err
+    assert "cerfix_clean_changes" in err
+    assert not (tmp_path / "audit.jsonl").exists()
+    assert list_runs(DirtyTable(db)) == []
 
 
 def test_instance_dirty_section_roundtrip(case, tmp_path):
