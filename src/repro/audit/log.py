@@ -5,45 +5,72 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.audit.events import ChangeEvent
 from repro.obs import trace as tracing
+
+
+class Segment(NamedTuple):
+    """A run of one batch group's audit events sharing a round and span:
+    user validations as ``(attr, old, new)``, then the chase's
+    :class:`~repro.core.chase.FixStep` s. A transcript is a tuple of them."""
+
+    round_no: int
+    users: tuple[tuple[str, Any, Any], ...]
+    steps: tuple  # FixSteps: attr, old, new, rule_id, master_positions, normalized
+    trace_id: str | None = None
+    span_id: str | None = None
+
+
+def transcript_events(transcript: Iterable[Segment]) -> Iterator[tuple]:
+    """A transcript's events in order, each as :class:`ChangeEvent`'s
+    fields from ``attr`` on."""
+    for seg in transcript:
+        r, trace_id, span_id = seg.round_no, seg.trace_id, seg.span_id
+        for attr, old, new in seg.users:
+            yield attr, old, new, "user", None, (), r, trace_id, span_id
+        for s in seg.steps:
+            source = "normalize" if s.normalized else "rule"
+            yield s.attr, s.old, s.new, source, s.rule_id, s.master_positions, r, trace_id, span_id
 
 
 class _Group(NamedTuple):
     """One batch group's provenance, stored once for all its members.
 
     Member ``m``'s ``j``-th event has sequence number
-    ``base + m * len(transcript) + j``: the order a member-by-member
-    replay of the transcript would have assigned, and the ``old`` and
-    ``new`` it gives (see :meth:`AuditLog.record_group`)."""
+    ``base + m * size + j``: the order a member-by-member replay of the
+    transcript would have assigned, and the ``old`` and ``new`` it gives
+    (see :meth:`AuditLog.record_group`)."""
 
     base: int
-    transcript: Sequence[dict]
+    size: int  # events in the transcript
+    transcript: Sequence[Segment]
     tuple_ids: Sequence[str]
-    steps: Sequence[tuple[int, Any, bool]]  # per event: (column, new, answered)
     rows: Sequence[Sequence[Any]]  # per member: its input row
     answers: Sequence[Sequence[Any]] | None  # per member: its truth row
+    columns: Mapping[str, int]  # attribute → position in a row
+    shared: frozenset[str]  # attributes whose user events keep the group's value
     stamp: tuple  # (trace_id, span_id) for events the worker left unstamped
 
     def member_events(self, m: int) -> list[ChangeEvent]:
         tid = self.tuple_ids[m]
-        seq = self.base + m * len(self.transcript)
+        seq = self.base + m * self.size
         row = list(self.rows[m])
         answer = self.answers[m] if self.answers is not None else row
         out = []
-        for j, (e, (col, new, answered)) in enumerate(zip(self.transcript, self.steps)):
-            trace_id, span_id = e.get("trace_id"), e.get("span_id")
+        events = enumerate(transcript_events(self.transcript))
+        for j, (attr, _, new, source, rule_id, positions, round_no, trace_id, span_id) in events:
             if trace_id is None:
                 trace_id, span_id = self.stamp
+            col = self.columns[attr]
             old = row[col]
-            if answered:
+            if source == "user" and attr not in self.shared:
                 new = answer[col]
             row[col] = new
             out.append(ChangeEvent(
-                seq + j, tid, e["attr"], old, new, e["source"], e["rule_id"],
-                tuple(e["master_positions"]), e["round_no"], trace_id, span_id,
+                seq + j, tid, attr, old, new, source, rule_id,
+                tuple(positions), round_no, trace_id, span_id,
             ))
         return out
 
@@ -121,28 +148,31 @@ class AuditLog:
 
     def record_group(
         self,
-        transcript: Sequence[dict],
+        transcript: Sequence[Segment],
         tuple_ids: Sequence[str],
-        steps: Sequence[tuple[int, Any, bool]],
         rows: Sequence[Sequence[Any]],
-        answers: Sequence[Sequence[Any]] | None = None,
+        answers: Sequence[Sequence[Any]] | None,
+        columns: Mapping[str, int],
+        shared: frozenset[str] = frozenset(),
     ) -> None:
         """Append one batch group's transcript for every member tuple.
 
-        ``transcript`` holds the worker's event dicts (kept by reference)
-        with :meth:`record`'s fields; ``steps`` gives each event's
-        ``(column position, group's new, answered)``. Reads replay the
-        steps over member ``m``'s input row ``rows[m]``: each ``old`` is
-        its current cell, and an answered event's ``new`` is its answer
-        ``answers[m][column]`` (without answers, the current cell). Events
-        the worker left unstamped take the span active here, as
+        ``transcript`` is the worker's tuple of :class:`Segment` s (kept
+        by reference). Reads replay it over member ``m``'s input row
+        ``rows[m]``, whose attributes sit at ``columns``: each ``old`` is
+        its current cell, and a user event on an attribute outside
+        ``shared`` takes the member's answer ``answers[m][column]``
+        (without answers, the current cell) as its ``new``. Events the
+        worker left unstamped take the span active here, as
         :meth:`record` would stamp them."""
-        if not transcript:
+        size = sum(len(seg.users) + len(seg.steps) for seg in transcript)
+        if not size:
             return
         stamp = tracing.current_ids()
         with self._lock:
-            group = _Group(self._seq, transcript, tuple_ids, steps, rows, answers, stamp)
-            self._seq += len(transcript) * len(tuple_ids)
+            group = _Group(self._seq, size, transcript, tuple_ids, rows, answers, columns, shared,
+                           stamp)
+            self._seq += size * len(tuple_ids)
             self._entries.append(group)
             for m, tid in enumerate(tuple_ids):
                 self._by_tuple.setdefault(tid, []).append((group, m))

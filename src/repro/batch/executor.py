@@ -3,10 +3,13 @@
 Each shard resolves its groups independently: a group with truth runs
 a monitor session with an oracle user, and rule-only groups (no truth,
 so no user and no session) are chased together, set at a time, from
-the trusted ``validated`` attributes. Neither mutates the master data,
-so the result of a group depends only on the group and the engine
-configuration, never on scheduling or on its shard-mates. That is what
-makes the process path *bit-identical* to the serial path.
+the trusted ``validated`` attributes, skipping the chase from nothing
+validated when no rule could fire in it. Either way a group's audit
+trail is one compact transcript (:class:`~repro.audit.log.Segment` s of
+the chase's own fix steps). Neither path mutates the master data, so a
+group's result depends only on the group and the engine configuration,
+never on scheduling or on its shard-mates: the process path is
+*bit-identical* to the serial path.
 
 Probes on an in-process store (single, sqlite) go straight
 to the store, whose own memo and indexes answer them. Only an
@@ -30,14 +33,17 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import CerFixError
+from repro.audit.events import ChangeEvent
+from repro.audit.log import Segment, transcript_events
 from repro.batch.cache import CachingMasterDataManager, LRUMemo
 from repro.batch.planner import PlanGroup, Shard
 from repro.core.certainty import CertaintyMode, Scenario
-from repro.core.chase import chase_many
+from repro.core.chase import FixStep, chase_many
 from repro.core.region import RankedRegion
 from repro.core.ruleset import RuleSet
 from repro.master.manager import MasterDataManager
@@ -83,8 +89,7 @@ class BatchContext:
     trace: Any = None
 
 
-@dataclass(frozen=True)
-class GroupOutcome:
+class GroupOutcome(NamedTuple):
     """One resolved group: the repaired values plus per-tuple statistics."""
 
     members: tuple[int, ...]
@@ -95,34 +100,33 @@ class GroupOutcome:
     rule_cells: int
     normalized_cells: int
     conflicts: int
-    audit_events: tuple[dict, ...]  # serialized per-cell provenance
+    transcript: tuple[Segment, ...]  # the group's per-cell provenance
 
     def to_json(self) -> dict:
-        return {
-            "members": list(self.members),
-            "values": self.values,
-            "complete": self.complete,
-            "rounds": self.rounds,
-            "user_cells": self.user_cells,
-            "rule_cells": self.rule_cells,
-            "normalized_cells": self.normalized_cells,
-            "conflicts": self.conflicts,
-            "audit_events": list(self.audit_events),
-        }
+        out = self._asdict()
+        out["members"] = list(self.members)
+        # The journal's form: one dict per event, stamp keys only if stamped.
+        out["audit_events"] = [
+            dict(zip(_EVENT_KEYS, e if e[7] is not None else e[:7]))
+            for e in transcript_events(out.pop("transcript"))
+        ]
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupOutcome":
+        transcript = _TranscriptRecorder()
+        for e in obj["audit_events"]:
+            transcript.stamp = e.get("trace_id"), e.get("span_id")
+            transcript.record(None, *map(e.__getitem__, _EVENT_KEYS[:4]), rule_id=e["rule_id"],
+                              master_positions=e["master_positions"], round_no=e["round_no"])
         return cls(
-            members=tuple(obj["members"]),
-            values=dict(obj["values"]),
-            complete=obj["complete"],
-            rounds=obj["rounds"],
-            user_cells=obj["user_cells"],
-            rule_cells=obj["rule_cells"],
-            normalized_cells=obj["normalized_cells"],
-            conflicts=obj["conflicts"],
-            audit_events=tuple(obj["audit_events"]),
+            tuple(obj["members"]), dict(obj["values"]), *map(obj.__getitem__, cls._fields[2:-1]),
+            transcript.transcript,
         )
+
+
+#: An audit event's fields after its tuple id, the keys of its journal form.
+_EVENT_KEYS = tuple(f.name for f in fields(ChangeEvent))[2:]
 
 
 @dataclass
@@ -150,74 +154,61 @@ class ShardResult:
         return sum(len(o.members) for o in self.outcomes)
 
     def to_json(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "elapsed_seconds": self.elapsed_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "outcomes": [o.to_json() for o in self.outcomes],
-        }
+        counters = {k: getattr(self, k) for k in _SHARD_COUNTERS}
+        return {"shard_id": self.shard_id, **counters,
+                "outcomes": [o.to_json() for o in self.outcomes]}
 
     @classmethod
     def from_json(cls, obj: dict, *, resumed: bool = False) -> "ShardResult":
-        return cls(
-            shard_id=obj["shard_id"],
-            outcomes=tuple(GroupOutcome.from_json(o) for o in obj["outcomes"]),
-            elapsed_seconds=obj["elapsed_seconds"],
-            cache_hits=obj["cache_hits"],
-            cache_misses=obj["cache_misses"],
-            cache_evictions=obj.get("cache_evictions", 0),
-            resumed=resumed,
-        )
+        outcomes = tuple(GroupOutcome.from_json(o) for o in obj["outcomes"])
+        counters = [obj[k] for k in _SHARD_COUNTERS[:-1]] + [obj.get("cache_evictions", 0)]
+        return cls(obj["shard_id"], outcomes, *counters, resumed=resumed)
+
+
+_SHARD_COUNTERS = ("elapsed_seconds", "cache_hits", "cache_misses", "cache_evictions")
 
 
 class _TranscriptRecorder:
-    """An audit sink recording straight into the serialized event form.
+    """An audit sink recording straight into a group's transcript.
 
-    A group's audit trail (session or chase) only becomes the transcript
-    shipped in :attr:`GroupOutcome.audit_events`; recording through a
-    full :class:`~repro.audit.log.AuditLog` (lock, sequence numbers,
-    per-tuple index, frozen event objects) just to strip all of that
-    back off was measurable at batch scale. seq/tuple_id are per-member
-    and assigned when the pipeline records the group
+    A group's audit trail (a session's, or a journal line's) only becomes
+    the :class:`~repro.audit.log.Segment` s of
+    :attr:`GroupOutcome.transcript`; recording through a full
+    :class:`~repro.audit.log.AuditLog` (lock, sequence numbers, per-tuple
+    index, frozen event objects) just to strip all of that back off was
+    measurable at batch scale. seq/tuple_id are per-member and assigned
+    when the pipeline records the group
     (:meth:`~repro.audit.log.AuditLog.record_group`).
     """
 
-    __slots__ = ("events", "trace_id", "span_id")
+    __slots__ = ("segments", "stamp")
 
     def __init__(self):
-        self.events: list[dict] = []
+        # Per segment: round, trace and span ids, user triples, fix steps.
+        self.segments: list[list] = []
         # Built inside the group-chase span, so these are its ids: the
         # audit log keeps them, so provenance points at the span that
         # actually produced the fix, not the pipeline's assembly.
-        self.trace_id, self.span_id = trace.current_ids()
+        self.stamp = trace.current_ids()
 
-    def record(
-        self,
-        tuple_id,
-        attr,
-        old,
-        new,
-        source,
-        *,
-        rule_id=None,
-        master_positions=(),
-        round_no=0,
-    ) -> None:
-        event = {
-            "attr": attr,
-            "old": old,
-            "new": new,
-            "source": source,
-            "rule_id": rule_id,
-            "master_positions": tuple(master_positions),
-            "round_no": round_no,
-        }
-        if self.trace_id is not None:
-            event["trace_id"] = self.trace_id
-            event["span_id"] = self.span_id
-        self.events.append(event)
+    def record(self, tuple_id, attr, old, new, source, *, rule_id=None, master_positions=(),
+               round_no=0) -> None:
+        # Another round or span, or a user's event after a fix, opens a segment.
+        last = self.segments[-1] if self.segments else (None, *self.stamp)
+        if last[0] != round_no or (last[1], last[2]) != self.stamp or (
+            source == "user" and last[4]
+        ):
+            last = [round_no, *self.stamp, [], []]
+            self.segments.append(last)
+        if source == "user":
+            last[3].append((attr, old, new))
+        else:
+            normalized = source == "normalize"
+            last[4].append(FixStep(attr, old, new, rule_id, tuple(master_positions), normalized))
+
+    @property
+    def transcript(self) -> tuple[Segment, ...]:
+        return tuple(Segment(r, tuple(u), tuple(s), t, sp) for r, t, sp, u, s in self.segments)
 
 
 def _resolve_group(
@@ -256,7 +247,7 @@ def _resolve_group(
             session.validate({a: group.truth[a] for a in seed})
         session.run(OracleUser(group.truth), max_rounds=ctx.max_rounds)
         provenance = session.provenance
-        events = tuple(audit.events)
+        transcript = audit.transcript
         return GroupOutcome(
             members=group.members,
             values=session.current_values(),
@@ -264,9 +255,9 @@ def _resolve_group(
             rounds=session.round_no,
             user_cells=sum(1 for s in provenance.values() if s == "user"),
             rule_cells=sum(1 for s in provenance.values() if s == "rule"),
-            normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
+            normalized_cells=sum(s.normalized for seg in transcript for s in seg.steps),
             conflicts=len(session.conflicts),
-            audit_events=events,
+            transcript=transcript,
         )
 
 
@@ -277,52 +268,48 @@ def _rule_pass(
     session recorded; returns the outcomes and the sweeps run. Round 0
     chases every group from nothing validated; round 1, for each group
     with a seed attribute still unvalidated, assures the seed and chases
-    again. Each round is one :func:`~repro.core.chase.chase_many`. No
-    chase memo: the planner already groups rule-only rows on the seed
+    again. Each round is one :func:`~repro.core.chase.chase_many`, and
+    round 0 runs only if some rule reads nothing: otherwise no rule is
+    ready on nothing validated, and it would change nothing in one sweep.
+    No chase memo: the planner already groups rule-only rows on the seed
     values a memo would key on."""
     names, seed_attrs = ctx.ruleset.input_schema.names, tuple(dict.fromkeys(ctx.validated))
-    trace_id, span_id = trace.current_ids()  # the rule-pass span
-    stamp = {"trace_id": trace_id, "span_id": span_id} if trace_id is not None else {}
+    at = {a: names.index(a) for a in seed_attrs}
+    span = trace.current_ids()  # the rule-pass span
+    normalized = attrgetter("normalized")
 
     def chased(states):
         return chase_many(states, ctx.ruleset, manager, use_index=ctx.use_index)
 
-    def events(steps, round_no):
-        return [
-            {"attr": s.attr, "old": s.old, "new": s.new,
-             "source": "normalize" if s.normalized else "rule", "rule_id": s.rule_id,
-             "master_positions": s.master_positions, "round_no": round_no, **stamp}
-            for s in steps
-        ]
-
-    first = chased([(g.values, ()) for g in groups])
+    # Per group after round 0: its row, validated attributes, steps and conflicts.
+    if any(not rule.reads for rule in ctx.ruleset):
+        zero = chased([(g.row, ()) for g in groups])
+        first = [(tuple(map(r.values.__getitem__, names)), r.validated, r.steps, len(r.conflicts))
+                 for r in zero]
+        sweeps = max((r.sweeps for r in zero), default=0)
+    else:
+        first, sweeps = [(g.row, frozenset(), (), 0) for g in groups], 1 if groups else 0
     seeds = [
-        [a for a in seed_attrs if a not in r.validated] if len(r.validated) < len(names) else []
-        for r in first
+        [a for a in seed_attrs if a not in validated] if len(validated) < len(names) else []
+        for _, validated, _, _ in first
     ]
-    second = chased([(r.values, r.validated.union(s)) for r, s in zip(first, seeds) if s])
-    sweeps, second = max((r.sweeps for r in second or first), default=0), iter(second)
+    second = chased([(g[0], g[1].union(s)) for g, s in zip(first, seeds) if s])
+    sweeps, second = max((r.sweeps for r in second), default=sweeps), iter(second)
     outcomes = []
-    for group, result, seed in zip(groups, first, seeds):
-        transcript, conflicts = events(result.steps, 0), len(result.conflicts)
+    for group, (row, validated, steps, conflicts), seed in zip(groups, first, seeds):
+        transcript = (Segment(0, (), steps, *span),) if steps else ()
         if seed:
-            values, result = result.values, next(second)
-            transcript += [
-                {"attr": a, "old": values[a], "new": values[a], "source": "user",
-                 "rule_id": None, "master_positions": (), "round_no": 1, **stamp}
-                for a in seed
-            ] + events(result.steps, 1)
+            result = next(second)
+            users = tuple([(a, row[at[a]], row[at[a]]) for a in seed])
+            transcript += (Segment(1, users, result.steps, *span),)
+            values, validated = result.values, result.validated
             conflicts += len(result.conflicts)
+            steps += result.steps
+        else:
+            values = dict(zip(names, row))
         outcomes.append(GroupOutcome(
-            members=group.members,
-            values=result.values,
-            complete=len(result.validated) == len(names),
-            rounds=1 if seed else 0,
-            user_cells=len(seed),
-            rule_cells=len(result.validated) - len(seed),
-            normalized_cells=sum(1 for e in transcript if e["source"] == "normalize"),
-            conflicts=conflicts,
-            audit_events=tuple(transcript),
+            group.members, values, len(validated) == len(names), 1 if seed else 0, len(seed),
+            len(validated) - len(seed), sum(map(normalized, steps)), conflicts, transcript,
         ))
     return outcomes, sweeps
 

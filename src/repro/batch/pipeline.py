@@ -4,10 +4,10 @@
 :meth:`CerFix.clean_relation`: it fingerprints and deduplicates the
 dirty relation (:mod:`repro.batch.planner`), resumes any checkpointed
 shards (:mod:`repro.batch.journal`), runs the rest serially or in worker
-processes (:mod:`repro.batch.executor`), then rebinds each group onto
-its members: the repaired relation is the input with the changed cells
-patched in, each group's provenance is recorded once in the engine's
-audit log (when the cleaner has one), and a
+processes (:mod:`repro.batch.executor`), then rebinds the groups onto
+their members a column at a time: the repaired relation is the input
+with the changed cells patched in, each group's provenance is recorded
+once in the engine's audit log (when the cleaner has one), and a
 :class:`~repro.batch.report.BatchReport` aggregates the run.
 
 Scheduling never influences output: groups are independent and probing
@@ -23,10 +23,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
-from operator import is_not, itemgetter, ne, or_
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter, ne, not_, or_
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import CerFixError
 from repro.audit.log import AuditLog
@@ -50,7 +50,8 @@ from repro.relational.relation import Relation
 class BatchResult:
     """A repaired relation, the run's report, and the patch that made the
     relation from the input: one ``(column position, rows, olds, news,
-    provenance)`` run per group and column whose cells changed."""
+    provenances)`` run per column whose cells changed, a provenance per
+    cell."""
 
     relation: Relation
     report: BatchReport
@@ -68,8 +69,8 @@ class BatchResult:
         names = self.relation.schema.names
         cells = {
             row * len(names) + col: (row, names[col], old, new, *provenance)
-            for col, rows, olds, news, provenance in self.patch
-            for row, old, new in zip(rows, olds, news)
+            for col, rows, olds, news, provenances in self.patch
+            for row, old, new, provenance in zip(rows, olds, news, provenances)
             if old != new
         }
         return [cells[k] for k in sorted(cells)]
@@ -454,83 +455,105 @@ class BatchCleaner:
         Replayed over a member's input row, each event's ``old`` is the
         member's current cell. A user event on an attribute outside the
         signature (``shared``) takes the member's own answer as ``new``:
-        its truth value, or without truth its current value. The replay
-        runs a column at a time over a group's members, one layer of
-        values per write. With an audit log, each member's audit trail
-        (tuple ids ``t<row>`` unless ``tuple_ids`` overrides) is one
+        its truth value, or without truth its current value. One walk
+        over the transcripts lists each column's writes, then
+        :func:`_column_pass` replays a column across all groups at once.
+        With an audit log, each member's audit trail (tuple ids
+        ``t<row>`` unless ``tuple_ids`` overrides) is one
         :meth:`AuditLog.record_group` per group."""
-        names = self.ruleset.input_schema.names
-        position = {n: i for i, n in enumerate(names)}
+        position = {n: i for i, n in enumerate(self.ruleset.input_schema.names)}
         shared = frozenset(shared)
         raw = dirty.raw_tuples()
         answers = truth.raw_tuples() if truth is not None else None
-        inputs = list(zip(*raw))  # per column, the input values in row order
-        # Per column, the types of its inputs and answers: an equal value of another
-        # type (1.0 over 1) is written too, and only where the types mix can one occur.
-        kinds = [set(map(type, dirty.dictionary(n))) for n in dirty.schema.names]
-        for kind, n in zip(kinds, truth.schema.names if truth is not None else ()):
-            kind.update(map(type, truth.dictionary(n)))
         stamp = trace.current_ids()
+        writes: list[list[tuple]] = [[] for _ in position]  # per column, see _column_pass
         assembled: set[int] = set()
-        patch: list[tuple] = []
-        changed = 0
-        for result in results:
-            for outcome in result.outcomes:
-                members = outcome.members
-                assembled.update(members)
-                # The members' items of a row-ordered sequence, as a tuple.
-                pick = itemgetter(*members) if len(members) > 1 else lambda s: (s[members[0]],)
-                mine = pick(answers) if answers is not None else None
-                transcript = outcome.audit_events
-                steps = [
-                    (
-                        position[e["attr"]],
-                        e["new"],
-                        e["source"] == "user" and e["attr"] not in shared,
-                    )
-                    for e in transcript
-                ]
-                writes: dict[int, list] = {}  # column → its (new, answered, event)s
-                for e, (col, new, answered) in zip(transcript, steps):
-                    writes.setdefault(col, []).append((new, answered, e))
-                for col, chain in writes.items():
-                    # One layer per write: the column's values after it,
-                    # member by member; the first layer is the input.
-                    layers = [pick(inputs[col])]
-                    for value, answered, _ in chain:
-                        if not answered:
-                            layers.append([value] * len(members))
-                        elif mine is not None:
-                            layers.append([answer[col] for answer in mine])
-                        else:  # no truth: the member's answer is its current value
-                            layers.append(layers[-1])
-                    olds, news = layers[0], layers[-1]
-                    diff = list(map(ne, olds, news))
-                    differ = sum(diff)
-                    if len(layers) == 2:
-                        changed += differ
+        for g, outcome in enumerate(chain.from_iterable(r.outcomes for r in results)):
+            members, n = outcome.members, len(outcome.members)
+            assembled.update(members)
+            for seg in outcome.transcript:
+                span = stamp if seg.trace_id is None else (seg.trace_id, seg.span_id)
+                for attr, _, new in seg.users:
+                    col = position[attr]
+                    column = writes[col]
+                    again = column and column[-1][0] == g  # not the group's first write here
+                    if attr in shared:
+                        if not (answers or again) and all(raw[m][col] is new for m in members):
+                            continue  # rule-only: a seed every member holds already
+                        news = [new] * n
+                    elif answers is not None:
+                        news = list(map(itemgetter(col), map(answers.__getitem__, members)))
+                    elif again:
+                        news = column[-1][2]  # the member's current value
                     else:
-                        changed += sum(sum(map(ne, a, b)) for a, b in zip(layers, layers[1:]))
-                    if differ < len(diff) and len(kinds[col].union(
-                        type(value) for value, answered, _ in chain if not answered
-                    )) > 1:
-                        diff = list(map(or_, diff, map(is_not, map(type, olds), map(type, news))))
-                    if not any(diff):
-                        continue
-                    e = chain[-1][2]  # the event whose new survived
-                    span = stamp if e.get("trace_id") is None else (e["trace_id"], e.get("span_id"))
-                    patch.append((
-                        col, list(compress(members, diff)), list(compress(olds, diff)),
-                        list(compress(news, diff)), (e["rule_id"], e["source"], *span),
-                    ))
-                if self.audit is not None:
-                    ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
-                    self.audit.record_group(transcript, ids, steps, pick(raw), mine)
+                        continue  # the member's input value: nothing changes
+                    column.append((g, members, news, None, span))
+                for s in seg.steps:
+                    writes[position[s.attr]].append((g, members, [s.new] * n, s, span))
+            if self.audit is not None:
+                ids = [tuple_ids[m] if tuple_ids is not None else f"t{m}" for m in members]
+                mine = list(map(answers.__getitem__, members)) if answers is not None else None
+                rows = list(map(raw.__getitem__, members))
+                self.audit.record_group(outcome.transcript, ids, rows, mine, position, shared)
         if len(assembled) != len(dirty):
             missing = sorted(set(range(len(dirty))) - assembled)
             raise CerFixError(f"batch results left rows {missing[:5]}... unassembled")
+        # Per column, the input values in row order and the types of its inputs and answers.
+        inputs, kinds = list(zip(*raw)), [set(map(type, dirty.dictionary(n))) for n in position]
+        for kind, n in zip(kinds, truth.schema.names if truth is not None else ()):
+            kind.update(map(type, truth.dictionary(n)))
+        patch: list[tuple] = []
+        changed = sum(
+            _column_pass(col, inputs[col], kinds[col], column, patch)
+            for col, column in enumerate(writes) if column
+        )
         runs = [(col, rows, news) for col, rows, _, news, _ in patch]
         return dirty.patched(runs, self.ruleset.input_schema), changed, patch
+
+
+def _column_pass(col: int, inputs, kinds: set, writes: Sequence[tuple], patch: list) -> int:
+    """Replay column ``col``'s ``writes`` — ``(group, members, news, step,
+    span)``, a group's together and in order, ``step`` None for a user
+    event — over its ``inputs`` (its values' and answers' types are
+    ``kinds``); returns the changed-cell count and appends the column's
+    ``(col, rows, olds, news, provenances)`` run to ``patch``, if any.
+    A group's first write is compared with the input, a later one with
+    the write before it, and its last with the input, each in one C-level
+    pass over the column's cells; only changed cells find their provenance."""
+    groups = list(map(itemgetter(0), writes))
+    first = [True, *map(ne, groups[1:], groups[:-1])]  # a group's first write to the column
+    rows, olds, news = _cells(inputs, writes if all(first) else compress(writes, first))
+    differ = list(map(ne, olds, news))
+    changed = sum(differ)
+    if not all(first):  # a group wrote again
+        again = list(map(not_, first))
+        before = _cells(inputs, compress(writes, again[1:]))[2]  # the write before each later one
+        changed += sum(map(ne, before, _cells(inputs, compress(writes, again))[2]))
+        writes = list(compress(writes, [*first[1:], True]))  # each group's last write
+        rows, olds, news = _cells(inputs, writes)
+        differ = list(map(ne, olds, news))
+    # An equal value of another type (1.0 over 1) is written too; only where types mix
+    # can one occur, and an answer's type is among kinds, so a write's first new tells.
+    if len(kinds.union(map(type, map(itemgetter(0), map(itemgetter(2), writes))))) > 1:
+        differ = list(map(or_, differ, map(is_not, map(type, olds), map(type, news))))
+    if any(differ):
+        cells = map(repeat, range(len(writes)), map(len, map(itemgetter(1), writes)))
+        owners = list(compress(chain.from_iterable(cells), differ))  # the write of each cell
+        found = {
+            w: (None, "user", *span) if step is None
+            else (step.rule_id, "normalize" if step.normalized else "rule", *span)
+            for w in set(owners) for _, _, _, step, span in (writes[w],)
+        }
+        runs = (list(compress(c, differ)) for c in (rows, olds, news))
+        patch.append((col, *runs, list(map(found.__getitem__, owners))))
+    return changed
+
+
+def _cells(inputs, writes: Iterable[tuple]) -> tuple[list, list, list]:
+    """The rows, olds and news of ``writes``, cell by cell."""
+    writes = list(writes)
+    rows, news = (list(chain.from_iterable(map(itemgetter(i), writes))) for i in (1, 2))
+    return rows, list(itemgetter(*rows)(inputs)) if len(rows) > 1 else [inputs[rows[0]]], news
 
 
 def _path(workers: int) -> str:

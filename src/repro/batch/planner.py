@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.core.certainty import CertaintyMode
 from repro.core.ruleset import RuleSet
@@ -113,14 +113,19 @@ def repair_signature(
     return tuple(source[n] for n in attrs)
 
 
-@dataclass(frozen=True)
-class PlanGroup:
+class PlanGroup(NamedTuple):
     """Rows sharing one repair signature; resolved once per batch."""
 
     representative: int  # position of the first member in the dirty relation
     members: tuple[int, ...]  # all positions sharing the signature
-    values: dict[str, Any]  # the (dirty) input values
+    row: tuple  # the representative's (dirty) input row, in schema order
     truth: dict[str, Any] | None  # oracle answers, when truth is supplied
+    names: tuple[str, ...]  # the schema's attribute names
+
+    @property
+    def values(self) -> dict[str, Any]:
+        """The input values by attribute, a new dict (the rule pass chases :attr:`row`)."""
+        return dict(zip(self.names, self.row))
 
     @property
     def size(self) -> int:
@@ -228,17 +233,11 @@ def build_plan(
 
     rows = dirty.raw_tuples()
     answers = truth.raw_tuples() if truth is not None else None
-    groups = []
-    for members in by_signature.values():  # insertion (first-seen) order
-        rep = members[0]
-        groups.append(
-            PlanGroup(
-                representative=rep,
-                members=tuple(members),
-                values=dict(zip(schema.names, rows[rep])),
-                truth=dict(zip(truth.schema.names, answers[rep])) if answers is not None else None,
-            )
-        )
+    groups = [  # in first-seen order
+        PlanGroup(m[0], tuple(m), rows[m[0]], None if answers is None
+                  else dict(zip(truth.schema.names, answers[m[0]])), schema.names)
+        for m in by_signature.values()
+    ]
 
     n_shards = max(1, min(shards, len(groups))) if groups else 1
     shard_list = tuple(

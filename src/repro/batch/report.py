@@ -10,6 +10,7 @@ plus the batch-only dimensions — dedup ratio, probe-cache efficiency
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, mul
 from typing import Sequence
 
 from repro.batch.cache import CacheStats
@@ -188,15 +189,10 @@ def build_report(
         cache=cache,
         notes=list(notes),
     )
-    for result in results:
-        report.shards.append(ShardStats.from_result(result))
-        for outcome in result.outcomes:
-            n = len(outcome.members)
-            if outcome.complete and not outcome.conflicts:
-                report.completed += n
-            report.conflicts += outcome.conflicts * n
-            report.user_cells += outcome.user_cells * n
-            report.rule_cells += outcome.rule_cells * n
-            report.normalized_cells += outcome.normalized_cells * n
-    report.shards.sort(key=lambda s: s.shard_id)
+    report.shards = sorted(map(ShardStats.from_result, results), key=lambda s: s.shard_id)
+    outcomes = [o for result in results for o in result.outcomes]
+    sizes = [len(o.members) for o in outcomes]
+    report.completed = sum(n for o, n in zip(outcomes, sizes) if o.complete and not o.conflicts)
+    for name in ("conflicts", "user_cells", "rule_cells", "normalized_cells"):
+        setattr(report, name, sum(map(mul, map(attrgetter(name), outcomes), sizes)))
     return report

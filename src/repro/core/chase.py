@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConflictError, SchemaError
 from repro.core.rule import EditingRule
@@ -101,8 +101,7 @@ def applicable(
     )
 
 
-@dataclass(frozen=True)
-class FixStep:
+class FixStep(NamedTuple):
     """One applied fix, with provenance for the audit trail."""
 
     attr: str
@@ -329,11 +328,13 @@ def chase_many(
     only the pattern, the probe key and the conflict check read each
     state. Each distinct key is probed once per call, a (sweep, rule)'s
     new keys together through ``master.match_many``. Result ``i`` equals
-    ``chase(*states[i], ruleset, master, use_index=use_index)``.
+    ``chase(*states[i], ruleset, master, use_index=use_index)``. Values
+    may also be a row tuple in input-schema order (the one dict is built here).
     """
     names = ruleset.input_schema.names
     all_attrs, rules = frozenset(names), list(ruleset)
-    vals = [dict(zip(names, map(values.__getitem__, names))) for values, _ in states]
+    vals = [dict(zip(names, v if v.__class__ is tuple else map(v.__getitem__, names)))
+            for v, _ in states]
     # Per state, only for states that have any (most have few or none).
     steps: dict[int, tuple[FixStep, ...]] = {}
     conflicts: dict[int, tuple[ConflictWitness, ...]] = {}

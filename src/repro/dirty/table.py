@@ -207,7 +207,9 @@ class DirtyTable:
     def apply_cell_writes(
         self, conn, writes: Sequence[tuple[int, str, Any]]
     ) -> None:
-        """Apply ``(row key, column, value)`` cell writes in order.
+        """Apply ``(row key, column, value)`` cell writes, one
+        ``executemany`` per column. A column's writes keep their order, so
+        a cell written twice ends at its last value.
 
         Runs inside the caller's transaction — the cleaner brackets a
         page's fixes with its archive rows, undo brackets a whole run —
@@ -215,12 +217,12 @@ class DirtyTable:
         """
         q = self.backend.quote
         key = self.backend.row_key
+        by_column: dict[str, list[tuple]] = {}
         for row_key, column, value in writes:
             require_db_scalar(value, f"row {row_key}.{column}")
-            conn.execute(
-                f"UPDATE {q(self.table)} SET {q(column)} = ? WHERE {key} = ?",
-                (value, row_key),
-            )
+            by_column.setdefault(column, []).append((value, row_key))
+        for column, params in by_column.items():
+            executemany(conn, f"UPDATE {q(self.table)} SET {q(column)} = ? WHERE {key} = ?", params)
 
     def __repr__(self) -> str:
         return f"DirtyTable({self.backend.describe()!r}, table={self.table!r})"

@@ -44,7 +44,7 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
     repaired relation, the changed-cell count and the patch, as
     :meth:`BatchCleaner._rebind` does: one single-cell run per cell of a
     diff of each output row against its input row, with the rule, source
-    and span of the last event recorded on the cell."""
+    and span of the last event recorded on the cell as its provenance."""
     names = schema.names
     rows = [None] * len(dirty)
     last = [None] * len(dirty)
@@ -55,7 +55,7 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
                 tid = tuple_ids[member] if tuple_ids is not None else f"t{member}"
                 state = dirty.row(member).to_dict()
                 last[member] = {}
-                for e in outcome.audit_events:
+                for e in outcome.to_json()["audit_events"]:
                     old, new = state[e["attr"]], e["new"]
                     if e["source"] == "user" and e["attr"] not in shared:
                         new = truth.row(member)[e["attr"]] if truth is not None else old
@@ -76,7 +76,7 @@ def eager_replay(audit, schema, dirty, truth, results, tuple_ids, shared):
                     )
                 rows[member] = tuple(state[n] for n in names)
     patch = [
-        (col, [m], [old], [new], (ev.rule_id, ev.source, ev.trace_id, ev.span_id))
+        (col, [m], [old], [new], [(ev.rule_id, ev.source, ev.trace_id, ev.span_id)])
         for m, (before, after) in enumerate(zip(dirty.raw_tuples(), rows))
         for col, (n, old, new) in enumerate(zip(names, before, after))
         if old != new
@@ -126,7 +126,7 @@ def shadow(monkeypatch):
             for r in results
             for o in r.outcomes
             if len(o.members) > 1
-            and any(e["attr"] not in shared for e in o.audit_events)
+            and any(e["attr"] not in shared for e in o.to_json()["audit_events"])
         )
         return got, changed, patch
 
@@ -304,13 +304,13 @@ def test_concurrent_record_and_record_group_share_one_counter():
     """Single events and group records appended from many threads at
     once: no sequence number is lost or handed out twice."""
     log = AuditLog()
-    transcript = (
+    transcript = _outcome((0,), (
         {"attr": "FN", "old": "a", "new": "b", "source": "rule", "rule_id": "r",
          "master_positions": (0,), "round_no": 1},
         {"attr": "LN", "old": "c", "new": "c", "source": "user", "rule_id": None,
          "master_positions": (), "round_no": 1},
-    )
-    steps = ((0, "b", False), (1, "c", False))  # (column, new, answered) per event
+    )).transcript
+    columns = {"FN": 0, "LN": 1}
 
     def single(k):
         for i in range(2000):
@@ -319,7 +319,7 @@ def test_concurrent_record_and_record_group_share_one_counter():
     def grouped(k):
         for i in range(1000):
             log.record_group(
-                transcript, [f"g{k}-{i % 5}", f"g{k}-{i % 3}x"], steps, [("a", "c")] * 2
+                transcript, [f"g{k}-{i % 5}", f"g{k}-{i % 3}x"], [("a", "c")] * 2, None, columns
             )
 
     threads = [threading.Thread(target=f, args=(k,)) for k in range(4) for f in (single, grouped)]
@@ -342,6 +342,15 @@ def test_concurrent_record_and_record_group_share_one_counter():
 
 
 # -- a handcrafted transcript --------------------------------------------------
+
+
+def _outcome(members, events):
+    """A group outcome carrying ``events`` (journal-form dicts) as its
+    transcript."""
+    return GroupOutcome.from_json({
+        "members": members, "values": {}, "complete": True, "rounds": 1, "user_cells": 0,
+        "rule_cells": 0, "normalized_cells": 0, "conflicts": 0, "audit_events": events,
+    })
 
 
 def _event(attr, new, source="rule", rule_id=None, span=None):
@@ -387,7 +396,7 @@ def test_handcrafted_transcript_matches_eager_replay(with_truth):
     if with_truth:
         truth = Relation(schema, [r[:-1] + (t,) for r, t in zip(ROWS, TRUTH_ITEMS)])
     results = [
-        ShardResult(k, (GroupOutcome(members, {}, True, 1, 0, 0, 0, 0, events),))
+        ShardResult(k, (_outcome(members, events),))
         for k, (members, events) in enumerate(GROUPS.items())
     ]
     cleaner = BatchCleaner(case.ruleset, case.master, audit=AuditLog())
@@ -425,7 +434,7 @@ def test_equal_value_of_another_type_matches_eager_replay():
     rows = [("Ann", "Smith", 131, 1), ("Ann", "Smith", 131, 2), ("Ann", "Smith", 131.0, 1)]
     dirty = Relation(schema, [r + ROWS[0][4:] for r in rows])
     events = (_event("AC", 131.0, rule_id="r1", span="s1"), _event("phn", True, rule_id="r2"))
-    results = [ShardResult(0, (GroupOutcome((0, 1, 2), {}, True, 1, 0, 0, 0, 0, events),))]
+    results = [ShardResult(0, (_outcome((0, 1, 2), events),))]
     cleaner = BatchCleaner(case.ruleset, case.master, audit=AuditLog())
     ref = AuditLog()
 

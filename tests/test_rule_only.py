@@ -76,7 +76,7 @@ def chase_outcome(group, ctx, manager, audit) -> GroupOutcome:
         record_steps(audit, result.steps, 1)
     else:
         seed = []
-    events = tuple(audit.events)
+    transcript = audit.transcript
     return GroupOutcome(
         members=group.members,
         values=values,
@@ -84,9 +84,9 @@ def chase_outcome(group, ctx, manager, audit) -> GroupOutcome:
         rounds=1 if seed else 0,
         user_cells=len(seed),
         rule_cells=len(validated) - len(seed),
-        normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
+        normalized_cells=sum(s.normalized for seg in transcript for s in seg.steps),
         conflicts=conflicts,
-        audit_events=events,
+        transcript=transcript,
     )
 
 
@@ -112,7 +112,7 @@ def session_outcome(group, ctx, manager, audit) -> GroupOutcome:
     if seed and not session.is_complete:
         session.assure(seed)
     provenance = session.provenance
-    events = tuple(audit.events)
+    transcript = audit.transcript
     return GroupOutcome(
         members=group.members,
         values=session.current_values(),
@@ -120,9 +120,9 @@ def session_outcome(group, ctx, manager, audit) -> GroupOutcome:
         rounds=session.round_no,
         user_cells=sum(1 for s in provenance.values() if s == "user"),
         rule_cells=sum(1 for s in provenance.values() if s == "rule"),
-        normalized_cells=sum(1 for e in events if e["source"] == "normalize"),
+        normalized_cells=sum(s.normalized for seg in transcript for s in seg.steps),
         conflicts=len(session.conflicts),
-        audit_events=events,
+        transcript=transcript,
     )
 
 

@@ -5,14 +5,16 @@ over many states at once; the rule-only batch pass is built on it.
 Hypothesis drives it against :func:`repro.core.chase.chase`, one state
 at a time, on random small schemas, rule sets, masters and states:
 values, validated set, steps, conflicts, ambiguities and sweep count
-must all be equal. Every generated rule set has a constant rule with an
-empty pattern (so a chase from nothing validated fires), a second
-constant on the same target (a conflict), a self-normalising rule, a
-patterned rule and a rule probing a master key whose tuples disagree
-(an ambiguity); :func:`test_generated_cases_reach_every_branch` checks
-that the generated states actually reach each of those branches.
+must all be equal. Every generated rule set has a constant rule, a
+second constant on the same target (a conflict), a self-normalising
+rule, a patterned rule and a rule probing a master key whose tuples
+disagree (an ambiguity). In about half the rule sets the constants read
+nothing (so a chase from nothing validated fires them); in the rest they
+share a pattern, so no rule reads nothing and the rule-only pass skips
+round 0. :func:`test_generated_cases_reach_every_branch` checks that
+the generated states actually reach each of those branches.
 
-Whole rule-only cleans of such cases, serially and with
+Whole rule-only cleans of both kinds of case, serially and with
 ``CERFIX_PARITY_WORKERS`` process workers (4 in CI's ``store-parity``
 leg), must equal a row-by-row chase.
 """
@@ -55,8 +57,14 @@ def _pairs(rng: random.Random, attrs: list[str], k: int) -> tuple[MatchPair, ...
     )
 
 
-def random_case(rng: random.Random):
-    """(rule set, master relation, states) for one differential run."""
+def random_case(rng: random.Random, empty_reads: bool | None = None):
+    """(rule set, master relation, states) for one differential run.
+
+    With ``empty_reads`` (a coin flip when None) the two constant rules
+    read nothing, so a chase from nothing validated fires them; without,
+    they share a pattern and no rule is ready on nothing validated."""
+    if empty_reads is None:
+        empty_reads = rng.random() < 0.5
     attrs = [f"a{i}" for i in range(rng.randint(2, 5))]
     schema = Schema("t", attrs)
     rows = [tuple(rng.choice(ALPHABET) for _ in MASTER.names) for _ in range(rng.randint(0, 5))]
@@ -64,9 +72,10 @@ def random_case(rng: random.Random):
     master = Relation(MASTER, rows)
     t0, t1, t2 = (rng.choice(attrs) for _ in range(3))
     first, second = rng.sample(ALPHABET, 2)
+    constant = PatternTuple() if empty_reads else _pattern(rng, attrs)
     rules = [
-        EditingRule("c0", (), t0, Constant(first)),
-        EditingRule("c1", (), t0, Constant(second)),
+        EditingRule("c0", (), t0, Constant(first), constant),
+        EditingRule("c1", (), t0, Constant(second), constant),
         EditingRule("norm", (MatchPair(t1, "m0", "casefold"),), t1, MasterColumn("m0")),
         EditingRule(
             "pat", _pairs(rng, attrs, 1), rng.choice(attrs), MasterColumn("m2"),
@@ -104,9 +113,14 @@ def test_chase_many_equals_the_per_state_chase(rng, use_index):
 
 
 def test_generated_cases_reach_every_branch():
-    seen = dict.fromkeys(["round-0 fix", "normalized", "pattern", "ambiguity", "conflict"], 0)
+    seen = dict.fromkeys([
+        "round-0 fix", "normalized", "pattern", "ambiguity", "conflict",
+        "a rule reads nothing", "every rule reads something",
+    ], 0)
     for seed in range(200):
         ruleset, master, states = random_case(random.Random(seed))
+        empty = any(not rule.reads for rule in ruleset)
+        seen["a rule reads nothing" if empty else "every rule reads something"] += 1
         results = chase_many(states, ruleset, MasterDataManager(master))
         for (_, validated), r in zip(states, results):
             seen["round-0 fix"] += not validated and any(s.rule_id == "c0" for s in r.steps)
@@ -134,14 +148,15 @@ def _row_by_row(ruleset, master, rows, validated):
 @settings(max_examples=12, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_rule_only_cleans_equal_a_row_by_row_chase(rng):
-    ruleset, master, states = random_case(rng)
-    names = ruleset.input_schema.names
-    rows = [tuple(v[n] for n in names) for v, _ in states] * 2
-    validated = states[0][1]
-    want = _row_by_row(ruleset, master, rows, validated)
-    dirty = Relation(ruleset.input_schema, rows)
-    for workers in (1, PARITY_WORKERS):
-        result = CerFix(ruleset, master).clean_relation(
-            dirty, validated=validated, workers=workers, shards=4
-        )
-        assert result.relation.raw_tuples() == want
+    for empty_reads in (True, False):  # with round 0, and with round 0 skipped
+        ruleset, master, states = random_case(rng, empty_reads)
+        names = ruleset.input_schema.names
+        rows = [tuple(v[n] for n in names) for v, _ in states] * 2
+        validated = states[0][1]
+        want = _row_by_row(ruleset, master, rows, validated)
+        dirty = Relation(ruleset.input_schema, rows)
+        for workers in (1, PARITY_WORKERS):
+            result = CerFix(ruleset, master).clean_relation(
+                dirty, validated=validated, workers=workers, shards=4
+            )
+            assert result.relation.raw_tuples() == want
