@@ -97,7 +97,7 @@ from repro.rules import (
 from repro.discovery import discover_constant_cfds, discover_fds, discover_mds
 from repro.config import InstanceConfig, load_instance, save_instance
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "CerFix",

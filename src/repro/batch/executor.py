@@ -31,6 +31,7 @@ Two paths, picked by ``workers`` alone:
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
@@ -445,6 +446,8 @@ _PROCESS_CHASE_MEMO: LRUMemo | None = None
 
 def _init_process(ctx: BatchContext) -> None:
     global _PROCESS_CTX, _PROCESS_CACHE, _PROCESS_MEMO, _PROCESS_CHASE_MEMO
+    # A worker forked during a paged DB run inherits its paused collector.
+    gc.enable()
     _PROCESS_CTX = ctx
     _PROCESS_CACHE = _probe_cache(ctx)
     _PROCESS_MEMO = LRUMemo(ctx.cache_size)

@@ -63,6 +63,8 @@ class BatchReport:
     rule_cells: int = 0
     normalized_cells: int = 0
     changed_cells: int = 0
+    #: Probe-cache lookups. Only ``workers=1`` counts repeat exactly: each
+    #: process worker's private cache sees whichever shards it was handed.
     cache: CacheStats = field(default_factory=CacheStats)
     shards: list[ShardStats] = field(default_factory=list)
     workers: int = 1
@@ -176,7 +178,9 @@ def build_report(
     Per-group statistics are weighted by member count: every duplicate
     row received the group's repair, so it counts like the tuple it is.
     ``cache`` is this run's probe-cache lookups (resumed shards made
-    none).
+    none). With process workers they do not repeat from run to run: each
+    worker's private cache sees whichever shards it was handed, so only
+    ``workers=1`` counts repeat exactly.
     """
     report = BatchReport(
         tuples=tuples,

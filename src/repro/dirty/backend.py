@@ -37,13 +37,14 @@ def require_db_scalar(value: Any, context: str) -> None:
 
     Stricter than the master snapshot's JSON gate: SQL columns store
     booleans as integers, so ``True`` would come back as ``1`` — a
-    silent type change the bit-identical guarantee cannot absorb.
+    silent type change the bit-identical guarantee cannot absorb. A NaN
+    float is stored as NULL and would come back as ``None``.
     """
-    if value is None or type(value) in (str, int, float):
+    if value is None or type(value) in (str, int) or (type(value) is float and value == value):
         return
     raise DirtyDataError(
-        f"cannot store cell value {value!r} ({context}): only str/int/float/None "
-        f"round-trip a database column losslessly"
+        f"cannot store cell value {value!r} ({context}): only str/int/None and "
+        f"non-NaN floats round-trip a database column losslessly"
     )
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import shutil
 import sqlite3
+import threading
 import tracemalloc
 
 import pytest
@@ -23,6 +25,7 @@ import repro.dirty.table as table_mod
 from repro.batch.journal import CheckpointJournal
 from repro.dirty.archive import CHECKPOINTS_TABLE
 from repro.dirty.backend import SqliteBackend
+from repro.dirty.cleaner import DbCleaner
 from repro.errors import DirtyDataError
 from repro.master.conformance import generate_case
 from repro.scenarios import uk_customers as uk
@@ -158,9 +161,23 @@ def test_rejects_lossy_cell_values(tmp_path):
     from repro.relational.relation import Relation
     from repro.relational.schema import Schema
 
-    rel = Relation(Schema("t", ["a"]), [(True,)])
-    with pytest.raises(DirtyDataError, match="round-trip"):
-        DirtyTable.create(tmp_path / "x.db", rel)
+    # sqlite would store True as 1 and NaN as NULL.
+    for value in (True, float("nan")):
+        rel = Relation(Schema("t", ["a"]), [(value,)])
+        with pytest.raises(DirtyDataError, match="round-trip"):
+            DirtyTable.create(tmp_path / "x.db", rel)
+
+
+def test_cell_writes_reject_nan_before_writing(case, db):
+    t = DirtyTable(db)
+    column = case.dirty.schema.names[0]
+    conn = t.backend.connect()
+    try:
+        with pytest.raises(DirtyDataError, match="round-trip"):
+            t.apply_cell_writes(conn, [(1, column, "x"), (2, column, float("nan"))])
+    finally:
+        conn.close()
+    assert _table_rows(db) == case.dirty.raw_tuples()
 
 
 def test_page_rows_resolution(monkeypatch):
@@ -209,14 +226,18 @@ def test_paged_process_clean_starts_one_pool_per_run(case, db, monkeypatch):
 
     def counting_pool(ctx, workers):
         pools.append(executor_mod.worker_pool(ctx, workers))
+        # Forked while the run pauses the collector: a worker re-enables it.
+        collecting.append(pools[-1].submit(gc.isenabled))
         return pools[-1]
 
+    collecting = []
     monkeypatch.setattr(pipeline_mod, "worker_pool", counting_pool)
     expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
     result = _engine(case).clean_table(db, page_rows=16, validated=case.validated, workers=2)
     assert result.pages == 4
     assert _table_rows(db) == expected.relation.raw_tuples()
     assert len(pools) == 1
+    assert collecting[0].result() is True
     with pytest.raises(RuntimeError):  # shut down when the run ended
         pools[0].submit(int)
 
@@ -582,6 +603,7 @@ def test_mid_page_crash_reruns_its_page(case, db, tmp_path, monkeypatch):
         _engine(case).clean_table(
             db, page_rows=30, validated=case.validated, shards=4
         )
+    assert gc.isenabled()  # the crash ended the run's collector pause
     monkeypatch.setattr(executor_mod, "_run_shard", real)
 
     (run,) = list_runs(DirtyTable(db))
@@ -591,6 +613,7 @@ def test_mid_page_crash_reruns_its_page(case, db, tmp_path, monkeypatch):
     )
     assert (result.resumed_pages, shards) == (1, 4)
     assert _outcome(db, run.run_id) == expected
+    assert gc.isenabled()
 
 
 def test_page_commit_rollback_reruns_its_page(case, db, tmp_path, monkeypatch):
@@ -750,6 +773,106 @@ def test_paged_clean_memory_does_not_grow_with_the_table(tmp_path):
             tracemalloc.stop()
         assert result.pages == rows // 512 and result.changed_cells > 0
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+# -- the collector pause -----------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("page_rows", [1, 64, 4096])
+def test_db_runs_leave_no_cyclic_garbage(case, db, page_rows, workers):
+    """The premise of the pause: a dry run, a clean and an undo leave
+    nothing for the cyclic collector, neither to the young-generation
+    passes at page boundaries nor to a full collection afterwards."""
+    found = []
+
+    def count(phase, info):
+        if phase == "stop":
+            found.append(info["collected"])
+
+    engine = _engine(case)
+    runs = []
+    calls = (
+        lambda: engine.clean_table(
+            db, page_rows=page_rows, validated=case.validated, workers=workers, dry_run=True
+        ),
+        lambda: runs.append(
+            engine.clean_table(db, page_rows=page_rows, validated=case.validated, workers=workers)
+        ),
+        lambda: engine.undo(db, runs[0].run_id),
+    )
+    gc.callbacks.append(count)
+    try:
+        for call in calls:
+            gc.collect()
+            found.clear()
+            call()
+            assert gc.isenabled()
+            assert gc.collect() == 0
+            assert sum(found) == 0, found
+    finally:
+        gc.callbacks.remove(count)
+    assert _table_rows(db) == case.dirty.raw_tuples()
+
+
+def test_runs_keep_a_callers_disabled_collector(case, db):
+    engine = _engine(case)
+    gc.disable()
+    try:
+        engine.clean_table(db, page_rows=16, validated=case.validated, dry_run=True)
+        assert not gc.isenabled()
+        run = engine.clean_table(db, page_rows=16, validated=case.validated)
+        assert not gc.isenabled()
+        engine.undo(db, run.run_id)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_overlapping_runs_reenable_the_collector_once_both_end(case, tmp_path, monkeypatch):
+    """Run A pauses the collector and blocks in its first page; run B,
+    in another thread, starts and ends inside A. The collector stays
+    paused until A, the run that found it enabled, ends."""
+    paths = {}
+    for name in ("a", "b"):
+        paths[name] = tmp_path / f"{name}.db"
+        DirtyTable.create(paths[name], case.dirty)
+    a_inside, release_a = threading.Event(), threading.Event()
+    real = DbCleaner._clean_page
+    paused = []
+
+    def clean_page(self, page, **kwargs):
+        paused.append(not gc.isenabled())
+        if not a_inside.is_set():  # run A's first page
+            a_inside.set()
+            assert release_a.wait(timeout=60)
+        return real(self, page, **kwargs)
+
+    monkeypatch.setattr(DbCleaner, "_clean_page", clean_page)
+    errors = []
+
+    def run(name):
+        try:
+            _engine(case).clean_table(paths[name], page_rows=16, validated=case.validated)
+        except BaseException as exc:  # surfaced by the asserts below
+            errors.append(exc)
+
+    a = threading.Thread(target=run, args=("a",))
+    a.start()
+    try:
+        assert a_inside.wait(timeout=60)
+        b = threading.Thread(target=run, args=("b",))
+        b.start()
+        b.join(timeout=60)
+        assert not b.is_alive()
+        assert not gc.isenabled()  # B ended; A still holds the pause
+    finally:
+        release_a.set()
+        a.join(timeout=60)
+    assert not a.is_alive() and not errors, errors
+    assert gc.isenabled()
+    assert all(paused) and len(paused) == 8
+    assert _table_rows(paths["a"]) == _table_rows(paths["b"])
 
 
 # -- CLI ---------------------------------------------------------------------
