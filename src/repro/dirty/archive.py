@@ -19,24 +19,33 @@ Versions before 1.20 kept a third, ``cerfix_clean_checkpoints``, with
 the in-flight page's shard checkpoints. Its rows are never read: the
 next committing run drops the table.
 
+Run records since 1.23 carry v2 digests (:mod:`repro.dirty.table`);
+while ``running``, ``pre_digest`` holds the partial pre- and post-run
+sums of the committed pages (``rowsum-v2-partial:<pre>:<post>``), so a
+resumed run continues them. Records of 1.14–1.22 carry v1 digests and
+keep their scans. Any other digest is refused with ``DirtyDataError``.
+
 Undo replays a run's changes backwards inside one transaction and
 refuses to run at all if the table moved on since the run committed
-(current digest ≠ recorded post-digest) — restoring old values onto a
-table someone else edited would corrupt it, not repair it. The restore
-only commits after the rebuilt table digest-matches the recorded
-pre-run digest, so "undone" means *exactly* the table you started with.
+(current digest ≠ recorded post-digest; one scan, of the committed
+pages for a crashed v2 run) — restoring old values onto a table someone
+else edited would corrupt it, not repair it. The restore only commits
+after the rebuilt table digest-matches the recorded pre-run digest (v2:
+derived from keyed reads of the changed rows), so "undone" means
+*exactly* the table you started with.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from repro.dirty.backend import executemany
-from repro.dirty.table import DirtyTable
+from repro.dirty.table import ROWSUM_MOD, ROWSUM_TAG, DirtyTable, rowsum_digest
 from repro.errors import DirtyDataError
 
 RUNS_TABLE = "cerfix_clean_runs"
@@ -48,6 +57,10 @@ CHECKPOINTS_TABLE = "cerfix_clean_checkpoints"
 #: observed outside a live run — such runs may be undone (only their
 #: committed pages have changes on record) but never resumed as if done.
 RUN_STATUSES = ("running", "committed", "undone")
+
+#: Tag of a running v2 run's two partial sums.
+PARTIAL_TAG = "rowsum-v2-partial:"
+_HEX64 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,34 @@ class CellChange:
 def new_run_id() -> str:
     """Sortable-by-start-time, collision-proof run identifier."""
     return f"run-{time.strftime('%Y%m%dT%H%M%S')}-{os.urandom(4).hex()}"
+
+
+def partial_digest(pre: int, post: int) -> str:
+    """A running v2 run's partial pre- and post-run sums, as recorded."""
+    return f"{PARTIAL_TAG}{pre % ROWSUM_MOD:064x}:{post % ROWSUM_MOD:064x}"
+
+
+def run_sums(record: "RunRecord") -> tuple[int, int] | None:
+    """A running or committed run's v2 ``(pre, post)`` sums (partial while
+    running), or ``None`` for a v1 record; refuses any other digest."""
+    running = record.status == "running"
+    tags, sums = set(), []
+    for text in (record.pre_digest,) if running else (record.pre_digest, record.post_digest):
+        parts = str(text).split(":")
+        tag, fields = (parts[0] + ":", parts[1:]) if len(parts) > 1 else ("", parts)
+        if tag not in ("", ROWSUM_TAG, PARTIAL_TAG):
+            raise DirtyDataError(f"run {record.run_id} has a digest with unknown tag {tag[:-1]!r}")
+        if len(fields) != (2 if tag == PARTIAL_TAG else 1) or not all(map(_HEX64.fullmatch, fields)):
+            raise DirtyDataError(f"run {record.run_id} has a malformed digest {text!r}")
+        tags.add(tag)
+        sums += (int(f, 16) for f in fields)
+    if tags == {""}:
+        return None
+    if tags == {PARTIAL_TAG if running else ROWSUM_TAG}:
+        return sums[0], sums[1]
+    raise DirtyDataError(
+        f"run {record.run_id} is {record.status} but records digests tagged {sorted(tags)}"
+    )
 
 
 def encode_value(value: Any) -> str:
@@ -160,10 +201,11 @@ class ChangeArchive:
         )
 
     def record_page(
-        self, conn, run_id: str, changes: Iterable[CellChange], pages_done: int
+        self, conn, run_id: str, changes: Iterable[CellChange], pages_done: int,
+        pre_digest: str | None = None,
     ) -> int:
-        """Archive one page's changes and bump progress; returns cells
-        added."""
+        """Archive one page's changes and bump progress (and the partial
+        digest sums, if given); returns cells added."""
         q = self.backend.quote
         rows = [
             (
@@ -188,17 +230,18 @@ class ChangeArchive:
         )
         conn.execute(
             f"UPDATE {q(RUNS_TABLE)} SET pages_done = ?, "
-            f"changed_cells = changed_cells + ? WHERE run_id = ?",
-            (pages_done, len(rows), run_id),
+            f"changed_cells = changed_cells + ?, "
+            f"pre_digest = COALESCE(?, pre_digest) WHERE run_id = ?",
+            (pages_done, len(rows), pre_digest, run_id),
         )
         return len(rows)
 
-    def finish_run(self, conn, run_id: str, post_digest: str) -> None:
+    def finish_run(self, conn, run_id: str, pre_digest: str, post_digest: str) -> None:
         q = self.backend.quote
         conn.execute(
-            f"UPDATE {q(RUNS_TABLE)} SET status = 'committed', "
+            f"UPDATE {q(RUNS_TABLE)} SET status = 'committed', pre_digest = ?, "
             f"post_digest = ?, finished_at = ? WHERE run_id = ?",
-            (post_digest, time.time(), run_id),
+            (pre_digest, post_digest, time.time(), run_id),
         )
 
     # -- lookups -----------------------------------------------------------
@@ -275,35 +318,48 @@ class ChangeArchive:
         """Restore the exact pre-run table, digest-verified both ways.
 
         A ``committed`` run only unwinds if the table still matches its
-        recorded post-run digest; a ``running`` (crashed) run skips that
-        check — there is no post-digest, and unwinding its committed
-        pages is exactly the recovery it needs. Re-undoing an ``undone``
-        run is a no-op.
+        recorded post-run digest. A ``running`` (crashed) v2 run checks
+        the pages it committed against its partial post-run sum; a
+        crashed v1 run skips that check, as it has no post-digest.
+        Unwinding the committed pages is exactly the recovery a crashed
+        run needs. Re-undoing an ``undone`` run is a no-op.
         """
         record = self.get_run(conn, run_id)
         if record.status == "undone":
             return record
-        if record.status == "committed":
-            current = self.table.digest(conn)
-            if current != record.post_digest:
-                raise DirtyDataError(
-                    f"refusing to undo {run_id}: table {record.table_name!r} was "
-                    f"modified after the run (digest {current[:12]}… != recorded "
-                    f"{str(record.post_digest)[:12]}…); undo would corrupt it"
-                )
+        sums, crashed = run_sums(record), record.status == "running"
+        if sums is not None:
+            prefix = record.pages_done * record.page_rows if crashed else None
+            current = self.table.digest(conn, version=2, limit=prefix)
+            recorded = rowsum_digest(sums[1])
+        else:  # v1: a scan, none for a crashed run (it has no post-digest)
+            current = None if crashed else self.table.digest(conn)
+            recorded = None if crashed else record.post_digest
+        if current != recorded:
+            raise DirtyDataError(
+                f"refusing to undo {run_id}: table {record.table_name!r} was "
+                f"modified after the run (digest {current[-64:][:12]}… != "
+                f"recorded {recorded[-64:][:12]}…); undo would corrupt it"
+            )
         changes = self.changes(conn, run_id, reverse=True)
+        keys = sorted({c.row_key for c in changes})
         q = self.backend.quote
         conn.execute("BEGIN")
         try:
+            before = 0 if sums is None else self.table.row_sum(conn, keys)
             self.table.apply_cell_writes(
                 conn, [(c.row_key, c.column, c.old) for c in changes]
             )
-            restored = self.table.digest(conn)
-            if restored != record.pre_digest:
+            if sums is None:
+                restored, expected = self.table.digest(conn), record.pre_digest
+            else:
+                restored = rowsum_digest(sums[1] - before + self.table.row_sum(conn, keys))
+                expected = rowsum_digest(sums[0])
+            if restored != expected:
                 raise DirtyDataError(
                     f"undo of {run_id} did not reproduce the pre-run table "
-                    f"(digest {restored[:12]}… != recorded "
-                    f"{record.pre_digest[:12]}…); rolling back"
+                    f"(digest {restored[-64:][:12]}… != recorded "
+                    f"{expected[-64:][:12]}…); rolling back"
                 )
             conn.execute(
                 f"UPDATE {q(RUNS_TABLE)} SET status = 'undone', finished_at = ? "

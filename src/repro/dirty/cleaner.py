@@ -25,7 +25,13 @@ carries the rule, source and span of the event that wrote the cell, and
 the engine's in-memory audit log records nothing for it. Archive row
 keys are the table's ``rowid``s.
 
-:meth:`DbCleaner.clean` (dry or committing, digests included) and
+A committing run reads each row once: its page reads add the rows to
+the v2 pre- and post-run digest sums (:mod:`repro.dirty.table`), and a
+keyed re-read after the page's writes swaps in the changed rows as the
+table holds them (type affinity included). Both sums commit with the
+page; a resumed run continues them, or scans as then for a v1 run.
+
+:meth:`DbCleaner.clean` (dry or committing) and
 :func:`undo_run` pause automatic cyclic collection process-wide
 (``gc.disable()``). A run leaves no reference cycles, so the collector's
 passes found nothing, yet a warm engine paid for ~160 young passes and a
@@ -57,8 +63,10 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 
 from repro.batch.pipeline import BatchCleaner
-from repro.dirty.archive import CellChange, ChangeArchive, RunRecord, new_run_id
-from repro.dirty.table import DEFAULT_PAGE_ROWS, DirtyTable, Page
+from repro.dirty.archive import (
+    CellChange, ChangeArchive, RunRecord, new_run_id, partial_digest, run_sums,
+)
+from repro.dirty.table import DEFAULT_PAGE_ROWS, DirtyTable, Page, columns_term, rowsum_digest
 from repro.errors import DirtyDataError
 from repro.obs import trace
 from repro.obs.metrics import get_registry
@@ -291,8 +299,10 @@ class DbCleaner:
             run_id = record.run_id
             skip = record.pages_done
             seq = changed = record.changed_cells
+            sums = run_sums(record)  # None: a v1 run, digested by scans
         else:
             run_id = new_run_id()
+            sums = (columns_term(self.table.columns(conn)),) * 2
             self.archive.begin_run(
                 conn,
                 RunRecord(
@@ -304,7 +314,7 @@ class DbCleaner:
                     pages_total=pages_total,
                     pages_done=0,
                     row_count=row_count,
-                    pre_digest=self.table.digest(conn),
+                    pre_digest=partial_digest(*sums),
                     post_digest=None,
                     started_at=time.time(),
                     finished_at=None,
@@ -314,7 +324,8 @@ class DbCleaner:
             skip = seq = changed = 0
         pages_run = rows_run = cells_run = 0
         for page in self.table.pages(
-            conn, self.page_rows, schema=schema, skip_pages=skip
+            conn, self.page_rows, schema=schema, skip_pages=skip,
+            hashed=sums is not None,
         ):
             page_changes = self._clean_page(
                 page,
@@ -330,21 +341,32 @@ class DbCleaner:
                 self.table.apply_cell_writes(
                     conn, [(c.row_key, c.column, c.new) for c in page_changes]
                 )
+                page_sums = None
+                if sums is not None:  # swap in the changed rows as written
+                    keys = sorted({c.row_key for c in page_changes})
+                    read, old = sum(page.hashes.values()), sum(map(page.hashes.__getitem__, keys))
+                    new = self.table.row_sum(conn, keys)
+                    page_sums = (sums[0] + read, sums[1] + read - old + new)
                 self.archive.record_page(
-                    conn, run_id, page_changes, pages_done=page.index + 1
+                    conn, run_id, page_changes, pages_done=page.index + 1,
+                    pre_digest=None if page_sums is None else partial_digest(*page_sums),
                 )
                 conn.execute("COMMIT")
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
+            sums = page_sums
             seq += len(page_changes)
             changed += len(page_changes)
             pages_run += 1
             rows_run += len(page)
             cells_run += len(page_changes)
             gc.collect(0)
-        post_digest = self.table.digest(conn)
-        self.archive.finish_run(conn, run_id, post_digest)
+        if sums is None:  # a resumed v1 run
+            digests = (record.pre_digest, self.table.digest(conn))
+        else:
+            digests = tuple(map(rowsum_digest, sums))
+        self.archive.finish_run(conn, run_id, *digests)
         reg = get_registry()
         reg.inc("cerfix.dbclean.runs")
         reg.inc("cerfix.dbclean.pages", pages_run)

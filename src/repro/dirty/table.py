@@ -11,19 +11,26 @@ O(n²) OFFSET scans; row keys are how every later write (fix commits,
 undo restores) addresses its cells, and they are UPDATE-stable by
 construction.
 
-The table digest — SHA-256 over the column names and every
-``(row key, row)`` in key order, computed page by page — is the
-identity undo verifies against: it pins both content *and* row-key
-binding, so a table that was mutated, even back to equal-looking
-values under different keys, cannot silently pass.
+The table digest is the identity undo verifies against: it pins both
+content *and* row-key binding, so a table that was mutated, even back
+to equal-looking values under different keys, cannot silently pass.
+v1 (untagged; run records of 1.14–1.22) is SHA-256 over the column
+names and every ``(row key, row)`` in key order. v2 (``rowsum-v2:``)
+is the sum mod 2^256 of SHA-256 over the column names and over each
+``repr((row key, *row))`` in declaration order: it does not depend on
+read order, so a committing run adds up the rows its pages fetch and
+swaps a changed row's term for a keyed re-read (:meth:`row_sum`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
+from operator import methodcaller
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.dirty.backend import DbBackend, executemany, require_db_scalar, resolve_backend
 from repro.errors import DirtyDataError
@@ -38,14 +45,40 @@ DEFAULT_PAGE_ROWS = 4096
 #: Page size for internal full-table sweeps (digest, whole-table reads).
 _SCAN_ROWS = 2048
 
+#: Tag of a v2 digest (an untagged digest is v1), and its modulus.
+ROWSUM_TAG, ROWSUM_MOD = "rowsum-v2:", 1 << 256
+_as_int = partial(int.from_bytes, byteorder="big")
+_digest_bytes = methodcaller("digest")
+
+
+def row_hashes(rows: Iterable[tuple]) -> Iterator[int]:
+    """Per fetched ``(row key, *row)`` tuple, SHA-256 of its ``repr`` as an
+    integer: the v2 digest's terms, in one chain of C-level maps."""
+    return map(_as_int, map(_digest_bytes, map(
+        hashlib.sha256, map(str.encode, map(repr, rows))
+    )))
+
+
+def columns_term(cols: Sequence[str]) -> int:
+    """The v2 digest's column-names term (a row term's ``repr`` starts
+    with an integer key, so the two cannot coincide)."""
+    return _as_int(hashlib.sha256(repr(tuple(cols)).encode("utf-8")).digest())
+
+
+def rowsum_digest(total: int) -> str:
+    """A v2 sum, reduced mod 2^256, as its tagged hex string."""
+    return f"{ROWSUM_TAG}{total % ROWSUM_MOD:064x}"
+
 
 @dataclass(frozen=True)
 class Page:
-    """One fixed-size slice of the dirty table."""
+    """One fixed-size slice of the dirty table (``hashes``: each row key's
+    v2 digest term, if read with ``hashed=True``)."""
 
     index: int
     keys: tuple[int, ...]
     relation: Relation
+    hashes: dict[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -124,6 +157,7 @@ class DirtyTable:
         *,
         schema: Schema | None = None,
         skip_pages: int = 0,
+        hashed: bool = False,
     ) -> Iterator[Page]:
         """Stream the table as fixed-size pages, in row-key order.
 
@@ -131,13 +165,17 @@ class DirtyTable:
         one boundary lookup instead of re-reading them (page boundaries
         are stable across a run: fixes UPDATE in place, never insert or
         delete, so row ``k * page_rows`` stays page ``k``'s first row).
+        ``hashed=True`` also gives each page its rows' v2 digest terms,
+        hashed as fetched, so such pages ignore ``schema`` and hold the
+        columns in declaration order.
         """
         if page_rows < 1:
             raise DirtyDataError(f"page_rows must be >= 1, got {page_rows}")
         q = self.backend.quote
         key = self.backend.row_key
-        cols = schema.names if schema is not None else self.columns(conn)
-        schema = schema if schema is not None else Schema(self.table, cols)
+        if schema is None or hashed:
+            schema = Schema(self.table, self.columns(conn))
+        cols = schema.names
         last = None
         if skip_pages:
             row = conn.execute(
@@ -152,7 +190,8 @@ class DirtyTable:
             self._keyset(conn, cols, page_rows, last), start=skip_pages
         ):
             keys = tuple(r[0] for r in rows)
-            yield Page(index, keys, Relation(schema, [tuple(r[1:]) for r in rows]))
+            relation = Relation(schema, [tuple(r[1:]) for r in rows])
+            yield Page(index, keys, relation, dict(zip(keys, row_hashes(rows))) if hashed else None)
 
     def _keyset(
         self, conn, cols: Sequence[str], page_rows: int, last: Any = None
@@ -189,18 +228,37 @@ class DirtyTable:
 
     # -- identity ----------------------------------------------------------
 
-    def digest(self, conn) -> str:
-        """SHA-256 over column names and every (row key, row), key order.
+    def digest(self, conn, *, version: int = 1, limit: int | None = None) -> str:
+        """The v1 or v2 table digest by one scan (v2: of the first ``limit``
+        rows in key order, all if ``None``).
 
         Hashes the fetched rows directly — no :class:`Relation` is
         built, since interning every cell buys nothing for a hash."""
-        sha = hashlib.sha256()
         cols = self.columns(conn)
+        if version == 2:
+            fetched = chain.from_iterable(self._keyset(conn, cols, _SCAN_ROWS))
+            return rowsum_digest(columns_term(cols) + sum(row_hashes(islice(fetched, limit))))
+        sha = hashlib.sha256()
         sha.update(repr(tuple(cols)).encode("utf-8"))
         for rows in self._keyset(conn, cols, _SCAN_ROWS):
             sha.update("".join(repr((r[0], r[1:])) for r in rows).encode("utf-8"))
             del rows  # one scan batch in memory at a time, not two
         return sha.hexdigest()
+
+    def row_sum(self, conn, keys: Sequence[int]) -> int:
+        """The sum of the v2 terms of the rows under ``keys``, read by key.
+        A key with no row adds nothing."""
+        q = self.backend.quote
+        key = self.backend.row_key
+        cols = ", ".join(map(q, self.columns(conn)))
+        select = f"SELECT {key}, {cols} FROM {q(self.table)}"
+        total = 0
+        for at in range(0, len(keys), 900):  # under any sqlite's bound on ? marks
+            chunk = keys[at : at + 900]
+            marks = ", ".join("?" * len(chunk))
+            rows = conn.execute(f"{select} WHERE {key} IN ({marks})", chunk).fetchall()
+            total += sum(row_hashes(rows))
+        return total
 
     # -- writes ------------------------------------------------------------
 

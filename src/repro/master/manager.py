@@ -95,9 +95,9 @@ class MasterDataManager:
         use_index: bool = True,
     ) -> list[MasterMatch]:
         """:meth:`match` for one master-sourced ``rule`` against each of
-        ``rows``, in order (the set-at-a-time chase's probe)."""
-        probe = self.store.probe
-        return [probe(rule, values, use_index=use_index) for values in rows]
+        ``rows``, in order (the set-at-a-time chase's probe): one
+        :meth:`~repro.master.store.MasterStore.probe_rows` call."""
+        return self.store.probe_rows(rule, rows, use_index=use_index)
 
     def row(self, position: int) -> Row:
         """The master tuple at ``position`` (for audit provenance)."""

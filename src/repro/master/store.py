@@ -217,6 +217,17 @@ class MasterStore:
         """
         return [self.probe(rule, values, use_index=use_index) for rule, values in requests]
 
+    def probe_rows(
+        self,
+        rule: EditingRule,
+        rows: Sequence[Mapping[str, Any]],
+        *,
+        use_index: bool = True,
+    ) -> list[MasterMatch]:
+        """:meth:`probe` for one ``rule`` against each of ``rows``, in order;
+        in-process stores override it to answer the batch in one call."""
+        return [self.probe(rule, values, use_index=use_index) for values in rows]
+
     def _match_at(self, rule: EditingRule, positions: tuple[int, ...]) -> MasterMatch:
         """Assemble the :class:`MasterMatch` for already-found positions —
         the one place the distinct-value ordering is defined, so backends
@@ -344,7 +355,20 @@ class SingleRelationStore(MasterStore):
         *,
         use_index: bool = True,
     ) -> MasterMatch:
-        key = tuple(values[a] for a in rule.lhs_attrs)
+        return self._probe_rows(rule, (values,), use_index)[0]
+
+    def probe_rows(
+        self,
+        rule: EditingRule,
+        rows: Sequence[Mapping[str, Any]],
+        *,
+        use_index: bool = True,
+    ) -> list[MasterMatch]:
+        if type(self).probe is not SingleRelationStore.probe:  # honour an override
+            return super().probe_rows(rule, rows, use_index=use_index)
+        return self._probe_rows(rule, rows, use_index)
+
+    def _probe_rows(self, rule: EditingRule, rows, use_index: bool) -> list[MasterMatch]:
         memo = self._probe_memo
         if self._memo_version != self.relation._version:
             memo.clear()
@@ -352,32 +376,35 @@ class SingleRelationStore(MasterStore):
         # Two-level memo: the outer dict is keyed by id(rule) — hashing
         # the rule dataclass itself costs more than the probe it saves —
         # with the rule kept alive in the entry so the id cannot be
-        # recycled while the entry exists.
+        # recycled while the entry exists. Both levels are resolved once
+        # per call, the index on the call's first miss.
         entry = memo.get(id(rule))
         if entry is None or entry[0] is not rule:
             inner: dict = {}
             memo[id(rule)] = (rule, inner)
         else:
             inner = entry[1]
-        try:
-            hit = inner.get((key, use_index))
-        except TypeError:  # unhashable cell value: probe uncached
-            hit = None
-            key_hashable = False
-        else:
-            key_hashable = True
-        if hit is not None:
-            return hit
-        if not use_index:
-            match = self._scan_probe(rule, key)
-        else:
-            index = self.relation.index_on(rule.m_attrs, rule.ops)
-            match = self._match_at(rule, tuple(index.lookup(key)))
-        if key_hashable:
-            if len(inner) >= self._MEMO_MAX:
-                inner.clear()
-            inner[(key, use_index)] = match
-        return match
+        attrs, index, out = rule.lhs_attrs, None, []
+        for values in rows:
+            key = tuple([values[a] for a in attrs])
+            try:
+                hit = inner.get((key, use_index))
+                key_hashable = True
+            except TypeError:  # unhashable cell value: probe uncached
+                hit, key_hashable = None, False
+            if hit is None:
+                if not use_index:
+                    hit = self._scan_probe(rule, key)
+                else:
+                    if index is None:
+                        index = self.relation.index_on(rule.m_attrs, rule.ops)
+                    hit = self._match_at(rule, tuple(index.lookup(key)))
+                if key_hashable:
+                    if len(inner) >= self._MEMO_MAX:
+                        inner.clear()
+                    inner[(key, use_index)] = hit
+            out.append(hit)
+        return out
 
     def prebuild(self, ruleset: RuleSet) -> None:
         for attrs, ops in ruleset.index_specs():
@@ -540,6 +567,9 @@ class SqliteMasterStore(MasterStore):
 
     def probe(self, rule, values, *, use_index: bool = True) -> MasterMatch:
         return self._inner.probe(rule, values, use_index=use_index)
+
+    def probe_rows(self, rule, rows, *, use_index: bool = True) -> list[MasterMatch]:
+        return self._inner.probe_rows(rule, rows, use_index=use_index)
 
     def prebuild(self, ruleset: RuleSet) -> None:
         self._inner.prebuild(ruleset)

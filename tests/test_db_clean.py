@@ -57,11 +57,11 @@ def _table_rows(path, table="dirty"):
         conn.close()
 
 
-def _digest(path, table="dirty"):
+def _digest(path, table="dirty", version=1):
     t = DirtyTable(path, table)
     conn = t.backend.connect(readonly=True)
     try:
-        return t.digest(conn)
+        return t.digest(conn, version=version)
     finally:
         conn.close()
 
@@ -138,23 +138,71 @@ def test_digest_tracks_content_and_row_binding(case, db, tmp_path):
 
 def test_digest_matches_reference_hex(case, db, tmp_path, monkeypatch):
     """The digest anchors undo of runs already on record, so its value
-    is pinned: these hexes are what the Relation-building digest gave
-    (one scan page, then 7-row scan pages across the boundaries)."""
+    is pinned: the v1 hexes are what the Relation-building digest gave,
+    the v2 ones what a plain loop over the rows gives (one scan page,
+    then 7-row scan pages across the boundaries)."""
+    import hashlib
+
     from repro.relational.relation import Relation
     from repro.relational.schema import Schema
 
+    def plain_rowsum(rel):
+        terms = [repr(tuple(rel.schema.names))] + [
+            repr((key, *row)) for key, row in enumerate(rel.raw_tuples(), start=1)
+        ]
+        total = sum(int(hashlib.sha256(t.encode()).hexdigest(), 16) for t in terms)
+        return f"rowsum-v2:{total % 2**256:064x}"
+
     fixture_hex = "8b2f52b6e3f26600e6dbd410fe616c4780d1d2df8abc892cd385379b5c0c6aaa"
+    fixture_v2 = "rowsum-v2:e54ecab4f79fe760fbfb08f275143a16fe9e9801bb1d44c2016b095efbd5532d"
     assert _digest(db) == fixture_hex
+    assert _digest(db, version=2) == fixture_v2 == plain_rowsum(case.dirty)
     mixed = Relation(Schema("mixed", ["a", "b", "c"]), [
         ("x", 1, 2.5), (None, -3, 0.1), ("quote's \"é\"", 10**12, None),
         ("", 0, 1e-300),
     ])
     DirtyTable.create(tmp_path / "mixed.db", mixed, table="mixed")
     mixed_hex = "0607504bfe2ed4f52e6d3b0382cbcd71bfad215025a7abbc3aec70677dab21bc"
+    mixed_v2 = "rowsum-v2:b5c9e689e9561ace717726c0a24f36f9c2e2e875a7b1f5776d87f6bc566f4614"
     assert _digest(tmp_path / "mixed.db", "mixed") == mixed_hex
+    assert _digest(tmp_path / "mixed.db", "mixed", version=2) == mixed_v2 == plain_rowsum(mixed)
     monkeypatch.setattr(table_mod, "_SCAN_ROWS", 7)
     assert _digest(db) == fixture_hex
     assert _digest(tmp_path / "mixed.db", "mixed") == mixed_hex
+    assert _digest(db, version=2) == fixture_v2
+    assert _digest(tmp_path / "mixed.db", "mixed", version=2) == mixed_v2
+
+
+def test_v2_digest_counts_a_prefix_and_ignores_row_order(case, db, tmp_path):
+    """``limit=n`` digests the first n rows in key order; the sum does not
+    depend on the order rows are inserted in, only on (key, row) pairs."""
+    t = DirtyTable(db)
+    conn = t.backend.connect(readonly=True)
+    try:
+        cols = t.columns(conn)
+        term = table_mod.columns_term(cols)
+        keys = [k for p in t.pages(conn, 16) for k in p.keys]
+        assert t.digest(conn, version=2, limit=0) == table_mod.rowsum_digest(term)
+        assert t.digest(conn, version=2, limit=len(keys) + 5) == t.digest(conn, version=2)
+        head = next(t.pages(conn, 25, hashed=True))
+        assert list(head.hashes) == keys[:25]
+        assert t.digest(conn, version=2, limit=25) == table_mod.rowsum_digest(
+            term + sum(head.hashes.values())
+        ) == table_mod.rowsum_digest(term + t.row_sum(conn, keys[:25] + [10**6]))
+    finally:
+        conn.close()
+    shuffled = tmp_path / "shuffled.db"
+    conn = sqlite3.connect(shuffled)
+    conn.execute(f"CREATE TABLE dirty ({', '.join(cols)})")
+    rows = list(enumerate(case.dirty.raw_tuples(), start=1))[::-1]
+    conn.executemany(
+        f"INSERT INTO dirty (rowid, {', '.join(cols)}) VALUES "
+        f"({', '.join('?' * (len(cols) + 1))})",
+        [(k, *r) for k, r in rows],
+    )
+    conn.commit()
+    conn.close()
+    assert _digest(shuffled, version=2) == _digest(db, version=2)
 
 
 def test_rejects_lossy_cell_values(tmp_path):
@@ -392,6 +440,312 @@ def test_run_records_listable(case, db):
     assert runs[0].status == "committed"
     assert runs[0].pages_done == runs[0].pages_total == 4
     assert runs[0].changed_cells == r1.changed_cells
+
+
+# -- run digests -------------------------------------------------------------
+#
+# A committing run accumulates v2 digests from its page reads and keyed
+# re-reads of the rows it changed; undo checks one full scan (the pages
+# a crashed run committed) and derives the restored digest. Records of
+# 1.14-1.22 carry v1 digests and keep the scans.
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _record(path, run_id):
+    (record,) = [r for r in list_runs(DirtyTable(path)) if r.run_id == run_id]
+    return record
+
+
+def _sql(path, statement, params=()):
+    """One statement on a connection of its own: someone else's write."""
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute(statement, params)
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def _crashed_run(case, db, monkeypatch, pages, **kwargs):
+    real = _crash_after_pages(monkeypatch, pages)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        _engine(case).clean_table(db, validated=case.validated, **kwargs)
+    monkeypatch.setattr(pipeline_mod.BatchCleaner, "clean", real)
+    (run,) = list_runs(DirtyTable(db))
+    assert (run.status, run.pages_done) == ("running", pages)
+    return run
+
+
+def _v1_fixture(tmp_path):
+    """A 1.14 database: a run that committed page 0 of two 30-row pages
+    and crashed, its record carrying untagged v1 digests."""
+    path = tmp_path / "v1.db"
+    conn = sqlite3.connect(path)
+    with open(os.path.join(DATA, "crashed-run-1.14.sql"), encoding="utf-8") as f:
+        conn.executescript(f.read())
+    conn.close()
+    (run,) = list_runs(DirtyTable(path))
+    return path, run
+
+
+def _resume_v1_fixture(case, tmp_path):
+    path, run = _v1_fixture(tmp_path)
+    _engine(case).clean_table(
+        path, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    )
+    return path, _record(path, run.run_id)
+
+
+def test_run_digests_are_v2_and_match_full_scans(case, db):
+    pre = _digest(db, version=2)
+    result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
+    record = _record(db, result.run_id)
+    assert (record.pre_digest, record.post_digest) == (pre, _digest(db, version=2))
+    assert record.pre_digest != record.post_digest
+
+
+@pytest.mark.parametrize("crash", ["between pages", "mid page"])
+def test_resumed_run_digests_equal_an_uninterrupted_runs(case, db, tmp_path, monkeypatch, crash):
+    path = tmp_path / "uninterrupted.db"
+    DirtyTable.create(path, case.dirty)
+    whole = _record(path, _engine(case).clean_table(
+        path, page_rows=30, validated=case.validated, shards=4
+    ).run_id)
+    if crash == "between pages":
+        run = _crashed_run(case, db, monkeypatch, 1, page_rows=30, shards=4)
+    else:
+        real = _crash_in_shard(monkeypatch, 6)  # page 0's four, two of page 1's
+        with pytest.raises(RuntimeError, match="mid-page crash"):
+            _engine(case).clean_table(db, page_rows=30, validated=case.validated, shards=4)
+        monkeypatch.setattr(executor_mod, "_run_shard", real)
+        (run,) = list_runs(DirtyTable(db))
+    assert run.pre_digest.startswith("rowsum-v2-partial:") and run.post_digest is None
+    _engine(case).clean_table(
+        db, page_rows=30, validated=case.validated, shards=4, resume=run.run_id
+    )
+    resumed = _record(db, run.run_id)
+    assert (resumed.pre_digest, resumed.post_digest) == (whole.pre_digest, whole.post_digest)
+
+
+def test_reordered_table_columns_clean_resume_and_undo(case, tmp_path, monkeypatch):
+    """A table declared in another column order than the input schema:
+    the digests hash rows in declaration order, pages read them in
+    schema order, and both round trips restore the table exactly."""
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Schema
+
+    names = list(case.dirty.schema.names)[::-1]
+    at = [case.dirty.schema.names.index(n) for n in names]
+    reordered = Relation(
+        Schema("dirty", names), [tuple(r[i] for i in at) for r in case.dirty.raw_tuples()]
+    )
+    expected = _engine(case).clean_relation(case.dirty, validated=case.validated)
+    want = [tuple(r[i] for i in at) for r in expected.relation.raw_tuples()]
+    for crash in (False, True):
+        db = tmp_path / f"reordered-{crash}.db"
+        DirtyTable.create(db, reordered)
+        pre = _digest(db, version=2)
+        if crash:
+            run = _crashed_run(case, db, monkeypatch, 2, page_rows=16)
+            result = _engine(case).clean_table(
+                db, page_rows=16, validated=case.validated, resume=run.run_id
+            )
+        else:
+            result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
+        assert _table_rows(db) == want
+        record = _record(db, result.run_id)
+        assert (record.pre_digest, record.post_digest) == (pre, _digest(db, version=2))
+        _engine(case).undo(db, result.run_id)
+        assert _table_rows(db) == reordered.raw_tuples()
+
+
+def test_integer_affinity_column_undoes(case, tmp_path):
+    """sqlite stores a numeric-string fix to an INTEGER column as an
+    integer: the post digest hashes what the table holds, not what the
+    run wrote, so undo's check passes."""
+    path = tmp_path / "affinity.db"
+    names = case.dirty.schema.names
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE dirty ("
+        + ", ".join(f"{n} INTEGER" if n == "AC" else n for n in names) + ")"
+    )
+    conn.executemany(
+        f"INSERT INTO dirty VALUES ({', '.join('?' * len(names))})", case.dirty.raw_tuples()
+    )
+    conn.commit()
+    conn.close()
+    before = _table_rows(path)
+    assert any(type(r[names.index("AC")]) is int for r in before)
+
+    result = _engine(case).clean_table(path, page_rows=16, validated=case.validated)
+    fixes = [
+        (old, new) for _, _, column, old, new, _, _ in _archive_rows(path, result.run_id)
+        if column == "AC" and isinstance(new, str) and new.isdigit()
+    ]
+    assert fixes  # the run wrote numeric strings the column turned into integers
+    stored = {r[names.index("AC")] for r in _table_rows(path)}
+    assert {int(new) for _, new in fixes} <= stored
+    record = _record(path, result.run_id)
+    assert record.post_digest == _digest(path, version=2)
+    _engine(case).undo(path, result.run_id)
+    assert _table_rows(path) == before
+
+
+def test_a_write_during_the_run_fails_undos_first_check(case, db, monkeypatch):
+    """Someone else's write to a committed page between two pages is
+    not in the derived post digest, so undo refuses before it writes."""
+    real = DbCleaner._clean_page
+
+    def writing(self, page, **kwargs):
+        if page.index == 1:  # page 0 (rows 1-16) is read and committed
+            _sql(db, "UPDATE dirty SET FN = 'Zed' WHERE rowid = 3")
+        return real(self, page, **kwargs)
+
+    monkeypatch.setattr(DbCleaner, "_clean_page", writing)
+    result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
+    monkeypatch.setattr(DbCleaner, "_clean_page", real)
+    mutated = _table_rows(db)
+    assert mutated[2][0] == "Zed"
+    with pytest.raises(DirtyDataError, match="modified after the run"):
+        _engine(case).undo(db, result.run_id)
+    assert _table_rows(db) == mutated
+    assert _record(db, result.run_id).status == "committed"
+
+
+def test_crashed_run_undo_checks_the_pages_it_committed(case, db, tmp_path, monkeypatch):
+    run = _crashed_run(case, db, monkeypatch, 2, page_rows=16)
+    _sql(db, "UPDATE dirty SET FN = 'Zed' WHERE rowid = 40")  # page 2: never committed
+    undo_run(DirtyTable(db), run.run_id)
+    rows = _table_rows(db)
+    assert rows[39][0] == "Zed"
+    assert rows[:39] + rows[40:] == (case.dirty.raw_tuples()[:39] + case.dirty.raw_tuples()[40:])
+
+    db = tmp_path / "second.db"
+    DirtyTable.create(db, case.dirty)
+    run = _crashed_run(case, db, monkeypatch, 2, page_rows=16)
+    _sql(db, "UPDATE dirty SET FN = 'Zed' WHERE rowid = 20")  # page 1: committed
+    mutated = _table_rows(db)
+    with pytest.raises(DirtyDataError, match="modified after the run"):
+        undo_run(DirtyTable(db), run.run_id)
+    assert _table_rows(db) == mutated
+
+
+def test_v1_run_from_1_14_resumes_and_undoes_by_scan(case, tmp_path):
+    path, record = _resume_v1_fixture(case, tmp_path)
+    assert record.status == "committed"
+    assert (record.pre_digest, record.post_digest) == (
+        "8b2f52b6e3f26600e6dbd410fe616c4780d1d2df8abc892cd385379b5c0c6aaa",
+        _digest(path),
+    )
+    _engine(case).undo(path, record.run_id)
+    assert _table_rows(path) == case.dirty.raw_tuples()
+
+
+def test_v1_run_undo_refuses_a_table_modified_after_the_run(case, tmp_path):
+    path, record = _resume_v1_fixture(case, tmp_path)
+    _sql(path, "UPDATE dirty SET FN = 'Zed' WHERE rowid = 3")
+    mutated = _table_rows(path)
+    with pytest.raises(DirtyDataError, match="modified after the run"):
+        _engine(case).undo(path, record.run_id)
+    assert _table_rows(path) == mutated
+
+
+def _tamper_old_value(path, run_id):
+    """Edit one archive row's old value, so undo restores a wrong cell."""
+    conn = sqlite3.connect(path)
+    try:
+        (seq,) = conn.execute(
+            "SELECT MIN(seq) FROM cerfix_clean_changes WHERE run_id = ?", (run_id,)
+        ).fetchone()
+        conn.execute(
+            "UPDATE cerfix_clean_changes SET old_value = ? WHERE run_id = ? AND seq = ?",
+            ('"tampered"', run_id, seq),
+        )
+        conn.commit()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("kind", ["committed v2", "crashed v2", "resumed v1"])
+def test_undo_refuses_a_restore_that_misses_the_pre_run_table(case, db, tmp_path, monkeypatch, kind):
+    if kind == "committed v2":
+        run_id = _engine(case).clean_table(db, page_rows=16, validated=case.validated).run_id
+    elif kind == "crashed v2":
+        run_id = _crashed_run(case, db, monkeypatch, 2, page_rows=16).run_id
+    else:
+        db, record = _resume_v1_fixture(case, tmp_path)
+        run_id = record.run_id
+    _tamper_old_value(db, run_id)
+    before, status = _table_rows(db), _record(db, run_id).status
+    with pytest.raises(DirtyDataError, match="did not reproduce the pre-run table"):
+        _engine(case).undo(db, run_id)
+    assert _table_rows(db) == before  # rolled back
+    assert _record(db, run_id).status == status
+
+
+def _set_digests(path, run_id, **digests):
+    sets = ", ".join(f"{column} = ?" for column in digests)
+    _sql(path, f"UPDATE cerfix_clean_runs SET {sets} WHERE run_id = ?",
+         (*digests.values(), run_id))
+
+
+def _refused_by_resume_and_undo(case, db, run_id, match):
+    before = _table_rows(db)
+    with pytest.raises(DirtyDataError, match=match):
+        _engine(case).clean_table(
+            db, page_rows=16, validated=case.validated, resume=run_id
+        )
+    with pytest.raises(DirtyDataError, match=match):
+        _engine(case).undo(db, run_id)
+    assert _table_rows(db) == before
+
+
+def test_unknown_digest_tag_refused(case, db, monkeypatch):
+    run = _crashed_run(case, db, monkeypatch, 1, page_rows=16)
+    _set_digests(db, run.run_id, pre_digest="rowsum-v9:" + "0" * 64)
+    _refused_by_resume_and_undo(case, db, run.run_id, "unknown tag 'rowsum-v9'")
+
+
+def test_truncated_or_non_hex_digest_refused(case, db, monkeypatch):
+    run = _crashed_run(case, db, monkeypatch, 1, page_rows=16)
+    tag, _, sums = run.pre_digest.partition(":")
+    v1 = "8b2f52b6e3f26600e6dbd410fe616c4780d1d2df8abc892cd385379b5c0c6aaa"
+    for bad in (
+        f"{tag}:{sums[:-1]}",  # truncated
+        f"{tag}:{sums[:-1]}g",  # not hex
+        f"{tag}:{sums.upper()}",  # not lower-case hex
+        f"{tag}:{sums[:64]}",  # one sum of two
+        v1[:40],
+        v1[:-1] + "z",
+    ):
+        _set_digests(db, run.run_id, pre_digest=bad)
+        _refused_by_resume_and_undo(case, db, run.run_id, "malformed digest")
+
+
+def test_partial_sums_on_a_committed_run_refused(case, db):
+    from repro.dirty.archive import partial_digest
+
+    result = _engine(case).clean_table(db, page_rows=16, validated=case.validated)
+    record = _record(db, result.run_id)
+    for digests in (
+        {"pre_digest": partial_digest(1, 2)},
+        {"post_digest": partial_digest(1, 2)},
+    ):
+        _set_digests(db, result.run_id, **digests)
+        before = _table_rows(db)
+        with pytest.raises(DirtyDataError, match="not resumable"):
+            _engine(case).clean_table(
+                db, page_rows=16, validated=case.validated, resume=result.run_id
+            )
+        with pytest.raises(DirtyDataError, match="committed but records digests tagged .*partial"):
+            _engine(case).undo(db, result.run_id)
+        assert _table_rows(db) == before
+        _set_digests(db, result.run_id, pre_digest=record.pre_digest,
+                     post_digest=record.post_digest)
+    _engine(case).undo(db, result.run_id)
+    assert _table_rows(db) == case.dirty.raw_tuples()
 
 
 # -- dry run -----------------------------------------------------------------

@@ -123,3 +123,74 @@ class TestContentDigest:
         assert changed == real(manager.relation)
         manager.relation.update_cell(0, "value", "v1")
         assert manager.content_digest() == first and len(scans) == 3
+
+
+class TestMatchMany:
+    """``match_many`` answers a (rule, rows) batch in one store call; it
+    must equal a per-key ``probe`` for every row, memo included."""
+
+    @pytest.fixture(params=["single", "sqlite"])
+    def pair(self, request, tmp_path):
+        """Two stores of one backend over equal master relations: one
+        probed per key, one through ``match_many``."""
+        from repro.master.store import SingleRelationStore, SqliteMasterStore
+
+        def fresh(name):
+            rel = Relation(MASTER, [("k1", "v1"), ("k2", "v2"), ("k3", "v2"), ("k3", "v3")])
+            if request.param == "single":
+                return SingleRelationStore(rel)
+            return SqliteMasterStore(tmp_path / f"{name}.db", relation=rel)
+
+        return fresh("per-key"), MasterDataManager(fresh("batched"))
+
+    ROWS = [{"a": k} for k in ("k1", "k3", "zz", "k1", "K2", "k2", "zz")]
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    @pytest.mark.parametrize("op", ["exact", "casefold"])
+    def test_equals_per_key_probes(self, pair, use_index, op):
+        per_key, batched = pair
+        rule = lookup_rule(op)
+        want = [per_key.probe(rule, v, use_index=use_index) for v in self.ROWS]
+        assert batched.match_many(rule, self.ROWS, use_index=use_index) == want
+        # a second batch answers from the memo, with the same matches
+        assert batched.match_many(rule, self.ROWS, use_index=use_index) == want
+        assert [batched.match(rule, v, use_index=use_index) for v in self.ROWS] == want
+
+    def test_unhashable_cell(self, pair):
+        per_key, batched = pair
+        rule, rows = lookup_rule(), [{"a": "k1"}, {"a": ["k1"]}, {"a": "k2"}]
+        want = [per_key.probe(rule, v, use_index=False) for v in rows]
+        assert batched.match_many(rule, rows, use_index=False) == want
+        assert want[1].is_empty
+        with pytest.raises(TypeError):  # an index cannot bucket it either way
+            per_key.probe(rule, rows[1])
+        with pytest.raises(TypeError):
+            batched.match_many(rule, rows)
+
+    def test_probe_after_apply_update(self, pair):
+        per_key, batched = pair
+        rule = lookup_rule()
+        assert batched.match_many(rule, self.ROWS)[2].is_empty  # fills the memo
+        for store in (per_key, batched.store):
+            store.apply_update(add=[{"key": "zz", "value": "v9"}], remove=[0])
+        want = [per_key.probe(rule, v) for v in self.ROWS]
+        got = batched.match_many(rule, self.ROWS)
+        assert got == want
+        assert got[0].is_empty and got[2].value == "v9"
+
+    def test_a_probe_override_is_probed_through(self):
+        """A store subclass that overrides ``probe`` sees every row of a
+        batch, so a wrapped or faulty probe cannot be bypassed."""
+        from repro.master.store import SingleRelationStore
+
+        seen = []
+
+        class Counting(SingleRelationStore):
+            def probe(self, rule, values, *, use_index=True):
+                seen.append(values)
+                return super().probe(rule, values, use_index=use_index)
+
+        rel = Relation(MASTER, [("k1", "v1"), ("k2", "v2"), ("k3", "v2"), ("k3", "v3")])
+        want = [SingleRelationStore(rel).probe(lookup_rule(), v) for v in self.ROWS]
+        assert MasterDataManager(Counting(rel)).match_many(lookup_rule(), self.ROWS) == want
+        assert seen == self.ROWS
